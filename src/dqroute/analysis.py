@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bestresponse import dp_from_vertex
+from .bestresponse import QueueCounters, dp_from_vertex
 from .errors import DegreeConditionViolated, InflowExceedsCut, NotSeriesParallel
 from .netcore import (
     Agent,
@@ -20,28 +20,6 @@ from .netcore import (
 )
 
 
-class _Timelines:
-    """Per-edge occupancy counts and entrant ranks over time; satisfies the
-    QueueCounters query protocol used by the best-response recursion."""
-
-    def __init__(self):
-        self.counts: dict[str, dict[int, int]] = {}
-        self.entrants: dict[str, dict[int, list[int]]] = {}
-
-    def size(self, edge: str, t: int) -> int:
-        return self.counts.get(edge, {}).get(t, 0)
-
-    def entered_no_higher(self, edge: str, t: int, ref_rank: int) -> int:
-        ranks = self.entrants.get(edge, {}).get(t, ())
-        return sum(1 for r in ranks if 0 <= ref_rank <= r)
-
-    def commit(self, edge: str, enter: int, leave: int, rank: int) -> None:
-        counts = self.counts.setdefault(edge, {})
-        for t in range(enter, leave):
-            counts[t] = counts.get(t, 0) + 1
-        self.entrants.setdefault(edge, {}).setdefault(enter, []).append(rank)
-
-
 @dataclass
 class RouterResult:
     """Equilibrium routing of a whole schedule, agent by agent in entry order."""
@@ -49,7 +27,7 @@ class RouterResult:
     paths: dict[Agent, tuple[str, ...]]
     arrivals: dict[Agent, dict[str, int]]
     exit_times: dict[Agent, int]
-    timelines: _Timelines
+    timelines: QueueCounters
 
     def latency(self, agent: Agent) -> int:
         return self.exit_times[agent] - agent.entry
@@ -62,7 +40,7 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     dominating profile: earlier entrants are never disturbed by later ones, so
     each agent's trajectory can be committed incrementally.
     """
-    timelines = _Timelines()
+    timelines = QueueCounters()
     paths: dict[Agent, tuple[str, ...]] = {}
     arrivals: dict[Agent, dict[str, int]] = {}
     exits: dict[Agent, int] = {}
@@ -131,9 +109,9 @@ class OccupancyTrace:
 def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
     horizon = max(result.exit_times.values(), default=0)
     per_edge = {
-        e: [0] * (horizon + 1) for e in result.timelines.counts
+        e: [0] * (horizon + 1) for e in result.timelines.sizes
     }
-    for e, counts in result.timelines.counts.items():
+    for e, counts in result.timelines.sizes.items():
         series = per_edge[e]
         for t, n in counts.items():
             if t <= horizon:

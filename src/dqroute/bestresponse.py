@@ -13,21 +13,29 @@ from .netcore import Agent, Graph
 
 
 class QueueCounters:
-    """|Q_e^t| and the 'entered at t from priority no higher than e'' counts,
-    read off one simulation of the fixed agents."""
+    """The occupancy index the best-response recursion reads: |Q_e^t| and the
+    previous-edge ranks of the agents entering e at t.
 
-    def __init__(self, graph: Graph, trace: Optional[RoutingTrace] = None):
-        self.graph = graph
+    Built from one simulation of fixed agents (`from_trace`) or grown one
+    trajectory at a time (`commit`). Initial queue members rank -1, strictly
+    ahead of any entrant.
+    """
+
+    def __init__(self):
         self.sizes: dict[str, dict[int, int]] = {}
         self.entrant_ranks: dict[str, dict[int, list[int]]] = {}
-        if trace is not None:
-            self.sizes = trace.queue_sizes
-            for edge, events in trace.edge_events.items():
-                per_t = self.entrant_ranks.setdefault(edge, {})
-                for t, _agent, prev in events:
-                    # initial queue members rank as strictly ahead of any entrant
-                    rank = -1 if prev is None else graph.rank(prev)
-                    per_t.setdefault(t, []).append(rank)
+
+    @classmethod
+    def from_trace(cls, graph: Graph, trace: RoutingTrace) -> "QueueCounters":
+        counters = cls()
+        # copied, so later commits leave the trace alone
+        counters.sizes = {e: dict(per_t) for e, per_t in trace.queue_sizes.items()}
+        for edge, events in trace.edge_events.items():
+            per_t = counters.entrant_ranks.setdefault(edge, {})
+            for t, _agent, prev in events:
+                rank = -1 if prev is None else graph.rank(prev)
+                per_t.setdefault(t, []).append(rank)
+        return counters
 
     def size(self, edge: str, t: int) -> int:
         return self.sizes.get(edge, {}).get(t, 0)
@@ -35,6 +43,14 @@ class QueueCounters:
     def entered_no_higher(self, edge: str, t: int, ref_rank: int) -> int:
         ranks = self.entrant_ranks.get(edge, {}).get(t, ())
         return sum(1 for r in ranks if 0 <= ref_rank <= r)
+
+    def commit(self, edge: str, enter: int, leave: int, rank: int) -> None:
+        """Add one agent queued on the edge during [enter, leave) that entered
+        it with the given rank."""
+        sizes = self.sizes.setdefault(edge, {})
+        for t in range(enter, leave):
+            sizes[t] = sizes.get(t, 0) + 1
+        self.entrant_ranks.setdefault(edge, {}).setdefault(enter, []).append(rank)
 
 
 @dataclass
@@ -116,10 +132,35 @@ def fixed_counters(
     """Simulate the fixed agents with the deviator removed and index the queues."""
     others = [a for a in config.agents() if a in fixed and a != zeta]
     if not others:
-        return QueueCounters(graph)
+        return QueueCounters()
     sub = config.restrict(others)
     trace = run_paths(graph, sub, {a: fixed[a] for a in others})
-    return QueueCounters(graph, trace)
+    return QueueCounters.from_trace(graph, trace)
+
+
+def queued_agent_table(
+    graph: Graph,
+    zeta: Agent,
+    edge_name: str,
+    time: int,
+    idx: int,
+    counters: QueueCounters,
+) -> EarliestArrivalTable:
+    """Earliest-arrival table of an agent with idx agents ahead of it in the
+    queue of edge_name at the given time."""
+    edge = graph.edge(edge_name)
+    table = dp_from_vertex(
+        graph,
+        zeta,
+        start_vertex=edge.head,
+        start_time=time + idx + 1,
+        start_edge=edge_name,
+        start_rank=graph.rank(edge_name),
+        counters=counters,
+    )
+    # the agent counts as reaching its current tail at the configuration time
+    table.tau[edge.tail] = time
+    return table
 
 
 def earliest_arrival_table(
@@ -138,19 +179,7 @@ def earliest_arrival_table(
     edge_name, idx = world.locate(zeta)
     if counters is None:
         counters = fixed_counters(graph, world, fixed, zeta)
-    v0 = graph.edge(edge_name).head
-    table = dp_from_vertex(
-        graph,
-        zeta,
-        start_vertex=v0,
-        start_time=config.time + idx + 1,
-        start_edge=edge_name,
-        start_rank=graph.rank(edge_name),
-        counters=counters,
-    )
-    # the deviator counts as reaching its current tail at the configuration time
-    table.tau[graph.edge(edge_name).tail] = config.time
-    return table
+    return queued_agent_table(graph, zeta, edge_name, config.time, idx, counters)
 
 
 def best_response_path(

@@ -82,11 +82,37 @@ class Reporter:
             (self.out / "report.txt").write_text("\n".join(self.lines) + "\n")
 
 
+def _read_text(ref: str, what: str) -> str:
+    try:
+        return Path(ref).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DQRouteError(f"cannot read {what} {ref!r}: {exc}") from exc
+
+
 def _read_scenario(ref: str):
     if ref in FIXTURES:
         return fixture_scenario(ref), ref
-    path = Path(ref)
-    return parse_scenario(path.read_text()), path.stem
+    return parse_scenario(_read_text(ref, "scenario")), Path(ref).stem
+
+
+def _read_witness(ref: str, loaded: LoadedScenario):
+    """(check name, profile) of a witness file written by `properties`."""
+    try:
+        payload = json.loads(_read_text(ref, "witness"))
+    except json.JSONDecodeError as exc:
+        raise DQRouteError(f"witness {ref!r} is not valid JSON: {exc}") from exc
+    profile = payload.get("profile") if isinstance(payload, dict) else None
+    if not isinstance(profile, dict):
+        raise DQRouteError(f"witness {ref!r} has no profile object")
+    agents = {a.name: a for a in loaded.config.agents()}
+    for name, path in profile.items():
+        if name not in agents:
+            raise DQRouteError(f"witness {ref!r} names unknown agent {name!r}")
+        if not isinstance(path, list) or not all(
+            isinstance(e, str) and e in loaded.graph.edges for e in path
+        ):
+            raise DQRouteError(f"witness {ref!r} gives {name!r} a path of unknown edges")
+    return payload.get("check", "?"), {agents[n]: tuple(p) for n, p in profile.items()}
 
 
 def _cost(loaded: LoadedScenario, trace, agent) -> int:
@@ -204,11 +230,9 @@ def cmd_enumerate_ne(args, rep: Reporter, loaded: LoadedScenario) -> int:
 
 def cmd_properties(args, rep: Reporter, loaded: LoadedScenario) -> int:
     if args.replay:
-        payload = json.loads(Path(args.replay).read_text())
-        agents = {a.name: a for a in loaded.config.agents()}
-        profile = {agents[n]: tuple(p) for n, p in payload["profile"].items()}
+        check, profile = _read_witness(args.replay, loaded)
         trace = run_paths(loaded.graph, loaded.config.restrict(profile), profile)
-        rep.line(f"replayed witness for check {payload.get('check', '?')}")
+        rep.line(f"replayed witness for check {check}")
         for agent in sorted(profile, key=lambda a: a.name):
             rep.line(f"  {agent.name} exits {trace.exit_times[agent]}")
         return 0

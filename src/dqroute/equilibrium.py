@@ -11,9 +11,11 @@ from typing import Mapping, Optional, Sequence
 
 from .bestresponse import (
     EarliestArrivalTable,
+    QueueCounters,
     best_response_path,
     earliest_arrival_table,
     fixed_counters,
+    queued_agent_table,
 )
 from .dynamics import Configuration, RoutingTrace, run_paths
 from .errors import BaseInvarianceViolated, NotAnNE, TooManyProfiles, Unreachable
@@ -79,10 +81,20 @@ def iterative_dominating_profile(
     """Assign dominating paths one agent at a time (the base variant seeds the
     assigned set with fixed paths whose arrival times are already invariant).
 
-    Each iteration recomputes every unassigned agent's earliest-arrival table
-    against the assigned routing, walks back from the destination keeping the
-    minimal-time candidates and the highest-priority last edges, and hands the
-    resulting path to the front-most queuer on its first edge.
+    Each iteration walks back from the destination over the unassigned agents'
+    earliest-arrival tables, keeping the minimal-time candidates and the
+    highest-priority last edges, and hands the resulting path to the
+    front-most queuer on its first edge.
+
+    The assigned routing lives in one QueueCounters index (seeded by one
+    simulation of the base, if any). The chosen agent's trajectory is
+    committed once, at the times of its own table: it holds each path edge
+    (u, v) during [tau(u), tau(v)) and enters it with the rank of its previous
+    edge, -1 on its starting edge. Iterative domination says this displaces no
+    assigned agent, and the commit asserts it. An unassigned agent keeps its
+    table until the count of assigned agents ahead of it in its start queue
+    changes, or a commit on an edge (u, v) covers the time its table reaches
+    u: those are the only cells its recursion reads that a commit changes.
     """
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
@@ -93,12 +105,24 @@ def iterative_dominating_profile(
     order: list[Agent] = []
     stages: list[SolveStage] = []
     r = config.time
-    while remaining:
+    counters = QueueCounters()
+    if assigned and remaining:
         counters = fixed_counters(graph, config, assigned, zeta=Agent("~none"))
-        tables: dict[Agent, EarliestArrivalTable] = {
-            j: earliest_arrival_table(graph, config, assigned, j, counters=counters)
-            for j in remaining
-        }
+    start_edge: dict[Agent, str] = {}
+    ahead: dict[Agent, int] = {}  # assigned agents ahead in the start queue
+    for e, q in config.queues:
+        n = 0
+        for a in q:
+            if a in assigned:
+                n += 1
+            else:
+                start_edge[a] = e
+                ahead[a] = n
+    tables: dict[Agent, EarliestArrivalTable] = {}
+    while remaining:
+        for j in remaining:
+            if j not in tables:
+                tables[j] = queued_agent_table(graph, j, start_edge[j], r, ahead[j], counters)
         w = graph.destination
         pool = list(remaining)
         path_rev: list[str] = []
@@ -119,20 +143,45 @@ def iterative_dominating_profile(
             path_rev.append(uw)
             w = graph.edge(uw).tail
         path = tuple(reversed(path_rev))
-        in_line = [a for a in config.queue(path[0]) if a in pool]
+        line = config.queue(path[0])
+        in_line = [a for a in line if a in pool]
         assert in_line, "backward walk must stop at a candidate's current edge"
         chosen = in_line[0]
+        behind = line[line.index(chosen) + 1 :]
+        assert not any(a in assigned for a in behind), "an assigned agent queues behind"
+        times = tables.pop(chosen).tau
         order.append(chosen)
         stages.append(
             SolveStage(
                 agent=chosen,
                 path=path,
-                tau=dict(tables[chosen].tau),
+                tau=times,
                 assigned_before=tuple(order[:-1]),
             )
         )
         assigned[chosen] = path
         remaining.remove(chosen)
+
+        touched: list[tuple[str, int, int]] = []
+        rank = -1
+        for e in path:
+            edge = graph.edge(e)
+            enter, leave = times[edge.tail], times[edge.head]
+            # no assigned agent may end up behind it: neither a simultaneous
+            # lower-priority entrant nor one entering while it queues
+            entrants = counters.entrant_ranks.get(e, {})
+            assert counters.entered_no_higher(e, enter, rank + 1) == 0
+            assert not any(t in entrants for t in range(enter + 1, leave))
+            counters.commit(e, enter, leave, rank)
+            # tables reach vertices after r, so cells at r are never read
+            touched.append((edge.tail, max(enter, r + 1), leave))
+            rank = graph.rank(e)
+        for a in behind:
+            ahead[a] += 1
+            tables.pop(a, None)
+        for j, table in list(tables.items()):
+            if any(lo <= table.tau.get(u, r) < hi for u, lo, hi in touched):
+                del tables[j]
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))
 

@@ -58,6 +58,13 @@ def _int(token: str, line: int, what: str) -> int:
         raise ParseError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _declare_agents(declared: set[str], names: list[str], line: int) -> None:
+    for n in names:
+        if n in declared:
+            raise UnresolvedReference(line, f"agent {n!r} appears twice")
+        declared.add(n)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ParseError/UnresolvedReference with line numbers."""
     sc = Scenario()
@@ -131,7 +138,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(lineno, "at needs: time agent [agent ...]")
             r = _int(args[0], lineno, "inflow time")
             names = [_ident(a, lineno, "agent") for a in args[1:]]
-            declared_agents.update(names)
+            _declare_agents(declared_agents, names, lineno)
             sc.inflow.append((r, names))
             sc.lines[f"inflow:{r}"] = lineno
         elif section == "config":
@@ -144,7 +151,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ParseError(lineno, "queue needs: edge agent [agent ...]")
                 e = _ident(args[0], lineno, "edge")
                 names = [_ident(a, lineno, "agent") for a in args[1:]]
-                declared_agents.update(names)
+                _declare_agents(declared_agents, names, lineno)
                 sc.config_queues.append((e, names))
                 sc.lines[f"queue:{e}"] = lineno
             else:
@@ -189,17 +196,6 @@ def _resolve(sc: Scenario, edges: dict[str, tuple[str, str]], agents: set[str]) 
     for e, names in sc.config_queues:
         if e not in edges:
             raise UnresolvedReference(sc.lines[f"queue:{e}"], f"queue on unknown edge {e!r}")
-    seen_agents: set[str] = set()
-    for _, names in sc.inflow:
-        for n in names:
-            if n in seen_agents:
-                raise UnresolvedReference(0, f"agent {n!r} appears twice")
-            seen_agents.add(n)
-    for _, names in sc.config_queues:
-        for n in names:
-            if n in seen_agents:
-                raise UnresolvedReference(0, f"agent {n!r} appears twice")
-            seen_agents.add(n)
     for name, path in sc.paths.items():
         if name not in agents:
             raise UnresolvedReference(

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Optional
 
+from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
 from dqroute.dynamics import EXIT, Configuration
-from dqroute.netcore import Agent, InflowSchedule, Network
+from dqroute.equilibrium import (
+    PathProfile,
+    SolveResult,
+    SolveStage,
+    _check_base_invariance,
+)
+from dqroute.errors import Unreachable
+from dqroute.netcore import Agent, Graph, InflowSchedule, Network
 from dqroute.spe import StrategyOracle
 
 
@@ -181,3 +191,67 @@ def random_g_path(rng: random.Random, net: Network) -> list[str]:
         path.append(e)
         v = net.edge(e).head
     return path
+
+
+def reference_dominating_profile(
+    graph: Graph,
+    config: Configuration,
+    base: Optional[PathProfile] = None,
+    *,
+    base_check_samples: int = 4,
+    rng: Optional[random.Random] = None,
+) -> SolveResult:
+    """The from-scratch iterative dominating profile: every iteration
+    re-simulates the assigned agents and recomputes every unassigned agent's
+    earliest-arrival table. The oracle for the incremental solver."""
+    assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
+    if assigned and base_check_samples > 0:
+        _check_base_invariance(
+            graph, config, assigned, base_check_samples, rng or random.Random(0)
+        )
+    remaining = [a for a in config.agents() if a not in assigned]
+    order: list[Agent] = []
+    stages: list[SolveStage] = []
+    r = config.time
+    while remaining:
+        counters = fixed_counters(graph, config, assigned, zeta=Agent("~none"))
+        tables: dict[Agent, EarliestArrivalTable] = {
+            j: earliest_arrival_table(graph, config, assigned, j, counters=counters)
+            for j in remaining
+        }
+        w = graph.destination
+        pool = list(remaining)
+        path_rev: list[str] = []
+        while True:
+            taus = {j: tables[j].arrival(w) for j in pool}
+            tau = min(taus.values())
+            if math.isinf(tau):
+                raise Unreachable(f"no remaining agent reaches {w!r}")
+            if tau < r + 1:
+                break
+            pool = [j for j in pool if taus[j] == tau]
+            cands = set()
+            for j in pool:
+                cands.update(tables[j].achieving.get(w, ()))
+            uw = min(cands, key=graph.rank)
+            # survivors must share the chosen ending edge (tie-break on last edges)
+            pool = [j for j in pool if uw in tables[j].achieving.get(w, ())]
+            path_rev.append(uw)
+            w = graph.edge(uw).tail
+        path = tuple(reversed(path_rev))
+        in_line = [a for a in config.queue(path[0]) if a in pool]
+        assert in_line, "backward walk must stop at a candidate's current edge"
+        chosen = in_line[0]
+        order.append(chosen)
+        stages.append(
+            SolveStage(
+                agent=chosen,
+                path=path,
+                tau=dict(tables[chosen].tau),
+                assigned_before=tuple(order[:-1]),
+            )
+        )
+        assigned[chosen] = path
+        remaining.remove(chosen)
+    paths = {a: assigned[a] for a in config.agents()}
+    return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dqroute.bestresponse import (
+    QueueCounters,
     best_response_path,
     brute_force_best_response,
     dominates,
@@ -51,6 +52,42 @@ class TestEarliestArrivalTable:
         trace = run_paths(loaded.graph, world, {**fixed, p2: path})
         for v in loaded.graph.path_vertices(path)[1:]:
             assert trace.arrival(p2, v) == table.arrival(v)
+
+
+class TestQueueCounters:
+    def test_commits_rebuild_the_simulated_index(self):
+        # committing every simulated trajectory gives the index of the trace
+        rng = random.Random(4)
+        done = 0
+        while done < 20:
+            net = random_net(rng, max_v=7, max_e=10)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=6)
+            paths = random_fixed_paths(rng, net, config)
+            trace = run_paths(net, config, paths)
+            built = QueueCounters()
+            for agent, path in paths.items():
+                rank = -1
+                for e in path:
+                    enter = trace.entry(agent, e)
+                    built.commit(e, enter, trace.arrival(agent, net.edge(e).head), rank)
+                    rank = net.rank(e)
+            ranks = lambda c: {e: {t: sorted(r) for t, r in per_t.items()}
+                               for e, per_t in c.entrant_ranks.items()}
+            from_trace = QueueCounters.from_trace(net, trace)
+            assert built.sizes == from_trace.sizes
+            assert ranks(built) == ranks(from_trace)
+            done += 1
+
+    def test_from_trace_copies_the_queue_sizes(self):
+        net = Network.build("o", "d", [("od", "o", "d")])
+        c = Configuration.from_mapping(0, {"od": [A]})
+        trace = run_paths(net, c, {A: ("od",)})
+        counters = QueueCounters.from_trace(net, trace)
+        counters.commit("od", 0, 3, -1)
+        assert trace.queue_sizes == {"od": {0: 1}}
+        assert counters.size("od", 0) == 2 and counters.size("od", 2) == 1
 
 
 class TestBruteForce:

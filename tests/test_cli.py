@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dqroute.cli import main
 
 
@@ -116,3 +118,29 @@ class TestCommands:
         code, out = run(capsys, "properties", "fig3", "--replay", str(witness))
         assert code == 0
         assert "replayed witness" in out
+
+    def test_unreadable_scenario_exit_code(self, capsys, tmp_path):
+        code, out = run(capsys, "solve", str(tmp_path / "missing.scn"))
+        assert code == 2 and "error: cannot read scenario" in out
+        code, out = run(capsys, "solve", str(tmp_path))
+        assert code == 2 and "error:" in out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"profile": {"ghost": ["u1_u2"]}}', "unknown agent 'ghost'"),
+            ('{"profile": {"i": ["u1_u2", "nope"]}}', "path of unknown edges"),
+            ('{"check": "manual"}', "no profile object"),
+            ("[1, 2]", "no profile object"),
+            ("{not json", "not valid JSON"),
+        ],
+    )
+    def test_bad_witness_replay_exit_code(self, capsys, tmp_path, text, message):
+        witness = tmp_path / "witness.json"
+        witness.write_text(text)
+        code, out = run(capsys, "properties", "fig3", "--replay", str(witness))
+        assert code == 2 and "error:" in out and message in out
+
+    def test_missing_witness_exit_code(self, capsys, tmp_path):
+        code, out = run(capsys, "properties", "fig3", "--replay", str(tmp_path / "none.json"))
+        assert code == 2 and "error: cannot read witness" in out

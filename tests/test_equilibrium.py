@@ -16,9 +16,14 @@ from dqroute.equilibrium import (
 )
 from dqroute.errors import BaseInvarianceViolated, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, load_fixture
-from dqroute.netcore import Agent, Network, validate_and_stats
+from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit, validate_and_stats
 
-from helpers import random_interim_config, random_net, random_schedule
+from helpers import (
+    random_interim_config,
+    random_net,
+    random_schedule,
+    reference_dominating_profile,
+)
 
 
 class TestIterativeDominatingProfile:
@@ -147,6 +152,53 @@ class TestBaseVariant:
         base = {slow: ("ov", "vd")}
         with pytest.raises(BaseInvarianceViolated):
             iterative_dominating_profile(net, c, base=base, base_check_samples=30)
+
+
+class TestIncrementalSolverMatchesReference:
+    """The incremental solver against the from-scratch one: same order, same
+    paths, and every stage's tau and assigned_before."""
+
+    @staticmethod
+    def corpus(rng, count):
+        # interim configurations of random unit DAGs, then schedule-built ones
+        # on extended networks with capacity-2 and transit-2 edges
+        done = 0
+        while done < count:
+            net = random_net(rng, max_v=8, max_e=12)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=9)
+            yield net, config
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            ext, c0 = build_extended(normalize_to_unit(net), random_schedule(rng, waves=4, width=3))
+            yield ext.graph, c0
+            done += 1
+
+    def test_full_solve_equals_reference(self):
+        for graph, config in self.corpus(random.Random(5), 60):
+            assert iterative_dominating_profile(graph, config) == \
+                reference_dominating_profile(graph, config)
+
+    def test_base_variant_equals_reference(self):
+        rng = random.Random(23)
+        for graph, config in self.corpus(rng, 30):
+            full = reference_dominating_profile(graph, config)
+            if len(full.order) < 2:
+                continue
+            k = rng.randint(1, len(full.order) - 1)
+            base = {a: full.paths[a] for a in full.order[:k]}
+            seeded = iterative_dominating_profile(graph, config, base=base, base_check_samples=0)
+            assert seeded == reference_dominating_profile(
+                graph, config, base=base, base_check_samples=0
+            )
+
+    def test_fig2_equals_reference(self):
+        loaded = load_fixture("fig2")
+        result = iterative_dominating_profile(loaded.graph, loaded.config)
+        assert result == reference_dominating_profile(loaded.graph, loaded.config)
+        assert tuple(result.paths[a] for a in result.order) == FIG2_EXPECTED
 
 
 class TestVerifyNE:

@@ -76,6 +76,17 @@ class TestParse:
         with pytest.raises(UnresolvedReference):
             parse_scenario(text)
 
+    def test_duplicate_agent_reports_its_line(self):
+        with pytest.raises(UnresolvedReference) as err:
+            parse_scenario(MINIMAL + "inflow\n  at 1 a\n  at 2 a\n")
+        assert err.value.line == 8
+        with pytest.raises(UnresolvedReference) as err:
+            parse_scenario(MINIMAL + "inflow\n  at 1 a\nconfig\n  queue od b a\n")
+        assert err.value.line == 9
+        with pytest.raises(UnresolvedReference) as err:
+            parse_scenario(MINIMAL + "inflow\n  at 1 a a\n  at 1 b\n")
+        assert err.value.line == 7
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
