@@ -305,7 +305,6 @@ def _check_full_cut_drain(
 def queue_bound_experiment(
     net: UnitNetwork,
     schedule: InflowSchedule,
-    horizon: Optional[int] = None,
 ) -> tuple[BoundReport, OccupancyTrace, list[RatioVerdict]]:
     """Route the whole schedule by the iterative dominating equilibrium and
     verify empirical boundedness plus the parallel-node ratio bound."""
@@ -335,7 +334,6 @@ def queue_bound_experiment(
 def spe_bound_experiment(
     net: UnitNetwork,
     schedule: InflowSchedule,
-    horizon: Optional[int] = None,
 ) -> tuple[BoundReport, OccupancyTrace]:
     """Latency boundedness under the Markovian equilibrium play on networks whose
     internal out-degrees dominate in-degrees."""

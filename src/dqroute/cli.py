@@ -20,7 +20,7 @@ from .equilibrium import (
     iterative_dominating_profile,
     verify_ne,
 )
-from .errors import DQRouteError
+from .errors import DQRouteError, HorizonExceeded
 from .fixtures import FIXTURES, ViciousOracle, fixture_scenario
 from .netcore import InflowSchedule
 from .scenario import (
@@ -273,7 +273,7 @@ def cmd_spe_audit(args, rep: Reporter, loaded: LoadedScenario) -> int:
     try:
         histories = exhaustive_histories(graph, config, depth=depth, guard=args.guard)
         mode = "exhaustive"
-    except DQRouteError:
+    except HorizonExceeded:
         histories = sampled_histories(
             graph, config, random.Random(args.seed), playouts=args.samples,
             depth=depth, oracle=oracle,
@@ -363,11 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "fixtures":
             p.add_argument("scenario", help="fixture name or scenario file path")
         p.add_argument("--out", help="directory for report.txt and *.tsv files")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--guard", type=int, default=100_000)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
+        if name in ("properties", "spe-audit"):
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=int, default=50)
+        if name in ("best-response", "enumerate-ne", "spe-audit"):
+            p.add_argument("--guard", type=int, default=100_000)
+        if name in ("simulate", "queue-bound", "spe-bound"):
+            p.add_argument("--horizon", type=int, default=None)
         if name == "simulate":
             p.add_argument("--without-agent", action="append", metavar="NAME")
         if name == "best-response":
@@ -383,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["sigma-star", "ne-based", "vicious"],
                 default="sigma-star",
             )
+            p.add_argument("--depth", type=int, default=None)
     return parser
 
 
@@ -395,7 +398,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             rep.finish()
             return code
         sc, name = _read_scenario(args.scenario)
-        rep.line(f"dqroute {__version__} scenario={name} hash={scenario_hash(sc)} seed={args.seed}")
+        rep.line(f"dqroute {__version__} scenario={name} hash={scenario_hash(sc)} "
+                 f"seed={getattr(args, 'seed', 0)}")
         loaded = load_scenario(sc)
         handler = {
             "simulate": cmd_simulate,

@@ -28,9 +28,6 @@ class Configuration:
         items = tuple(sorted((e, tuple(q)) for e, q in queues.items() if q))
         return cls(time=time, queues=items)
 
-    def mapping(self) -> dict[str, tuple[Agent, ...]]:
-        return dict(self.queues)
-
     def queue(self, edge: str) -> tuple[Agent, ...]:
         for e, q in self.queues:
             if e == edge:
@@ -129,12 +126,6 @@ class RoutingTrace:
 
     def entry(self, agent: Agent, edge: str) -> float:
         return self.edge_entries.get(agent, {}).get(edge, math.inf)
-
-    def exit_time(self, agent: Agent) -> int:
-        return self.exit_times[agent]
-
-    def travel_cost(self, agent: Agent, origin: str) -> float:
-        return self.exit_times[agent] - self.arrival(agent, origin)
 
     def queue_length(self, edge: str, t: int) -> int:
         return self.queue_sizes.get(edge, {}).get(t, 0)

@@ -230,12 +230,6 @@ class BatchDecomposition:
     times: tuple[int, ...]
     batches: tuple[tuple[Agent, ...], ...]
 
-    def batch_of(self, agent: Agent) -> int:
-        for k, batch in enumerate(self.batches, start=1):
-            if agent in batch:
-                return k
-        raise KeyError(str(agent))
-
     def prefix(self, k: int) -> tuple[Agent, ...]:
         return tuple(a for batch in self.batches[:k] for a in batch)
 
@@ -358,20 +352,14 @@ class PropertyReport:
 
 @dataclass
 class CheckOptions:
-    checks: tuple[str, ...] = (
-        "fifo",
-        "independence",
-        "optimality",
-        "strong_ne",
-        "consecutive_exiting",
-        "temporal_overtaking",
-    )
     samples: int = 50
     seed: int = 0
     coalition_size: int = 3
     path_budget: int = 20
-    exhaustive_guard: int = 20_000
-    original_order: Optional[tuple[Agent, ...]] = None
+
+
+# joint profiles up to this count get the exhaustive strong-NE check
+_EXHAUSTIVE_GUARD = 20_000
 
 
 def _arrival_rank(graph: Graph, config: Configuration, profile: PathProfile, agent: Agent):
@@ -404,6 +392,19 @@ def _weakly_preempts(key_i, key_j, t_i, t_j) -> bool:
     return rank_i < rank_j
 
 
+def _menu(
+    graph: Graph,
+    config: Configuration,
+    agent: Agent,
+    cache: dict[Agent, list[tuple[str, ...]]],
+) -> list[tuple[str, ...]]:
+    """Every path of the agent from its current edge, enumerated once per suite run."""
+    if agent not in cache:
+        edge_name, _ = config.locate(agent)
+        cache[agent] = graph.paths(edge_name, graph.destination, guard=100_000)
+    return cache[agent]
+
+
 def _sample_paths(
     graph: Graph,
     config: Configuration,
@@ -411,13 +412,7 @@ def _sample_paths(
     rng: random.Random,
     cache: dict[Agent, list[tuple[str, ...]]],
 ) -> dict[Agent, tuple[str, ...]]:
-    out = {}
-    for a in agents:
-        if a not in cache:
-            edge_name, _ = config.locate(a)
-            cache[a] = graph.paths(edge_name, graph.destination, guard=100_000)
-        out[a] = rng.choice(cache[a])
-    return out
+    return {a: rng.choice(_menu(graph, config, a, cache)) for a in agents}
 
 
 def check_properties(
@@ -436,29 +431,16 @@ def check_properties(
     batches = batch_decompose(trace)
     rng = random.Random(options.seed)
     cache: dict[Agent, list[tuple[str, ...]]] = {}
-    agents = list(config.agents())
-    report = PropertyReport(results=[], seed=options.seed, samples=options.samples)
-
-    if "fifo" in options.checks:
-        report.results.append(_check_fifo(graph, config, profile, trace))
-    if "independence" in options.checks:
-        report.results.append(
-            _check_independence(graph, config, profile, trace, batches, options, rng, cache)
-        )
-    if "optimality" in options.checks:
-        report.results.append(
-            _check_optimality(graph, config, profile, batches, options, rng, cache)
-        )
-    if "strong_ne" in options.checks:
-        report.results.append(
-            _check_strong_ne(graph, config, profile, trace, options, rng, cache, exit_table)
-        )
-    order = options.original_order or _derive_original_order(agents)
-    if "consecutive_exiting" in options.checks:
-        report.results.append(_check_consecutive_exiting(batches, order))
-    if "temporal_overtaking" in options.checks:
-        report.results.append(_check_temporal_overtaking(graph, trace, order))
-    return report
+    order = _derive_original_order(config.agents())
+    results = [
+        _check_fifo(graph, config, profile, trace),
+        _check_independence(graph, config, profile, trace, batches, options, rng, cache),
+        _check_optimality(graph, config, profile, batches, options, rng, cache),
+        _check_strong_ne(graph, config, profile, trace, options, cache, exit_table),
+        _check_consecutive_exiting(batches, order),
+        _check_temporal_overtaking(graph, trace, order),
+    ]
+    return PropertyReport(results=results, seed=options.seed, samples=options.samples)
 
 
 def _derive_original_order(agents: Sequence[Agent]) -> Optional[tuple[Agent, ...]]:
@@ -543,8 +525,12 @@ def _check_optimality(graph, config, profile, batches, options, rng, cache) -> C
     return CheckResult("optimality", "pass")
 
 
-def _check_strong_ne(graph, config, profile, trace, options, rng, cache, exit_table=None) -> CheckResult:
+def _check_strong_ne(graph, config, profile, trace, options, cache, exit_table) -> CheckResult:
     agents = list(profile)
+    if exit_table is None:
+        sets = {a: _menu(graph, config, a, cache) for a in agents}
+        if math.prod(len(opts) for opts in sets.values()) <= _EXHAUSTIVE_GUARD:
+            exit_table = build_exit_table(graph, config.restrict(profile), _EXHAUSTIVE_GUARD)
     if exit_table is not None:
         base_combo = exit_table.combo_of(profile)
         base_exits = exit_table.exits[base_combo]
@@ -564,27 +550,6 @@ def _check_strong_ne(graph, config, profile, trace, options, rng, cache, exit_ta
                             for a in exit_table.agents
                         }
                     },
-                )
-        return CheckResult("strong_ne", "pass", "exhaustive")
-    sets = {}
-    total = 1
-    for a in agents:
-        edge_name, _ = config.locate(a)
-        sets[a] = graph.paths(edge_name, graph.destination, guard=options.exhaustive_guard + 1)
-        total *= len(sets[a])
-    if total <= options.exhaustive_guard:
-        for combo in itertools.product(*(sets[a] for a in agents)):
-            joint = dict(zip(agents, combo))
-            coalition = [a for a in agents if joint[a] != tuple(profile[a])]
-            if not coalition:
-                continue
-            sub = run_paths(graph, config.restrict(profile), joint)
-            if all(sub.exit_times[a] < trace.exit_times[a] for a in coalition):
-                return CheckResult(
-                    "strong_ne",
-                    "fail",
-                    f"coalition {[a.name for a in coalition]} strictly improves",
-                    witness={"profile": {a.name: list(joint[a]) for a in agents}},
                 )
         return CheckResult("strong_ne", "pass", "exhaustive")
     for size in range(1, min(options.coalition_size, len(agents)) + 1):

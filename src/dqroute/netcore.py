@@ -580,8 +580,3 @@ def sp_decompose(net: Network) -> Optional[SPDecomposition]:
         node.cut, node.left_vertices, node.right_vertices = leftmost_min_cut(sub)
     return decomp
 
-
-def realize_sp_tree(node: SPNode, net_edges: Mapping[str, Edge]) -> Network:
-    """Reconstruct the network a decomposition tree describes (for round-trip checks)."""
-    edges = [net_edges[name] for name in sorted(node.edge_set())]
-    return Network(edges, node.origin, node.destination)

@@ -27,7 +27,7 @@ from .netcore import (
 
 _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _SECTIONS = ("network", "inflow", "config", "paths", "params")
-_PARAM_KEYS = ("horizon", "seed", "samples", "guard", "depth", "coalition", "budget")
+_PARAM_KEYS = ("horizon",)
 
 
 @dataclass
@@ -118,6 +118,8 @@ def parse_scenario(text: str) -> Scenario:
                         transit = _int(extra[8:], lineno, "transit")
                     else:
                         raise ParseError(lineno, f"unknown edge attribute {extra!r}")
+                if cap < 1 or transit < 1:
+                    raise ParseError(lineno, "capacity and transit must be at least 1")
                 if name in declared_edges:
                     raise ParseError(lineno, f"duplicate edge {name!r}")
                 declared_edges[name] = (tail, head)

@@ -10,7 +10,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .dynamics import EXIT, Configuration, RoutingTrace, action_set, default_horizon, run_paths, step
-from .equilibrium import batch_decompose, iterative_dominating_profile, verify_ne
+from .equilibrium import (
+    BatchDecomposition,
+    batch_decompose,
+    iterative_dominating_profile,
+    verify_ne,
+)
 from .errors import HorizonExceeded, NotAnNE
 from .netcore import Agent, Graph
 
@@ -94,19 +99,13 @@ class SigmaStar(StrategyOracle):
     def __init__(self, graph: Graph):
         super().__init__(graph)
         self._memo: dict[tuple, dict[Agent, Action]] = {}
-        self._paths: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
         key = config.content_key()
         if key not in self._memo:
             solve = iterative_dominating_profile(self.graph, config)
-            self._paths[key] = solve.paths
             self._memo[key] = prescribed_actions(self.graph, config, solve.paths)
         return self._memo[key]
-
-    def planned_paths(self, config: Configuration) -> dict[Agent, tuple[str, ...]]:
-        self.prescription(config)
-        return self._paths[config.content_key()]
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
         return self.prescription(history.config)[agent]
@@ -131,14 +130,11 @@ class NEBasedOracle(StrategyOracle):
         graph: Graph,
         root_config: Configuration,
         pi: Mapping[Agent, Sequence[str]],
-        base_check_samples: int = 0,
     ):
         super().__init__(graph)
         report = verify_ne(graph, root_config, pi)
         if not report.passed:
             raise NotAnNE(f"given profile is not an NE: {report.witnesses[0]}")
-        self.root_config = root_config
-        self.base_check_samples = base_check_samples
         self._profiles: dict[tuple, dict[Agent, tuple[str, ...]]] = {
             (): {a: tuple(p) for a, p in pi.items()}
         }
@@ -146,6 +142,13 @@ class NEBasedOracle(StrategyOracle):
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
         maximal k; the whole population when nothing deviated)."""
+        return self._matched_prefix(node)[2]
+
+    def _matched_prefix(
+        self, node: HistoryNode
+    ) -> tuple[dict[Agent, tuple[str, ...]], BatchDecomposition, int]:
+        """The parent NE, its batches and the matched prefix size, from one
+        simulation of the parent NE."""
         rho = self.profile_at(node.parent)
         prescribed = prescribed_actions(self.graph, node.parent.config, rho)
         realized = node.actions or {}
@@ -157,16 +160,13 @@ class NEBasedOracle(StrategyOracle):
                 matched = k
             else:
                 break
-        return matched
+        return rho, batches, matched
 
     def profile_at(self, node: HistoryNode) -> dict[Agent, tuple[str, ...]]:
         if node.key in self._profiles:
             return self._profiles[node.key]
         assert node.parent is not None, "root profile must be seeded"
-        rho = self.profile_at(node.parent)
-        trace = run_paths(self.graph, node.parent.config.restrict(rho), rho)
-        batches = batch_decompose(trace)
-        matched = self.matched_prefix_size(node)
+        rho, batches, matched = self._matched_prefix(node)
         keep = set(batches.prefix(matched))
         live = set(node.config.agents())
         base: dict[Agent, tuple[str, ...]] = {}
@@ -176,7 +176,7 @@ class NEBasedOracle(StrategyOracle):
             base[agent] = old if old[0] == edge_name else old[1:]
             assert base[agent][0] == edge_name
         solve = iterative_dominating_profile(
-            self.graph, node.config, base=base, base_check_samples=self.base_check_samples
+            self.graph, node.config, base=base, base_check_samples=0
         )
         self._profiles[node.key] = solve.paths
         return solve.paths
@@ -190,9 +190,8 @@ def ne_based_spe(
     graph: Graph,
     config: Configuration,
     pi: Mapping[Agent, Sequence[str]],
-    base_check_samples: int = 0,
 ) -> NEBasedOracle:
-    return NEBasedOracle(graph, config, pi, base_check_samples=base_check_samples)
+    return NEBasedOracle(graph, config, pi)
 
 
 # -- induced play ----------------------------------------------------------------
@@ -266,7 +265,6 @@ def one_deviation_audit(
     graph: Graph,
     oracle: StrategyOracle,
     histories: Iterable[HistoryNode],
-    horizon: Optional[int] = None,
 ) -> DeviationAuditReport:
     """Check that no single agent gains by deviating once and conforming after."""
     report = DeviationAuditReport()
@@ -274,7 +272,7 @@ def one_deviation_audit(
 
     def exits_from(node: HistoryNode) -> dict[Agent, int]:
         if node.key not in exit_memo:
-            _, trace = induced_paths(graph, node, oracle, horizon=horizon)
+            _, trace = induced_paths(graph, node, oracle)
             exit_memo[node.key] = dict(trace.exit_times)
         return exit_memo[node.key]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Mapping, Optional
 
 from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
 from dqroute.dynamics import EXIT, Configuration
@@ -15,7 +15,7 @@ from dqroute.equilibrium import (
     _check_base_invariance,
 )
 from dqroute.errors import Unreachable
-from dqroute.netcore import Agent, Graph, InflowSchedule, Network
+from dqroute.netcore import Agent, Edge, Graph, InflowSchedule, Network, SPNode
 from dqroute.spe import StrategyOracle
 
 
@@ -65,6 +65,12 @@ def random_schedule(rng: random.Random, waves: int = 2, width: int = 3) -> Inflo
         t += rng.randint(1, 2)
         out.append((t, [f"a{t}.{k}" for k in range(rng.randint(1, width))]))
     return InflowSchedule.build(out)
+
+
+def realize_sp_tree(node: SPNode, net_edges: Mapping[str, Edge]) -> Network:
+    """Reconstruct the network a decomposition tree describes (for round-trip checks)."""
+    edges = [net_edges[name] for name in sorted(node.edge_set())]
+    return Network(edges, node.origin, node.destination)
 
 
 def random_fixed_paths(rng: random.Random, net: Network, config: Configuration, skip=()):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import dqroute.cli
 from dqroute.cli import main
+from dqroute.errors import DQRouteError
 
 
 def run(capsys, *argv):
@@ -65,6 +67,29 @@ class TestCommands:
         code, out = run(capsys, "spe-audit", "fig1", "--guard", "10", "--samples", "8")
         assert code == 0
         assert "audit mode: sampled" in out and "PASS" in out
+
+    def test_spe_audit_reports_other_history_errors(self, capsys, monkeypatch):
+        # only the guard overflow falls back to sampling; other errors are errors
+        def broken(*args, **kwargs):
+            raise DQRouteError("broken history tree")
+
+        monkeypatch.setattr(dqroute.cli, "exhaustive_histories", broken)
+        code, out = run(capsys, "spe-audit", "fig1")
+        assert code == 2
+        assert "error: broken history tree" in out and "audit mode" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "fig2", "--samples", "3"],
+            ["queue-bound", "sp_diamond", "--depth", "2"],
+            ["simulate", "fig3", "--seed", "1"],
+        ],
+    )
+    def test_options_only_where_they_are_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_properties_on_solved_profile(self, capsys, tmp_path):
         code, out = run(capsys, "properties", "fig3", "--samples", "10",

@@ -284,6 +284,22 @@ class TestProperties:
         assert report.result("strong_ne").detail == "exhaustive"
         assert report.result("consecutive_exiting").status == "pass"
 
+    def test_strong_ne_truncates_when_paths_exceed_the_exhaustive_guard(self):
+        # one agent before a chain of 15 diamonds has 2**15 paths: too many
+        # for the exhaustive check, so coalitions are truncated, not refused
+        edges = [("s", "o", "x0")]
+        for i in range(15):
+            head = "d" if i == 14 else f"x{i + 1}"
+            edges += [(f"u{i}", f"x{i}", f"m{i}"), (f"uu{i}", f"m{i}", head),
+                      (f"w{i}", f"x{i}", f"n{i}"), (f"ww{i}", f"n{i}", head)]
+        net = Network.build("o", "d", edges)
+        a = Agent("a")
+        c = Configuration.from_mapping(0, {"s": [a]})
+        result = iterative_dominating_profile(net, c)
+        report = check_properties(net, c, result.paths, CheckOptions(samples=5))
+        assert report.passed
+        assert report.result("strong_ne").detail == "sampled (truncated coalitions)"
+
     def test_non_ne_is_rejected(self):
         loaded = load_fixture("fig1_vicious")
         with pytest.raises(NotAnNE):

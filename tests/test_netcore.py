@@ -20,13 +20,18 @@ from dqroute.netcore import (
     build_extended,
     leftmost_min_cut,
     normalize_to_unit,
-    realize_sp_tree,
     sp_decompose,
     validate_and_stats,
 )
 from dqroute.spe import induced_paths, root_history
 
-from helpers import LaneDispatchOracle, random_g_path, random_net, reference_capacity_sim
+from helpers import (
+    LaneDispatchOracle,
+    random_g_path,
+    random_net,
+    realize_sp_tree,
+    reference_capacity_sim,
+)
 
 
 def diamond():

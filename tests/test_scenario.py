@@ -1,5 +1,11 @@
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqroute.cli import main
 from dqroute.errors import (
     DQRouteError,
     IncompletePriorityOrder,
@@ -53,6 +59,13 @@ class TestParse:
             "  edge od o d capacity=2 transit=3\n"
         )
         assert sc.edges == [("od", "o", "d", 2, 3)]
+
+    @pytest.mark.parametrize("attribute", ["capacity=0", "transit=-1"])
+    def test_edge_attribute_below_one_located(self, attribute):
+        text = MINIMAL + f"  edge od2 o d {attribute}\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == 6
 
     def test_undeclared_vertex_located(self):
         text = "network\n  vertices o d\n  origin o\n  destination d\n  edge e o x\n"
@@ -158,3 +171,62 @@ class TestLoad:
         for name in FIXTURES:
             loaded = load_scenario(parse_scenario(FIXTURES[name]))
             assert loaded.config.agents() or loaded.schedule is not None
+
+
+_ROUTES = [
+    (("od", "o", "d"),),
+    (("ov", "o", "v"), ("vd", "v", "d")),
+    (("ov", "o", "v"), ("vd2", "v", "d")),
+]
+_DROPPED_PARAMS = ["seed", "samples", "guard", "depth", "coalition", "budget"]
+# at most one fault per text, so that about half of the texts load
+_FAULTS = [None, None, None, "capacity=0", "transit=-1", "dropped param", "undeclared vertex",
+           "no priority"]
+
+
+@st.composite
+def _scenario_texts(draw):
+    routes = draw(st.lists(st.sampled_from(_ROUTES), min_size=1, max_size=3, unique=True))
+    edges = list(dict.fromkeys(edge for route in routes for edge in route))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "undeclared vertex":
+        edges.append(("ox", "o", "x"))
+    vertices = dict.fromkeys(v for _, tail, head in edges for v in (tail, head) if v != "x")
+    lines = ["network", "  vertices " + " ".join(vertices), "  origin o", "  destination d"]
+    bad = draw(st.sampled_from([name for name, *_ in edges]))
+    for name, tail, head in edges:
+        attribute = draw(st.sampled_from(["", " capacity=2", " transit=2"]))
+        if name == bad and fault in ("capacity=0", "transit=-1"):
+            attribute = " " + fault
+        lines.append(f"  edge {name} {tail} {head}{attribute}")
+    into_d = [name for name, _, head in edges if head == "d"]
+    if len(into_d) > 1 and fault != "no priority":
+        lines.append("  priority d " + " ".join(draw(st.permutations(into_d))))
+    names = " ".join(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    lines += ["inflow", f"  at {draw(st.integers(0, 2))} {names}"]
+    if draw(st.booleans()):
+        lines += ["config", f"  queue {edges[0][0]} q"]
+    params = ["horizon"] if draw(st.booleans()) else []
+    if fault == "dropped param":
+        params.append(draw(st.sampled_from(_DROPPED_PARAMS)))
+    if params:
+        lines.append("params")
+        lines += [f"  {key} {draw(st.integers(0, 20))}" for key in params]
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedScenarios:
+    @given(_scenario_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_load_or_refuse_and_solve_never_raises(self, text):
+        try:
+            sc = parse_scenario(text)
+            once = serialize_scenario(sc)
+            assert serialize_scenario(parse_scenario(once)) == once
+            load_scenario(sc)
+        except DQRouteError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "generated.scn"
+            scenario.write_text(text)
+            assert main(["solve", str(scenario)]) in (0, 1, 2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dqroute.spe
 from dqroute.dynamics import EXIT, Configuration, action_set, run_paths
 from dqroute.equilibrium import (
     _arrival_rank,
@@ -230,6 +231,22 @@ class TestNEBasedOracle:
         for agent, path in pi.items():
             moved = acts[agent] not in (None, path[0])
             assert rho2[agent] == (path[1:] if moved else path)
+
+    def test_profile_miss_simulates_the_parent_ne_once(self, monkeypatch):
+        loaded = load_fixture("fig1")
+        pi = iterative_dominating_profile(loaded.graph, loaded.config).paths
+        oracle = ne_based_spe(loaded.graph, loaded.config, pi)
+        root = root_history(loaded.config)
+        child = child_history(loaded.graph, root, oracle.profile(root))
+        calls = []
+
+        def counting_run_paths(*args, **kwargs):
+            calls.append(args)
+            return run_paths(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.spe, "run_paths", counting_run_paths)
+        oracle.profile_at(child)
+        assert len(calls) == 1
 
     def test_first_batch_deviation_rebuilds_from_scratch(self):
         loaded = load_fixture("fig1")
