@@ -38,7 +38,8 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
 
     From a schedule-built initial configuration this reproduces the iterative
     dominating profile: earlier entrants are never disturbed by later ones, so
-    each agent's trajectory can be committed incrementally.
+    each agent's trajectory can be committed incrementally, entering its first
+    edge with rank slot - 1, after the solver's no-displacement check.
     """
     timelines = QueueCounters()
     paths: dict[Agent, tuple[str, ...]] = {}
@@ -57,28 +58,13 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
                 counters=timelines,
             )
             assert d in table.tau, "validated networks always reach the destination"
-            path: list[str] = []
-            v = d
-            while v != net.origin:
-                e = table.estar[v]
-                path.append(e)
-                v = net.edge(e).tail
-            path.reverse()
-            rank = slot - 1
-            t = r
-            times = {net.origin: r}
-            for e in path:
-                head = net.edge(e).head
-                leave = table.tau[head]
-                # committed agents are never displaced (iterative domination)
-                assert timelines.entered_no_higher(e, t, rank + 1) == 0
-                timelines.commit(e, t, leave, rank)
-                times[head] = leave
-                rank = net.rank(e)
-                t = leave
-            paths[agent] = tuple(path)
+            path = table.path_to(net, d)
+            times = {v: table.tau[v] for v in net.path_vertices(path)}
+            timelines.assert_displaces_none(net, path, times, slot - 1)
+            timelines.commit(net, path, times, slot - 1)
+            paths[agent] = path
             arrivals[agent] = times
-            exits[agent] = t
+            exits[agent] = times[d]
     return RouterResult(paths=paths, arrivals=arrivals, exit_times=exits, timelines=timelines)
 
 

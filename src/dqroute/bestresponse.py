@@ -16,9 +16,9 @@ class QueueCounters:
     """The occupancy index the best-response recursion reads: |Q_e^t| and the
     previous-edge ranks of the agents entering e at t.
 
-    Built from one simulation of fixed agents (`from_trace`) or grown one
-    trajectory at a time (`commit`). Initial queue members rank -1, strictly
-    ahead of any entrant.
+    It is written only by `commit`, one trajectory at a time: all of a
+    simulation's trajectories (`from_trace`) or each chosen path of a solver.
+    Initial queue members rank -1, strictly ahead of any entrant.
     """
 
     def __init__(self):
@@ -27,30 +27,48 @@ class QueueCounters:
 
     @classmethod
     def from_trace(cls, graph: Graph, trace: RoutingTrace) -> "QueueCounters":
+        """The queue lengths and entrants of a simulation, from its trajectories."""
         counters = cls()
-        # copied, so later commits leave the trace alone
-        counters.sizes = {e: dict(per_t) for e, per_t in trace.queue_sizes.items()}
-        for edge, events in trace.edge_events.items():
-            per_t = counters.entrant_ranks.setdefault(edge, {})
-            for t, _agent, prev in events:
-                rank = -1 if prev is None else graph.rank(prev)
-                per_t.setdefault(t, []).append(rank)
+        for agent, path in trace.paths.items():
+            counters.commit(graph, path, trace.vertex_times[agent], -1)
         return counters
 
     def size(self, edge: str, t: int) -> int:
         return self.sizes.get(edge, {}).get(t, 0)
 
     def entered_no_higher(self, edge: str, t: int, ref_rank: int) -> int:
-        ranks = self.entrant_ranks.get(edge, {}).get(t, ())
-        return sum(1 for r in ranks if 0 <= ref_rank <= r)
+        ranks = self.entrant_ranks.get(edge, {}).get(t)
+        return len([r for r in ranks if 0 <= ref_rank <= r]) if ranks else 0
 
-    def commit(self, edge: str, enter: int, leave: int, rank: int) -> None:
-        """Add one agent queued on the edge during [enter, leave) that entered
-        it with the given rank."""
-        sizes = self.sizes.setdefault(edge, {})
-        for t in range(enter, leave):
-            sizes[t] = sizes.get(t, 0) + 1
-        self.entrant_ranks.setdefault(edge, {}).setdefault(enter, []).append(rank)
+    def commit(
+        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+    ) -> None:
+        """Add one trajectory: the agent queues on each path edge (u, v) during
+        [times[u], times[v]) and enters it with the rank of its previous edge,
+        or with the given rank on its first edge."""
+        for e in path:
+            edge = graph.edge(e)
+            enter = times[edge.tail]
+            sizes = self.sizes.setdefault(e, {})
+            for t in range(enter, times[edge.head]):
+                sizes[t] = sizes.get(t, 0) + 1
+            self.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
+            rank = graph.rank(e)
+
+    def assert_displaces_none(
+        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+    ) -> None:
+        """Assert that committing the trajectory puts no indexed agent behind it:
+        on no path edge does an agent of lower priority enter at the same time,
+        or any agent enter while it queues. Iterative domination promises this
+        to every trajectory a dominating-profile solver commits."""
+        for e in path:
+            edge = graph.edge(e)
+            enter = times[edge.tail]
+            assert self.entered_no_higher(e, enter, rank + 1) == 0
+            while_queued = range(enter + 1, times[edge.head])
+            assert self.entrant_ranks.get(e, {}).keys().isdisjoint(while_queued)
+            rank = graph.rank(e)
 
 
 @dataclass
@@ -68,6 +86,15 @@ class EarliestArrivalTable:
 
     def arrival(self, vertex: str) -> float:
         return self.tau.get(vertex, math.inf)
+
+    def path_to(self, graph: Graph, vertex: str) -> tuple[str, ...]:
+        """The edges e*(.) from start_vertex to the vertex, traced back from it."""
+        path: list[str] = []
+        while vertex != self.start_vertex:
+            e = self.estar[vertex]
+            path.append(e)
+            vertex = graph.edge(e).tail
+        return tuple(reversed(path))
 
 
 def dp_from_vertex(
@@ -196,14 +223,7 @@ def best_response_path(
     if d not in table.tau:
         raise Unreachable(f"{zeta} cannot reach {d!r}")
     edge_name, _ = config.locate(zeta)
-    path: list[str] = []
-    v = d
-    while v != table.start_vertex:
-        e = table.estar[v]
-        path.append(e)
-        v = graph.edge(e).tail
-    path.append(edge_name)
-    return tuple(reversed(path))
+    return (edge_name,) + table.path_to(graph, d)
 
 
 def brute_force_best_response(

@@ -11,7 +11,12 @@ from typing import Optional
 
 from . import __version__
 from .analysis import queue_bound_experiment, spe_bound_experiment
-from .bestresponse import best_response_path, brute_force_best_response, earliest_arrival_table
+from .bestresponse import (
+    QueueCounters,
+    best_response_path,
+    brute_force_best_response,
+    earliest_arrival_table,
+)
 from .dynamics import run_paths
 from .equilibrium import (
     CheckOptions,
@@ -147,11 +152,8 @@ def cmd_simulate(args, rep: Reporter, loaded: LoadedScenario) -> int:
             f"{_cost(loaded, trace, agent)}\t{_render(loaded, paths[agent])}"
         )
     rep.tsv("trace.tsv", ["agent", "vertex", "time"], trace.rows())
-    qrows = [
-        (e, t, n)
-        for e, series in sorted(trace.queue_sizes.items())
-        for t, n in sorted(series.items())
-    ]
+    sizes = QueueCounters.from_trace(loaded.graph, trace).sizes
+    qrows = [(e, t, n) for e, series in sorted(sizes.items()) for t, n in sorted(series.items())]
     rep.tsv("queues.tsv", ["edge", "time", "length"], qrows)
     return 0
 
@@ -292,6 +294,8 @@ def _extended_schedule(loaded: LoadedScenario, horizon: Optional[int]) -> Inflow
     if loaded.schedule is None:
         raise DQRouteError("this command needs an inflow section")
     schedule = loaded.schedule
+    if horizon is None:
+        horizon = loaded.params.get("horizon")
     if horizon is None or horizon <= schedule.last_time:
         return schedule
     waves = list(loaded.scenario.inflow)
@@ -304,8 +308,7 @@ def _extended_schedule(loaded: LoadedScenario, horizon: Optional[int]) -> Inflow
 
 
 def cmd_queue_bound(args, rep: Reporter, loaded: LoadedScenario) -> int:
-    horizon = args.horizon or loaded.params.get("horizon")
-    schedule = _extended_schedule(loaded, horizon)
+    schedule = _extended_schedule(loaded, args.horizon)
     report, trace, verdicts = queue_bound_experiment(loaded.unit, schedule)
     rep.line(report.to_text())
     for v in verdicts:
@@ -329,8 +332,7 @@ def cmd_queue_bound(args, rep: Reporter, loaded: LoadedScenario) -> int:
 
 
 def cmd_spe_bound(args, rep: Reporter, loaded: LoadedScenario) -> int:
-    horizon = args.horizon or loaded.params.get("horizon")
-    schedule = _extended_schedule(loaded, horizon)
+    schedule = _extended_schedule(loaded, args.horizon)
     report, trace = spe_bound_experiment(loaded.unit, schedule)
     rep.line(report.to_text())
     rep.tsv(

@@ -62,7 +62,11 @@ class Configuration:
 
 def action_set(graph: Graph, config: Configuration, agent: Agent) -> frozenset[str]:
     """Available actions: empty set means the forced exit at the destination."""
-    edge_name, idx = config.locate(agent)
+    return _allowed(graph, *config.locate(agent))
+
+
+def _allowed(graph: Graph, edge_name: str, idx: int) -> frozenset[str]:
+    """Actions of the agent at index idx of the queue on edge_name."""
     if idx > 0:
         return frozenset([edge_name])
     head = graph.edge(edge_name).head
@@ -85,7 +89,7 @@ def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[s
             if agent not in actions:
                 raise InvalidAction(agent, "missing from action profile")
             act = actions[agent]
-            allowed = action_set(graph, config, agent)
+            allowed = _allowed(graph, e, idx)
             if act is EXIT:
                 if allowed:
                     raise InvalidAction(agent, "exit is only available at the destination head")
@@ -105,30 +109,24 @@ def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[s
 
 @dataclass
 class RoutingTrace:
-    """Full arrival-time ledger of one simulated routing.
+    """Arrival-time ledger of one simulated routing: its trajectories.
 
-    vertex_times[i][v] is when agent i reaches v; edge_entries[i][e] is when i
-    enters e (the starting edge counts as entered at the start time); absent
-    vertices and edges read as infinity via the accessors.
+    vertex_times[i][v] is when agent i reaches v, with the tail of its first
+    edge reached at the start time; absent agents and vertices read as
+    infinity via `arrival`. Agent i enters a path edge (u, v) at
+    vertex_times[i][u] and queues on it until vertex_times[i][v], so these
+    times fix every queue: `bestresponse.QueueCounters.from_trace` derives the
+    queue lengths and entrants.
     """
 
     start_time: int
     paths: dict[Agent, tuple[str, ...]]
     vertex_times: dict[Agent, dict[str, int]]
-    edge_entries: dict[Agent, dict[str, int]]
     exit_times: dict[Agent, int]
-    queue_sizes: dict[str, dict[int, int]]
-    edge_events: dict[str, list[tuple[int, Agent, Optional[str]]]]
     horizon: int
 
     def arrival(self, agent: Agent, vertex: str) -> float:
         return self.vertex_times.get(agent, {}).get(vertex, math.inf)
-
-    def entry(self, agent: Agent, edge: str) -> float:
-        return self.edge_entries.get(agent, {}).get(edge, math.inf)
-
-    def queue_length(self, edge: str, t: int) -> int:
-        return self.queue_sizes.get(edge, {}).get(t, 0)
 
     def agents(self) -> tuple[Agent, ...]:
         return tuple(self.paths)
@@ -172,6 +170,8 @@ def run_paths(
 ) -> RoutingTrace:
     """Simulate all agents along fixed paths until everyone has exited.
 
+    The trace holds each agent's vertex times and exit time; queue lengths
+    and entrants follow from them (`bestresponse.QueueCounters.from_trace`).
     Deterministic: identical inputs produce identical traces.
     """
     validate_paths(graph, config, paths)
@@ -181,33 +181,24 @@ def run_paths(
     queues: dict[str, list[Agent]] = {e: list(q) for e, q in config.queues}
     pos: dict[Agent, int] = {}
     vertex_times: dict[Agent, dict[str, int]] = {}
-    edge_entries: dict[Agent, dict[str, int]] = {}
     exit_times: dict[Agent, int] = {}
-    queue_sizes: dict[str, dict[int, int]] = {}
-    edge_events: dict[str, list[tuple[int, Agent, Optional[str]]]] = {}
 
     for e, q in config.queues:
-        events = edge_events.setdefault(e, [])
         for agent in q:
             pos[agent] = 0
-            first = paths[agent][0]
-            vertex_times[agent] = {graph.edge(first).tail: t}
-            edge_entries[agent] = {first: t}
-            events.append((t, agent, None))
+            vertex_times[agent] = {graph.edge(e).tail: t}
 
     while queues:
         if t > limit:
             raise HorizonExceeded(f"simulation passed time {limit}")
         moved: list[tuple[Agent, str, Optional[str]]] = []
         for e in sorted(queues):
-            sizes = queue_sizes.setdefault(e, {})
-            sizes[t] = len(queues[e])
             head = queues[e][0]
             path = paths[head]
             idx = pos[head]
             nxt = path[idx + 1] if idx + 1 < len(path) else EXIT
             moved.append((head, e, nxt))
-        entrants: dict[str, list[tuple[int, Agent, str]]] = {}
+        entrants: dict[str, list[tuple[int, Agent]]] = {}
         for agent, e, nxt in moved:
             queues[e].pop(0)
             if not queues[e]:
@@ -217,25 +208,17 @@ def run_paths(
             if nxt is EXIT:
                 exit_times[agent] = t + 1
             else:
-                entrants.setdefault(nxt, []).append((graph.rank(e), agent, e))
+                entrants.setdefault(nxt, []).append((graph.rank(e), agent))
                 pos[agent] += 1
         for nxt, incoming in entrants.items():
             incoming.sort(key=lambda item: item[0])
-            q = queues.setdefault(nxt, [])
-            events = edge_events.setdefault(nxt, [])
-            for _, agent, prev in incoming:
-                q.append(agent)
-                edge_entries[agent][nxt] = t + 1
-                events.append((t + 1, agent, prev))
+            queues.setdefault(nxt, []).extend(agent for _, agent in incoming)
         t += 1
 
     return RoutingTrace(
         start_time=config.time,
         paths={a: tuple(p) for a, p in paths.items()},
         vertex_times=vertex_times,
-        edge_entries=edge_entries,
         exit_times=exit_times,
-        queue_sizes=queue_sizes,
-        edge_events=edge_events,
         horizon=t,
     )

@@ -91,10 +91,11 @@ def iterative_dominating_profile(
     committed once, at the times of its own table: it holds each path edge
     (u, v) during [tau(u), tau(v)) and enters it with the rank of its previous
     edge, -1 on its starting edge. Iterative domination says this displaces no
-    assigned agent, and the commit asserts it. An unassigned agent keeps its
-    table until the count of assigned agents ahead of it in its start queue
-    changes, or a commit on an edge (u, v) covers the time its table reaches
-    u: those are the only cells its recursion reads that a commit changes.
+    assigned agent, and `QueueCounters.assert_displaces_none` checks it. An
+    unassigned agent keeps its table until the count of assigned agents ahead
+    of it in its start queue changes, or a commit on an edge (u, v) covers the
+    time its table reaches u: those are the only cells its recursion reads
+    that a commit changes.
     """
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
@@ -162,20 +163,11 @@ def iterative_dominating_profile(
         assigned[chosen] = path
         remaining.remove(chosen)
 
-        touched: list[tuple[str, int, int]] = []
-        rank = -1
-        for e in path:
-            edge = graph.edge(e)
-            enter, leave = times[edge.tail], times[edge.head]
-            # no assigned agent may end up behind it: neither a simultaneous
-            # lower-priority entrant nor one entering while it queues
-            entrants = counters.entrant_ranks.get(e, {})
-            assert counters.entered_no_higher(e, enter, rank + 1) == 0
-            assert not any(t in entrants for t in range(enter + 1, leave))
-            counters.commit(e, enter, leave, rank)
-            # tables reach vertices after r, so cells at r are never read
-            touched.append((edge.tail, max(enter, r + 1), leave))
-            rank = graph.rank(e)
+        counters.assert_displaces_none(graph, path, times, -1)
+        counters.commit(graph, path, times, -1)
+        # tables reach vertices after r, so cells at r are never read
+        vs = graph.path_vertices(path)
+        touched = [(u, max(times[u], r + 1), times[v]) for u, v in zip(vs, vs[1:])]
         for a in behind:
             ahead[a] += 1
             tables.pop(a, None)

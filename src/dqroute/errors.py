@@ -13,6 +13,10 @@ class CyclicGraph(DQRouteError):
     pass
 
 
+class MalformedEdge(DQRouteError):
+    """A duplicate edge name, or a capacity or transit the network cannot take."""
+
+
 class EdgeOffAllPaths(DQRouteError):
     def __init__(self, edge: str):
         super().__init__(f"edge {edge!r} lies on no origin-destination path")

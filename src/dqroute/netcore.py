@@ -12,7 +12,9 @@ from .errors import (
     EdgeOffAllPaths,
     EmptySchedule,
     IncompletePriorityOrder,
+    MalformedEdge,
     TooManyPaths,
+    UnknownAgent,
 )
 
 RESERVED_PREFIX = "~"
@@ -45,7 +47,7 @@ class Graph:
         self.edges: dict[str, Edge] = {}
         for e in edges:
             if e.name in self.edges:
-                raise ValueError(f"duplicate edge name {e.name!r}")
+                raise MalformedEdge(f"duplicate edge name {e.name!r}")
             self.edges[e.name] = e
         vs = dict.fromkeys(vertices or [])
         for e in self.edges.values():
@@ -200,7 +202,7 @@ class Network(Graph):
         to_d = self.reaches(self.destination)
         for e in self.edges.values():
             if e.capacity < 1 or e.transit < 1:
-                raise ValueError(f"edge {e.name!r} needs capacity and transit >= 1")
+                raise MalformedEdge(f"edge {e.name!r} needs capacity and transit >= 1")
             if e.tail not in from_o or e.head not in to_d:
                 raise EdgeOffAllPaths(e.name)
         for v in self.vertices:
@@ -246,7 +248,7 @@ class UnitNetwork(Network):
         super().__init__(*args, **kwargs)
         for e in self.edges.values():
             if e.capacity != 1 or e.transit != 1:
-                raise ValueError(f"edge {e.name!r} is not unit in a UnitNetwork")
+                raise MalformedEdge(f"edge {e.name!r} is not unit in a UnitNetwork")
         self.provenance: dict[str, tuple[str, int, int]] = dict(provenance or {})
         if not self.provenance:
             self.provenance = {name: (name, 0, 0) for name in self.edges}
@@ -391,7 +393,7 @@ class ExtendedNetwork:
     def entry_prefix(self, agent: Agent) -> tuple[str, ...]:
         """Chain edges the agent traverses before entering the base network."""
         if agent.entry is None or agent.slot is None:
-            raise ValueError(f"agent {agent} carries no schedule metadata")
+            raise UnknownAgent(f"agent {agent} carries no schedule metadata")
         return tuple(self.chain_edge(agent.slot, dist) for dist in range(agent.entry, 0, -1))
 
 

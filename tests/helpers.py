@@ -7,7 +7,7 @@ import random
 from typing import Mapping, Optional
 
 from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
-from dqroute.dynamics import EXIT, Configuration
+from dqroute.dynamics import EXIT, Configuration, step
 from dqroute.equilibrium import (
     PathProfile,
     SolveResult,
@@ -81,6 +81,34 @@ def random_fixed_paths(rng: random.Random, net: Network, config: Configuration, 
         e, _ = config.locate(a)
         fixed[a] = rng.choice(net.paths(e, net.destination, guard=5_000))
     return fixed
+
+
+def step_replay(net: Graph, config: Configuration, paths) -> list[Configuration]:
+    """Configurations of `step` driven along fixed paths, from config until
+    every agent has exited: the slow, rule-by-rule replay of `run_paths`."""
+    configs = [config]
+    pos = {a: 0 for a in config.agents()}
+    while not configs[-1].is_empty():
+        acts = {}
+        for e, q in configs[-1].queues:
+            acts.update({a: e for a in q[1:]})
+            head, path = q[0], paths[q[0]]
+            if pos[head] + 1 < len(path):
+                pos[head] += 1
+                acts[head] = path[pos[head]]
+            else:
+                acts[head] = EXIT
+        configs.append(step(net, configs[-1], acts))
+    return configs
+
+
+def replay_queue_lengths(configs: list[Configuration]) -> dict[str, dict[int, int]]:
+    """{edge: {time: queue length}} over the nonempty queues of a replay."""
+    lengths: dict[str, dict[int, int]] = {}
+    for c in configs:
+        for e, q in c.queues:
+            lengths.setdefault(e, {})[c.time] = len(q)
+    return lengths
 
 
 def reference_capacity_sim(net: Network, schedule: InflowSchedule, g_paths) -> dict[Agent, int]:

@@ -22,7 +22,7 @@ from dqroute.netcore import (
 )
 from dqroute.spe import induced_paths, root_history, sigma_star
 
-from helpers import random_net, random_schedule
+from helpers import random_net, random_schedule, replay_queue_lengths, step_replay
 
 
 def unit(net):
@@ -87,11 +87,11 @@ class TestRouterEquivalence:
             occ = occupancy_trace(u, fast)
             ext, c0 = build_extended(u, schedule)
             solve = iterative_dominating_profile(ext.graph, c0)
-            trace = run_paths(ext.graph, c0, solve.paths)
+            lengths = replay_queue_lengths(step_replay(ext.graph, c0, solve.paths))
             for e in u.edges:
                 for t in range(occ.horizon + 1):
                     assert occ.per_edge.get(e, [0] * (occ.horizon + 1))[t] == \
-                        trace.queue_length(e, t)
+                        lengths.get(e, {}).get(t, 0)
             assert occ.conservation_holds()
             done += 1
 

@@ -15,7 +15,13 @@ from dqroute.errors import TooManyPaths, VertexNotOnPath
 from dqroute.fixtures import load_fixture
 from dqroute.netcore import Agent, Network
 
-from helpers import random_fixed_paths, random_interim_config, random_net
+from helpers import (
+    random_fixed_paths,
+    random_interim_config,
+    random_net,
+    replay_queue_lengths,
+    step_replay,
+)
 
 A, B = Agent("A"), Agent("B")
 
@@ -56,7 +62,8 @@ class TestEarliestArrivalTable:
 
 class TestQueueCounters:
     def test_commits_rebuild_the_simulated_index(self):
-        # committing every simulated trajectory gives the index of the trace
+        # from_trace commits each trajectory; the index must hold the queue
+        # lengths and the entrants of the rule-by-rule step replay
         rng = random.Random(4)
         done = 0
         while done < 20:
@@ -65,19 +72,21 @@ class TestQueueCounters:
                 continue
             config, _ = random_interim_config(rng, net, max_agents=6)
             paths = random_fixed_paths(rng, net, config)
-            trace = run_paths(net, config, paths)
-            built = QueueCounters()
-            for agent, path in paths.items():
-                rank = -1
-                for e in path:
-                    enter = trace.entry(agent, e)
-                    built.commit(e, enter, trace.arrival(agent, net.edge(e).head), rank)
-                    rank = net.rank(e)
-            ranks = lambda c: {e: {t: sorted(r) for t, r in per_t.items()}
-                               for e, per_t in c.entrant_ranks.items()}
-            from_trace = QueueCounters.from_trace(net, trace)
-            assert built.sizes == from_trace.sizes
-            assert ranks(built) == ranks(from_trace)
+            counters = QueueCounters.from_trace(net, run_paths(net, config, paths))
+            configs = step_replay(net, config, paths)
+            ranks: dict[str, dict[int, list[int]]] = {}
+            for e, q in config.queues:
+                ranks.setdefault(e, {})[config.time] = [-1] * len(q)
+            for c, nxt in zip(configs, configs[1:]):
+                where = {a: e for e, q in c.queues for a in q}
+                for e, q in nxt.queues:
+                    # entrants join behind the survivors, in queue order
+                    new = [net.rank(where[a]) for a in q if where.get(a) != e]
+                    if new:
+                        ranks.setdefault(e, {})[nxt.time] = new
+            assert counters.sizes == replay_queue_lengths(configs)
+            assert {e: {t: sorted(r) for t, r in per_t.items()}
+                    for e, per_t in counters.entrant_ranks.items()} == ranks
             done += 1
 
     def test_from_trace_copies_the_queue_sizes(self):
@@ -85,9 +94,32 @@ class TestQueueCounters:
         c = Configuration.from_mapping(0, {"od": [A]})
         trace = run_paths(net, c, {A: ("od",)})
         counters = QueueCounters.from_trace(net, trace)
-        counters.commit("od", 0, 3, -1)
-        assert trace.queue_sizes == {"od": {0: 1}}
+        assert counters.sizes == {"od": {0: 1}}
+        assert counters.entrant_ranks == {"od": {0: [-1]}}
+        counters.commit(net, ("od",), {"o": 0, "d": 3}, -1)
+        # a commit grows this index only, not the trace or a second index
+        assert trace == run_paths(net, c, {A: ("od",)})
+        assert QueueCounters.from_trace(net, trace).sizes == {"od": {0: 1}}
         assert counters.size("od", 0) == 2 and counters.size("od", 2) == 1
+
+    def test_displacing_trajectories_are_refused(self):
+        net = Network.build(
+            "o", "d",
+            [("ov", "o", "v"), ("ou", "o", "u"), ("vw", "v", "w"), ("uw", "u", "w"),
+             ("wd", "w", "d")],
+            priorities={"w": ["vw", "uw"]},
+        )
+        counters = QueueCounters()
+        counters.commit(net, ("ou", "uw", "wd"), {"o": 0, "u": 1, "w": 2, "d": 3}, -1)
+        # entering wd at 2 over vw outranks the committed entrant over uw
+        with pytest.raises(AssertionError):
+            counters.assert_displaces_none(
+                net, ("ov", "vw", "wd"), {"o": 0, "v": 1, "w": 2, "d": 4}, -1
+            )
+        # queuing on wd from 1 to 4 puts the entrant at 2 behind it
+        with pytest.raises(AssertionError):
+            counters.assert_displaces_none(net, ("wd",), {"w": 1, "d": 4}, -1)
+        counters.assert_displaces_none(net, ("wd",), {"w": 3, "d": 4}, 0)
 
 
 class TestBruteForce:

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import dqroute.cli
 from dqroute.cli import main
 from dqroute.errors import DQRouteError
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -105,6 +109,13 @@ class TestCommands:
         assert occupancy[0] == "time\ttotal"
         assert len(occupancy) > 400
 
+    @pytest.mark.parametrize("command", ["queue-bound", "spe-bound"])
+    def test_explicit_horizon_zero_is_honoured(self, capsys, command):
+        # 0 keeps the one-wave schedule, as 1 does; the scenario's 1000 is not read
+        code, out = run(capsys, command, "sp_diamond", "--horizon", "0")
+        assert "inflow_end=1\n" in out
+        assert out == run(capsys, command, "sp_diamond", "--horizon", "1")[1]
+
     def test_spe_bound(self, capsys):
         code, out = run(capsys, "spe-bound", "fanout", "--horizon", "500")
         assert code == 0
@@ -124,6 +135,22 @@ class TestCommands:
         trace = (tmp_path / "trace.tsv").read_text().splitlines()
         assert trace[0] == "agent\tvertex\ttime"
         assert (tmp_path / "queues.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            ("fig3", ["fig3"]),
+            ("fig3_without_k", ["fig3", "--without-agent", "k"]),
+            ("fig1_vicious", ["fig1_vicious"]),
+        ],
+    )
+    def test_simulate_matches_golden_reports(self, capsys, tmp_path, case, argv):
+        golden = GOLDEN / "simulate" / case
+        code, out = run(capsys, "simulate", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert out == (golden / "stdout.txt").read_text()
+        for name in ("trace.tsv", "queues.tsv"):
+            assert (tmp_path / name).read_text() == (golden / name).read_text()
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dqroute.bestresponse import QueueCounters
 from dqroute.dynamics import (
     EXIT,
     Configuration,
@@ -20,7 +21,7 @@ from dqroute.errors import (
 from dqroute.fixtures import load_fixture
 from dqroute.netcore import Agent, Network
 
-from helpers import random_fixed_paths, random_interim_config, random_net
+from helpers import random_fixed_paths, random_interim_config, random_net, step_replay
 
 A, B, X, Y = Agent("A"), Agent("B"), Agent("X"), Agent("Y")
 
@@ -100,6 +101,19 @@ class TestStep:
         with pytest.raises(InvalidAction):
             step(net, c, {A: "vw"})  # B missing
 
+    def test_invalid_action_messages_name_the_action_set(self):
+        # step checks each agent against its own queue index, as action_set does
+        net = merge_net()
+        c = Configuration.from_mapping(0, {"ov": [A, B]})
+        with pytest.raises(InvalidAction, match=r"'vw' not in action set \['ov'\]"):
+            step(net, c, {A: "vw", B: "vw"})
+        with pytest.raises(InvalidAction, match=r"'uw' not in action set \['vw'\]"):
+            step(net, c, {A: "uw", B: "ov"})
+        single = Network.build("o", "d", [("e", "o", "d")])
+        c = Configuration.from_mapping(0, {"e": [A, B]})
+        with pytest.raises(InvalidAction, match="exit is only available at the destination head"):
+            step(single, c, {A: EXIT, B: EXIT})
+
 
 class TestRunPaths:
     def test_single_agent_single_edge(self):
@@ -107,7 +121,8 @@ class TestRunPaths:
         c = Configuration.from_mapping(3, {"e": [A]})
         trace = run_paths(net, c, {A: ("e",)})
         assert trace.exit_times[A] == 4
-        assert trace.entry(A, "e") == 3
+        # it enters e at its tail o at the start time and leaves at its head
+        assert trace.vertex_times == {A: {"o": 3, "d": 4}}
         assert trace.arrival(A, "o") == 3
 
     def test_two_agents_unit_capacity(self):
@@ -121,7 +136,8 @@ class TestRunPaths:
         c = Configuration.from_mapping(0, {"ov": [A]})
         trace = run_paths(net, c, {A: ("ov", "vw", "wd")})
         assert trace.arrival(A, "u") == math.inf
-        assert trace.entry(A, "uw") == math.inf
+        assert trace.arrival(B, "o") == math.inf
+        assert set(trace.vertex_times[A]) == {"o", "v", "w", "d"}
 
     def test_path_validation(self):
         net = merge_net()
@@ -175,46 +191,35 @@ class TestInvariants:
             net, config, paths = self._random_case(rng)
             t1 = run_paths(net, config, paths)
             t2 = run_paths(net, config, paths)
-            assert t1.exit_times == t2.exit_times
-            assert t1.vertex_times == t2.vertex_times
-            assert t1.queue_sizes == t2.queue_sizes
+            assert t1 == t2  # every field: paths, vertex and exit times, horizon
 
     def test_run_paths_matches_iterated_step(self):
         rng = random.Random(2)
         for _ in range(20):
             net, config, paths = self._random_case(rng)
             trace = run_paths(net, config, paths)
-            c = config
-            pos = {a: 0 for a in config.agents()}
-            while not c.is_empty():
-                acts = {}
-                for agent in c.agents():
-                    e, idx = c.locate(agent)
-                    if idx > 0:
-                        acts[agent] = e
-                    else:
-                        p = paths[agent]
-                        k = pos[agent]
-                        acts[agent] = p[k + 1] if k + 1 < len(p) else EXIT
-                nxt = step(net, c, acts)
-                for agent in c.agents():
-                    if acts[agent] is not EXIT and acts[agent] != c.locate(agent)[0]:
-                        pos[agent] += 1
-                    if agent not in nxt.agents():
-                        assert trace.exit_times[agent] == nxt.time
-                c = nxt
-            assert c.time <= trace.horizon
+            configs = step_replay(net, config, paths)
+            # an agent reaches the head of its edge when it leaves the edge
+            times = {a: {net.edge(e).tail: config.time} for e, q in config.queues for a in q}
+            for c, nxt in zip(configs, configs[1:]):
+                for e, q in c.queues:
+                    for agent in q:
+                        if agent not in nxt.queue(e):
+                            times[agent][net.edge(e).head] = nxt.time
+                        if agent not in nxt.agents():
+                            assert trace.exit_times[agent] == nxt.time
+            assert trace.vertex_times == times
+            assert configs[-1].time <= trace.horizon
 
     def test_conservation(self):
         rng = random.Random(3)
         for _ in range(20):
             net, config, paths = self._random_case(rng)
             trace = run_paths(net, config, paths)
+            counters = QueueCounters.from_trace(net, trace)
             n = len(config.agents())
             for t in range(config.time, trace.horizon):
-                in_system = sum(
-                    sizes.get(t, 0) for sizes in trace.queue_sizes.values()
-                )
+                in_system = sum(counters.size(e, t) for e in net.edges)
                 exited = sum(1 for x in trace.exit_times.values() if x <= t)
                 assert in_system + exited == n
 
@@ -225,15 +230,20 @@ class TestInvariants:
         for _ in range(20):
             net, config, paths = self._random_case(rng)
             trace = run_paths(net, config, paths)
-            for edge, events in trace.edge_events.items():
-                head = net.edge(edge).head
-                entry_order = [
-                    trace.arrival(a, head)
-                    for t, a, prev in sorted(
-                        events,
-                        key=lambda ev: (ev[0], -1 if ev[2] is None else net.rank(ev[2])),
-                    )
-                ]
+            for edge in net.edges:
+                tail, head = net.edge(edge).tail, net.edge(edge).head
+                # entry time and rank of each user: initial members rank -1, in
+                # queue order; later entrants the rank of their previous edge
+                initial = config.queue(edge)
+                entries = []
+                for a, path in trace.paths.items():
+                    if a in initial:
+                        entries.append((config.time, -1, initial.index(a), a))
+                    elif edge in path:
+                        prev = path[path.index(edge) - 1]
+                        entries.append((trace.arrival(a, tail), net.rank(prev), 0, a))
+                entries.sort(key=lambda entry: entry[:3])
+                entry_order = [trace.arrival(a, head) for *_, a in entries]
                 assert entry_order == sorted(entry_order)
                 assert len(set(entry_order)) == len(entry_order)
 
@@ -253,7 +263,9 @@ class TestInvariants:
                 for agent, path in trace.paths.items():
                     if trace.exit_times[agent] <= t:
                         continue
-                    entered = sum(1 for e in path if trace.entry(agent, e) <= t)
+                    entered = sum(
+                        1 for e in path if trace.arrival(agent, net.edge(e).tail) <= t
+                    )
                     total += len(path) - entered + 1
                 return total
 

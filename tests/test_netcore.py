@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 from dqroute.dynamics import run_paths
 from dqroute.errors import (
     CyclicGraph,
+    DQRouteError,
     EdgeOffAllPaths,
     EmptySchedule,
     IncompletePriorityOrder,
+    MalformedEdge,
+    UnknownAgent,
 )
 from dqroute.netcore import (
+    Agent,
     Edge,
     ExtendedNetwork,
     InflowSchedule,
     Network,
+    UnitNetwork,
     build_extended,
     leftmost_min_cut,
     normalize_to_unit,
@@ -82,6 +87,23 @@ class TestValidateAndStats:
                 [("a", "o", "d"), ("b", "o", "d")],
                 priorities={"d": ["a"]},
             )
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("e", "o", "d", 0, 1)],
+            [("e", "o", "d", 1, 0)],
+            [("e", "o", "d"), ("e", "o", "d")],
+        ],
+    )
+    def test_malformed_edge_is_a_package_error(self, edges):
+        with pytest.raises(MalformedEdge) as exc:
+            Network.build("o", "d", edges)
+        assert isinstance(exc.value, DQRouteError)
+
+    def test_non_unit_edge_in_unit_network_rejected(self):
+        with pytest.raises(MalformedEdge):
+            UnitNetwork.build("o", "d", [("e", "o", "d", 2, 1)])
 
 
 class TestNormalize:
@@ -180,6 +202,12 @@ class TestBuildExtended:
             for agent in schedule.agents():
                 assert trace.arrival(agent, unit.origin) == agent.entry
             done += 1
+
+    def test_entry_prefix_needs_a_scheduled_agent(self):
+        unit = normalize_to_unit(Network.build("o", "d", [("e", "o", "d")]))
+        ext, _ = build_extended(unit, InflowSchedule.build([(1, ["a"])]))
+        with pytest.raises(UnknownAgent):
+            ext.entry_prefix(Agent("stray"))
 
     def test_empty_schedule_rejected(self):
         unit = normalize_to_unit(Network.build("o", "d", [("e", "o", "d")]))
