@@ -124,11 +124,6 @@ def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
     )
 
 
-def _left_edges(net: UnitNetwork, node) -> frozenset[str]:
-    # queues live on tail parts, so an edge counts into the side of its tail
-    return frozenset(e for e in node.edge_set() if net.edge(e).tail in node.left_vertices)
-
-
 @dataclass
 class RatioVerdict:
     node: str
@@ -168,7 +163,6 @@ class BoundReport:
     horizon: int
     inflow_end: int
     max_occupancy: int
-    max_queue: dict[str, int]
     stabilization_time: int
     headroom_required: int
     bounded: bool
@@ -212,7 +206,6 @@ def _experiment_report(
 ) -> BoundReport:
     inflow_end = schedule.last_time
     required = max(inflow_end // 2, 200)
-    max_queue = {e: max(series) for e, series in trace.per_edge.items()}
     occ_stab, max_occ = _stabilization(trace.total)
     edge_stab = 0
     for series in trace.per_edge.values():
@@ -253,7 +246,6 @@ def _experiment_report(
         horizon=trace.horizon,
         inflow_end=inflow_end,
         max_occupancy=max_occ,
-        max_queue=max_queue,
         stabilization_time=stabilization,
         headroom_required=required,
         bounded=bounded,
@@ -297,7 +289,7 @@ def queue_bound_experiment(
     decomp = sp_decompose(net)
     if decomp is None:
         raise NotSeriesParallel("queue bound experiment needs a series-parallel network")
-    cut = decomp.root.cut
+    cut, left, _ = leftmost_min_cut(net)
     for r, wave in schedule.waves:
         if len(wave) > len(cut):
             raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > cut size {len(cut)}")
@@ -313,7 +305,9 @@ def queue_bound_experiment(
             "" if all(v.ok for v in verdicts) else "see verdicts",
         )
     )
-    report.checks.append(_check_full_cut_drain(net, trace, cut, _left_edges(net, decomp.root)))
+    # queues live on tail parts, so an edge counts into the side of its tail
+    left_edges = frozenset(e for e, edge in net.edges.items() if edge.tail in left)
+    report.checks.append(_check_full_cut_drain(net, trace, cut, left_edges))
     return report, trace, verdicts
 
 

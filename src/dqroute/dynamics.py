@@ -147,12 +147,14 @@ def default_horizon(graph: Graph, config: Configuration) -> int:
 
 
 def validate_paths(graph: Graph, config: Configuration, paths: Mapping[Agent, Sequence[str]]) -> None:
-    agents = config.agents()
-    for agent in agents:
+    start_edge = {a: e for e, q in config.queues for a in q}
+    for agent in start_edge:
         if agent not in paths:
             raise PathNotFromCurrentEdge(agent, "no path given")
     for agent, path in paths.items():
-        edge_name, _ = config.locate(agent)  # raises UnknownAgent for strays
+        edge_name = start_edge.get(agent)
+        if edge_name is None:
+            raise UnknownAgent(str(agent))
         if not path or path[0] != edge_name:
             raise PathNotFromCurrentEdge(agent, f"expected first edge {edge_name!r}, got {path[:1]}")
         for a, b in zip(path, path[1:]):

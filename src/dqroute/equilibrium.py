@@ -384,29 +384,6 @@ def _weakly_preempts(key_i, key_j, t_i, t_j) -> bool:
     return rank_i < rank_j
 
 
-def _menu(
-    graph: Graph,
-    config: Configuration,
-    agent: Agent,
-    cache: dict[Agent, list[tuple[str, ...]]],
-) -> list[tuple[str, ...]]:
-    """Every path of the agent from its current edge, enumerated once per suite run."""
-    if agent not in cache:
-        edge_name, _ = config.locate(agent)
-        cache[agent] = graph.paths(edge_name, graph.destination, guard=100_000)
-    return cache[agent]
-
-
-def _sample_paths(
-    graph: Graph,
-    config: Configuration,
-    agents: Sequence[Agent],
-    rng: random.Random,
-    cache: dict[Agent, list[tuple[str, ...]]],
-) -> dict[Agent, tuple[str, ...]]:
-    return {a: rng.choice(_menu(graph, config, a, cache)) for a in agents}
-
-
 def check_properties(
     graph: Graph,
     config: Configuration,
@@ -414,21 +391,27 @@ def check_properties(
     options: Optional[CheckOptions] = None,
     exit_table: Optional[ExitTable] = None,
 ) -> PropertyReport:
-    """Run the NE property suite on a verified equilibrium profile."""
+    """Run the NE property suite on a verified equilibrium profile.
+
+    The checks share one restricted world and one path menu per agent: every
+    path from its current edge, enumerated once per call."""
     options = options or CheckOptions()
     ne = verify_ne(graph, config, profile)
     if not ne.passed:
         raise NotAnNE(f"profile fails verify_ne: {ne.witnesses[0]}")
     trace = ne.trace
     batches = batch_decompose(trace)
-    rng = random.Random(options.seed)
-    cache: dict[Agent, list[tuple[str, ...]]] = {}
+    world = config.restrict(profile)
+    menus: dict[Agent, list[tuple[str, ...]]] = {}
+    for e, q in world.queues:
+        menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
     order = _derive_original_order(config.agents())
+    independence, optimality = _check_batches(graph, world, profile, trace, batches, menus, options)
     results = [
         _check_fifo(graph, config, profile, trace),
-        _check_independence(graph, config, profile, trace, batches, options, rng, cache),
-        _check_optimality(graph, config, profile, batches, options, rng, cache),
-        _check_strong_ne(graph, config, profile, trace, options, cache, exit_table),
+        independence,
+        optimality,
+        _check_strong_ne(graph, world, profile, trace, options, menus, exit_table),
         _check_consecutive_exiting(batches, order),
         _check_temporal_overtaking(graph, trace, order),
     ]
@@ -466,63 +449,63 @@ def _check_fifo(graph, config, profile, trace) -> CheckResult:
     return CheckResult("fifo", "pass")
 
 
-def _check_independence(graph, config, profile, trace, batches, options, rng, cache) -> CheckResult:
-    for k in range(1, len(batches.batches) + 1):
-        prefix = batches.prefix(k)
-        rest = [a for a in profile if a not in prefix]
-        if not rest:
-            break
+def _check_batches(graph, world, profile, trace, batches, menus, options):
+    """Independence and optimality of the batches, from one set of sampled worlds.
+
+    For j = 0 .. K-1 the agents of the first j batches keep their paths and
+    everyone else takes a sampled path from its menu. Each simulation checks
+    both that those j batches keep their vertex times (independence of batch
+    j, for j >= 1) and that no other agent exits before batch j + 1
+    (optimality of batch j + 1). Each check keeps its first failure."""
+    rng = random.Random(options.seed)
+    independence: Optional[CheckResult] = None
+    optimality: Optional[CheckResult] = None
+    for j, bound in enumerate(batches.times):
+        prefix = batches.prefix(j)
         kept = {a: profile[a] for a in prefix}
-        for _ in range(options.samples):
-            completion = _sample_paths(graph, config, rest, rng, cache)
-            sub = run_paths(graph, config.restrict(profile), {**kept, **completion})
-            for a in prefix:
-                if sub.vertex_times[a] != trace.vertex_times[a]:
-                    return CheckResult(
-                        "independence",
-                        "fail",
-                        f"batch {k} agent {a} moved under a sampled completion",
-                        witness={
-                            "agent": a.name,
-                            "batch": k,
-                            "expected": trace.vertex_times[a],
-                            "got": sub.vertex_times[a],
-                            "completion": {b.name: list(p) for b, p in completion.items()},
-                        },
-                    )
-    return CheckResult("independence", "pass")
-
-
-def _check_optimality(graph, config, profile, batches, options, rng, cache) -> CheckResult:
-    for k in range(1, len(batches.batches) + 1):
-        kept = {a: profile[a] for a in batches.prefix(k - 1)}
         rest = [a for a in profile if a not in kept]
-        bound = batches.times[k - 1]
         for _ in range(options.samples):
-            completion = _sample_paths(graph, config, rest, rng, cache)
-            sub = run_paths(graph, config.restrict(profile), {**kept, **completion})
+            completion = {a: rng.choice(menus[a]) for a in rest}
+            sub = run_paths(graph, world, {**kept, **completion})
+            moved = [a for a in prefix if sub.vertex_times[a] != trace.vertex_times[a]]
+            if independence is None and moved:
+                independence = CheckResult(
+                    "independence",
+                    "fail",
+                    f"batch {j} agent {moved[0]} moved under a sampled completion",
+                    witness={
+                        "agent": moved[0].name,
+                        "batch": j,
+                        "expected": trace.vertex_times[moved[0]],
+                        "got": sub.vertex_times[moved[0]],
+                        "completion": {b.name: list(p) for b, p in completion.items()},
+                    },
+                )
             earliest = min(sub.exit_times[a] for a in rest)
-            if earliest < bound:
-                return CheckResult(
+            if optimality is None and earliest < bound:
+                optimality = CheckResult(
                     "optimality",
                     "fail",
-                    f"batch {k} bound {bound} beaten by a sampled completion ({earliest})",
+                    f"batch {j + 1} bound {bound} beaten by a sampled completion ({earliest})",
                     witness={
-                        "batch": k,
+                        "batch": j + 1,
                         "bound": bound,
                         "earliest": earliest,
                         "completion": {b.name: list(p) for b, p in completion.items()},
                     },
                 )
-    return CheckResult("optimality", "pass")
+            if independence and optimality:
+                return independence, optimality
+    return (
+        independence or CheckResult("independence", "pass"),
+        optimality or CheckResult("optimality", "pass"),
+    )
 
 
-def _check_strong_ne(graph, config, profile, trace, options, cache, exit_table) -> CheckResult:
+def _check_strong_ne(graph, world, profile, trace, options, menus, exit_table) -> CheckResult:
     agents = list(profile)
-    if exit_table is None:
-        sets = {a: _menu(graph, config, a, cache) for a in agents}
-        if math.prod(len(opts) for opts in sets.values()) <= _EXHAUSTIVE_GUARD:
-            exit_table = build_exit_table(graph, config.restrict(profile), _EXHAUSTIVE_GUARD)
+    if exit_table is None and math.prod(len(menus[a]) for a in agents) <= _EXHAUSTIVE_GUARD:
+        exit_table = build_exit_table(graph, world, _EXHAUSTIVE_GUARD)
     if exit_table is not None:
         base_combo = exit_table.combo_of(profile)
         base_exits = exit_table.exits[base_combo]
@@ -544,15 +527,16 @@ def _check_strong_ne(graph, config, profile, trace, options, cache, exit_table) 
                     },
                 )
         return CheckResult("strong_ne", "pass", "exhaustive")
+    current = {a: tuple(profile[a]) for a in agents}
     for size in range(1, min(options.coalition_size, len(agents)) + 1):
         for coalition in itertools.combinations(agents, size):
-            menus = [sets[a][: options.path_budget] for a in coalition]
-            for combo in itertools.product(*menus):
-                joint = {**{a: tuple(profile[a]) for a in agents}, **dict(zip(coalition, combo))}
-                movers = [a for a in coalition if joint[a] != tuple(profile[a])]
+            truncated = [menus[a][: options.path_budget] for a in coalition]
+            for combo in itertools.product(*truncated):
+                joint = {**current, **dict(zip(coalition, combo))}
+                movers = [a for a in coalition if joint[a] != current[a]]
                 if not movers:
                     continue
-                sub = run_paths(graph, config.restrict(profile), joint)
+                sub = run_paths(graph, world, joint)
                 if all(sub.exit_times[a] < trace.exit_times[a] for a in movers):
                     return CheckResult(
                         "strong_ne",

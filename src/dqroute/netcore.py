@@ -359,7 +359,6 @@ class ExtendedNetwork:
     def __init__(self, base: UnitNetwork, schedule: InflowSchedule):
         if not schedule.waves:
             raise EmptySchedule("schedule has no waves")
-        self.base = base
         self.schedule = schedule
         self.slots = schedule.max_wave
         self.depth = schedule.last_time
@@ -384,7 +383,6 @@ class ExtendedNetwork:
         priorities[base.origin] = [self.chain_edge(f, 1) for f in range(1, self.slots + 1)]
         self.graph = Graph(edges, base.origin, base.destination, priorities=priorities)
         self.chain_edges = frozenset(chain_edges)
-        self.g_edges = frozenset(base.edges)
 
     @staticmethod
     def chain_edge(slot: int, dist: int) -> str:
@@ -475,9 +473,6 @@ class SPNode:
     edge: Optional[str] = None
     left: Optional["SPNode"] = None
     right: Optional["SPNode"] = None
-    cut: frozenset[str] = frozenset()
-    left_vertices: frozenset[str] = frozenset()
-    right_vertices: frozenset[str] = frozenset()
 
     def edge_set(self) -> frozenset[str]:
         if self.kind == "edge":
@@ -494,29 +489,12 @@ class SPNode:
 @dataclass
 class SPDecomposition:
     root: SPNode
-    network: Network
 
     def nodes(self) -> list[SPNode]:
         return list(self.root.nodes())
 
     def parallel_nodes(self) -> list[SPNode]:
         return [n for n in self.nodes() if n.kind == "parallel"]
-
-    def subnetwork(self, node: SPNode) -> Network:
-        return _subnetwork(self.network, node)
-
-
-def _subnetwork(net: Network, node: SPNode) -> Network:
-    names = node.edge_set()
-    edges = [net.edge(n) for n in sorted(names)]
-    prios = {}
-    verts = dict.fromkeys([node.origin])
-    for e in edges:
-        verts.setdefault(e.tail)
-        verts.setdefault(e.head)
-    for v in verts:
-        prios[v] = [n for n in net.priorities.get(v, ()) if n in names]
-    return Network(edges, node.origin, node.destination, priorities=prios, vertices=verts)
 
 
 def sp_decompose(net: Network) -> Optional[SPDecomposition]:
@@ -576,9 +554,5 @@ def sp_decompose(net: Network) -> Optional[SPDecomposition]:
     (root_name, ends), = work.items()
     if ends != (net.origin, net.destination):
         return None
-    decomp = SPDecomposition(root=nodes[root_name], network=net)
-    for node in decomp.nodes():
-        sub = decomp.subnetwork(node)
-        node.cut, node.left_vertices, node.right_vertices = leftmost_min_cut(sub)
-    return decomp
+    return SPDecomposition(root=nodes[root_name])
 

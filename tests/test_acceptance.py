@@ -22,7 +22,13 @@ from dqroute.equilibrium import (
 )
 from dqroute.errors import TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, ViciousOracle, load_fixture
-from dqroute.netcore import InflowSchedule, Network, build_extended, normalize_to_unit
+from dqroute.netcore import (
+    InflowSchedule,
+    Network,
+    build_extended,
+    leftmost_min_cut,
+    normalize_to_unit,
+)
 from dqroute.spe import (
     exhaustive_histories,
     induced_paths,
@@ -272,10 +278,8 @@ def test_criterion_09_queue_boundedness():
     done = 0
     for net in _sp_networks():
         unit = normalize_to_unit(net)
-        from dqroute.netcore import sp_decompose
-
-        decomp = sp_decompose(unit)
-        width = len(decomp.root.cut)
+        cut, _, _ = leftmost_min_cut(unit)
+        width = len(cut)
         schedule = InflowSchedule.build(
             [(t, [f"x{t}.{i}" for i in range(width)]) for t in range(1, horizon + 1)]
         )

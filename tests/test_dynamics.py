@@ -148,6 +148,12 @@ class TestRunPaths:
             run_paths(net, c, {A: ("ov", "uw", "wd")})
         with pytest.raises(PathNotFromCurrentEdge):
             run_paths(net, c, {A: ("ov", "vw")})
+        # a missing path is reported before a stray agent
+        with pytest.raises(PathNotFromCurrentEdge, match="no path given") as missing:
+            run_paths(net, c, {B: ("ov", "vw", "wd")})
+        assert missing.value.agent == A
+        with pytest.raises(UnknownAgent, match="B"):
+            run_paths(net, c, {A: ("ov", "vw", "wd"), B: ("ov", "vw", "wd")})
 
     def test_horizon_guard(self):
         net = Network.build("o", "d", [("e", "o", "d")])

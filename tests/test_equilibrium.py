@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dqroute.equilibrium
 from dqroute.bestresponse import dominates
 from dqroute.dynamics import Configuration, run_paths
 from dqroute.equilibrium import (
@@ -299,6 +300,70 @@ class TestProperties:
         report = check_properties(net, c, result.paths, CheckOptions(samples=5))
         assert report.passed
         assert report.result("strong_ne").detail == "sampled (truncated coalitions)"
+
+    def test_sampled_pass_simulates_each_world_once(self, monkeypatch):
+        # three agents queued on one edge leave it one per step: three batches
+        net = Network.build(
+            "o", "d",
+            [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "y"), ("r", "y", "d")],
+        )
+        c = Configuration.from_mapping(0, {"s": [Agent(n) for n in "abc"]})
+        table = build_exit_table(net, c)
+        pi = enumerate_all_ne(net, c, table=table)[0]
+        assert len(batch_decompose(run_paths(net, c, pi)).batches) == 3
+        calls = []
+
+        def counting_run_paths(*args, **kwargs):
+            calls.append(args)
+            return run_paths(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.equilibrium, "run_paths", counting_run_paths)
+        report = check_properties(net, c, pi, CheckOptions(samples=7), exit_table=table)
+        assert report.passed
+        # one for verify_ne, then one per sample for each of the three prefixes
+        assert len(calls) == 1 + 3 * 7
+
+    def test_sampled_pass_failures_reproduce_from_their_witnesses(self):
+        # b's detour lets a exit first; b's direct path reaches w with a and
+        # wins there on priority, so a moves and b beats its batch time
+        from dqroute.equilibrium import _check_batches
+
+        net = Network.build(
+            "o", "d",
+            [("ou", "o", "u"), ("ov", "o", "v"), ("uw", "u", "w"), ("vw", "v", "w"),
+             ("vx", "v", "x"), ("xw", "x", "w"), ("wd", "w", "d")],
+            priorities={"w": ["vw", "xw", "uw"]},
+        )
+        a, b = Agent("a"), Agent("b")
+        c = Configuration.from_mapping(0, {"ou": [a], "ov": [b]})
+        profile = {a: ("ou", "uw", "wd"), b: ("ov", "vx", "xw", "wd")}
+        assert not verify_ne(net, c, profile).passed
+        trace = run_paths(net, c, profile)
+        batches = batch_decompose(trace)
+        assert batches.times == (3, 4)
+        menus = {x: net.paths(e, "d") for e, q in c.queues for x in q}
+        independence, optimality = _check_batches(
+            net, c, profile, trace, batches, menus, CheckOptions(samples=10, seed=0)
+        )
+        assert independence.status == optimality.status == "fail"
+        assert independence.detail == "batch 1 agent a moved under a sampled completion"
+        assert optimality.detail == "batch 2 bound 4 beaten by a sampled completion (3)"
+        by_name = {x.name: x for x in profile}
+
+        def resimulate(witness, kept_batches):
+            kept = {x: profile[x] for x in batches.prefix(kept_batches)}
+            completion = {by_name[n]: tuple(p) for n, p in witness["completion"].items()}
+            assert not set(kept) & set(completion)
+            return run_paths(net, c, {**kept, **completion}), completion
+
+        w = independence.witness
+        sub, _ = resimulate(w, w["batch"])
+        moved = by_name[w["agent"]]
+        assert sub.vertex_times[moved] == w["got"] != w["expected"] == trace.vertex_times[moved]
+        w = optimality.witness
+        sub, completion = resimulate(w, w["batch"] - 1)
+        assert min(sub.exit_times[x] for x in completion) == w["earliest"]
+        assert w["earliest"] < w["bound"] == batches.times[w["batch"] - 1]
 
     def test_non_ne_is_rejected(self):
         loaded = load_fixture("fig1_vicious")

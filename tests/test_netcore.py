@@ -219,16 +219,18 @@ class TestBuildExtended:
 
 class TestSeriesParallel:
     def test_single_edge_leaf(self):
-        dec = sp_decompose(Network.build("o", "d", [("e", "o", "d")]))
-        assert dec.root.kind == "edge" and dec.root.cut == frozenset({"e"})
-        assert dec.root.left_vertices == frozenset({"o"})
-        assert dec.root.right_vertices == frozenset({"d"})
+        net = Network.build("o", "d", [("e", "o", "d")])
+        dec = sp_decompose(net)
+        assert dec.root.kind == "edge" and dec.root.edge_set() == frozenset({"e"})
+        assert leftmost_min_cut(net) == (frozenset({"e"}), frozenset({"o"}), frozenset({"d"}))
 
     def test_diamond_decomposition(self):
-        dec = sp_decompose(diamond())
+        net = diamond()
+        dec = sp_decompose(net)
         assert dec.root.kind == "parallel"
         assert {child.kind for child in (dec.root.left, dec.root.right)} == {"series"}
-        assert len(dec.root.cut) == 2
+        assert dec.root.edge_set() == frozenset(net.edges)
+        assert leftmost_min_cut(net)[0] == frozenset({"e1", "e3"})
         assert len(dec.nodes()) == 2 * 4 - 1
 
     def test_wheatstone_is_not_sp(self):
@@ -375,10 +377,3 @@ class TestLeftmostMinCut:
                 assert _on_left(net, cut, other)
             assert net.origin in left and net.destination in right
             done += 1
-
-    def test_sp_node_cut_sizes_match_flow(self):
-        dec = sp_decompose(diamond())
-        for node in dec.nodes():
-            sub = dec.subnetwork(node)
-            cut, _, _ = leftmost_min_cut(sub)
-            assert cut == node.cut
