@@ -75,15 +75,33 @@ def _allowed(graph: Graph, edge_name: str, idx: int) -> frozenset[str]:
     return frozenset(graph.out_edges(head))
 
 
-def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]) -> Configuration:
-    """Apply one round of simultaneous actions under the queuing rule.
-
-    Entrants joining an edge are ordered behind the surviving queue by the
-    priority order at the edge's tail over their previous edges; the sort is
-    stable so injected same-edge entrants keep their relative order.
-    """
-    queues = {e: list(q) for e, q in config.queues}
+def _advance(
+    graph: Graph, queues: dict[str, list[Agent]], actions: Mapping[Agent, Optional[str]]
+) -> list[tuple[Agent, str, Optional[str]]]:
+    """One round of the queuing rule, in place: the head of every queue leaves
+    its edge, in edge order, for its action (the next edge or EXIT). Entrants
+    of an edge queue behind its agents, stably sorted by the priority at its
+    tail over their previous edges. Returns the (agent, edge left, action) moves."""
+    moves = []
     entrants: dict[str, list[tuple[int, Agent]]] = {}
+    for e in sorted(queues):
+        q = queues[e]
+        agent = q.pop(0)
+        if not q:
+            del queues[e]
+        act = actions[agent]
+        moves.append((agent, e, act))
+        if act is not EXIT:
+            entrants.setdefault(act, []).append((graph.rank(e), agent))
+    for e, incoming in entrants.items():
+        incoming.sort(key=lambda item: item[0])
+        queues.setdefault(e, []).extend(agent for _, agent in incoming)
+    return moves
+
+
+def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]) -> Configuration:
+    """Apply one round of simultaneous actions (`_advance`) after checking
+    each agent's action against its action set."""
     for e, q in config.queues:
         for idx, agent in enumerate(q):
             if agent not in actions:
@@ -93,17 +111,10 @@ def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[s
             if act is EXIT:
                 if allowed:
                     raise InvalidAction(agent, "exit is only available at the destination head")
-                queues[e].pop(0)
-            elif act == e and idx > 0:
-                continue  # stays put
-            elif act in allowed and idx == 0:
-                queues[e].pop(0)
-                entrants.setdefault(act, []).append((graph.rank(e), agent))
-            else:
+            elif act not in allowed:
                 raise InvalidAction(agent, f"{act!r} not in action set {sorted(allowed)}")
-    for e, incoming in entrants.items():
-        incoming.sort(key=lambda item: item[0])  # stable: same-rank entrants keep order
-        queues.setdefault(e, []).extend(agent for _, agent in incoming)
+    queues = {e: list(q) for e, q in config.queues}
+    _advance(graph, queues, actions)
     return Configuration.from_mapping(config.time + 1, queues)
 
 
@@ -170,7 +181,8 @@ def run_paths(
     paths: Mapping[Agent, Sequence[str]],
     horizon: Optional[int] = None,
 ) -> RoutingTrace:
-    """Simulate all agents along fixed paths until everyone has exited.
+    """Simulate all agents along fixed paths until everyone has exited, one
+    `_advance` round per time step.
 
     The trace holds each agent's vertex times and exit time; queue lengths
     and entrants follow from them (`bestresponse.QueueCounters.from_trace`).
@@ -179,44 +191,21 @@ def run_paths(
     validate_paths(graph, config, paths)
     limit = horizon if horizon is not None else default_horizon(graph, config)
     t = config.time
-
-    queues: dict[str, list[Agent]] = {e: list(q) for e, q in config.queues}
-    pos: dict[Agent, int] = {}
-    vertex_times: dict[Agent, dict[str, int]] = {}
+    queues = {e: list(q) for e, q in config.queues}
+    ahead = {a: iter(p[1:]) for a, p in paths.items()}
+    actions = {a: next(rest, EXIT) for a, rest in ahead.items()}
+    vertex_times = {a: {graph.edge(e).tail: t} for e, q in config.queues for a in q}
     exit_times: dict[Agent, int] = {}
-
-    for e, q in config.queues:
-        for agent in q:
-            pos[agent] = 0
-            vertex_times[agent] = {graph.edge(e).tail: t}
-
     while queues:
         if t > limit:
             raise HorizonExceeded(f"simulation passed time {limit}")
-        moved: list[tuple[Agent, str, Optional[str]]] = []
-        for e in sorted(queues):
-            head = queues[e][0]
-            path = paths[head]
-            idx = pos[head]
-            nxt = path[idx + 1] if idx + 1 < len(path) else EXIT
-            moved.append((head, e, nxt))
-        entrants: dict[str, list[tuple[int, Agent]]] = {}
-        for agent, e, nxt in moved:
-            queues[e].pop(0)
-            if not queues[e]:
-                del queues[e]
-            v = graph.edge(e).head
-            vertex_times[agent][v] = t + 1
-            if nxt is EXIT:
-                exit_times[agent] = t + 1
-            else:
-                entrants.setdefault(nxt, []).append((graph.rank(e), agent))
-                pos[agent] += 1
-        for nxt, incoming in entrants.items():
-            incoming.sort(key=lambda item: item[0])
-            queues.setdefault(nxt, []).extend(agent for _, agent in incoming)
         t += 1
-
+        for agent, e, act in _advance(graph, queues, actions):
+            vertex_times[agent][graph.edge(e).head] = t
+            if act is EXIT:
+                exit_times[agent] = t
+            else:
+                actions[agent] = next(ahead[agent], EXIT)
     return RoutingTrace(
         start_time=config.time,
         paths={a: tuple(p) for a, p in paths.items()},

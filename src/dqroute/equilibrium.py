@@ -243,13 +243,13 @@ def strategy_sets(
 ) -> dict[Agent, list[tuple[str, ...]]]:
     sets = {}
     total = 1
-    for agent in config.agents():
-        edge_name, _ = config.locate(agent)
-        opts = graph.paths(edge_name, graph.destination, guard=guard)
-        sets[agent] = opts
-        total *= len(opts)
-        if total > guard:
-            raise TooManyProfiles(f"joint profile count exceeds {guard}")
+    for edge_name, q in config.queues:
+        for agent in q:
+            opts = graph.paths(edge_name, graph.destination, guard=guard)
+            sets[agent] = opts
+            total *= len(opts)
+            if total > guard:
+                raise TooManyProfiles(f"joint profile count exceeds {guard}")
     return sets
 
 

@@ -315,6 +315,10 @@ class Agent:
     def __str__(self) -> str:
         return self.name
 
+    def __hash__(self) -> int:
+        # equal agents have equal names, so this agrees with the generated __eq__
+        return hash(self.name)
+
 
 @dataclass(frozen=True)
 class InflowSchedule:
@@ -447,12 +451,10 @@ def _max_flow_unit(graph: Graph, source: str, sink: str) -> tuple[int, frozenset
         value += 1
 
 
-def leftmost_min_cut(net: Graph, origin: Optional[str] = None, destination: Optional[str] = None):
+def leftmost_min_cut(net: Graph):
     """Leftmost minimum o-d edge cut via the residual-reachable (source-minimal)
     construction. Returns (cut edge names, left vertex set, right vertex set)."""
-    o = origin if origin is not None else net.origin
-    d = destination if destination is not None else net.destination
-    _, left = _max_flow_unit(net, o, d)
+    _, left = _max_flow_unit(net, net.origin, net.destination)
     cut = frozenset(
         name for name, e in net.edges.items() if e.tail in left and e.head not in left
     )

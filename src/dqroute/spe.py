@@ -4,12 +4,13 @@ and one-deviation auditing."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .dynamics import EXIT, Configuration, RoutingTrace, action_set, default_horizon, run_paths, step
+from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, default_horizon, run_paths, step
 from .equilibrium import (
     BatchDecomposition,
     batch_decompose,
@@ -76,17 +77,17 @@ def prescribed_actions(
     """Three-case rule: stay when queued behind someone, exit on the final edge,
     otherwise take the path's next edge."""
     acts: dict[Agent, Action] = {}
-    for agent in config.agents():
-        path = profile[agent]
-        edge_name, idx = config.locate(agent)
-        if path[0] != edge_name:
-            raise NotAnNE(f"profile path of {agent} does not start at its edge")
-        if idx > 0:
-            acts[agent] = edge_name
-        elif len(path) == 1:
-            acts[agent] = EXIT
-        else:
-            acts[agent] = path[1]
+    for edge_name, q in config.queues:
+        for idx, agent in enumerate(q):
+            path = profile[agent]
+            if path[0] != edge_name:
+                raise NotAnNE(f"profile path of {agent} does not start at its edge")
+            if idx > 0:
+                acts[agent] = edge_name
+            elif len(path) == 1:
+                acts[agent] = EXIT
+            else:
+                acts[agent] = path[1]
     return acts
 
 
@@ -109,6 +110,9 @@ class SigmaStar(StrategyOracle):
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
         return self.prescription(history.config)[agent]
+
+    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
+        return dict(self.prescription(history.config))
 
 
 def sigma_star(graph: Graph) -> SigmaStar:
@@ -182,8 +186,10 @@ class NEBasedOracle(StrategyOracle):
         return solve.paths
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
-        profile = self.profile_at(history)
-        return prescribed_actions(self.graph, history.config, profile)[agent]
+        return self.profile(history)[agent]
+
+    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
+        return prescribed_actions(self.graph, history.config, self.profile_at(history))
 
 
 def ne_based_spe(
@@ -197,6 +203,20 @@ def ne_based_spe(
 # -- induced play ----------------------------------------------------------------
 
 
+def _play(
+    graph: Graph, node: HistoryNode, oracle: StrategyOracle, limit: int
+) -> list[HistoryNode]:
+    """The chain of histories from node under the oracle until every agent
+    has exited; HorizonExceeded once play passes time limit."""
+    out = [node]
+    while not node.config.is_empty():
+        if node.config.time > limit:
+            raise HorizonExceeded(f"induced play passed time {limit}")
+        node = child_history(graph, node, oracle.profile(node))
+        out.append(node)
+    return out
+
+
 def induced_paths(
     graph: Graph,
     history: HistoryNode,
@@ -205,20 +225,14 @@ def induced_paths(
 ) -> tuple[dict[Agent, tuple[str, ...]], RoutingTrace]:
     """Forward-simulate the oracle from a history until every agent has exited."""
     limit = horizon if horizon is not None else default_horizon(graph, history.config)
-    node = history
-    realized: dict[Agent, list[str]] = {}
-    for agent in history.config.agents():
-        edge_name, _ = history.config.locate(agent)
-        realized[agent] = [edge_name]
-    while not node.config.is_empty():
-        if node.config.time > limit:
-            raise HorizonExceeded(f"induced play passed time {limit}")
-        acts = oracle.profile(node)
-        for agent, act in acts.items():
-            current, idx = node.config.locate(agent)
-            if act is not EXIT and idx == 0 and act != current:
-                realized[agent].append(act)
-        node = child_history(graph, node, acts)
+    realized = {a: [e] for e, q in history.config.queues for a in q}
+    # an agent's path is the run of edges it occupies: on an acyclic network
+    # it never returns to an edge it has left
+    for node in _play(graph, history, oracle, limit):
+        for e, q in node.config.queues:
+            for agent in q:
+                if realized[agent][-1] != e:
+                    realized[agent].append(e)
     paths = {a: tuple(p) for a, p in realized.items()}
     trace = run_paths(graph, history.config, paths)
     return paths, trace
@@ -282,23 +296,23 @@ def one_deviation_audit(
         report.audited_histories += 1
         base = exits_from(node)
         prof = oracle.profile(node)
-        for agent in node.config.agents():
-            options = action_set(graph, node.config, agent)
-            for alt in sorted(options - {prof[agent]}):
-                report.audited_deviations += 1
-                deviated = child_history(graph, node, {**prof, agent: alt})
-                t_dev = exits_from(deviated)[agent]
-                if t_dev < base[agent]:
-                    report.violations.append(
-                        DeviationFinding(
-                            history_key=node.key,
-                            time=node.time,
-                            agent=agent,
-                            alternative=alt,
-                            conforming_exit=base[agent],
-                            deviating_exit=t_dev,
+        for e, q in node.config.queues:
+            for idx, agent in enumerate(q):
+                for alt in sorted(_allowed(graph, e, idx) - {prof[agent]}):
+                    report.audited_deviations += 1
+                    deviated = child_history(graph, node, {**prof, agent: alt})
+                    t_dev = exits_from(deviated)[agent]
+                    if t_dev < base[agent]:
+                        report.violations.append(
+                            DeviationFinding(
+                                history_key=node.key,
+                                time=node.time,
+                                agent=agent,
+                                alternative=alt,
+                                conforming_exit=base[agent],
+                                deviating_exit=t_dev,
+                            )
                         )
-                    )
     return report
 
 
@@ -322,14 +336,12 @@ def exhaustive_histories(
         if node.config.is_empty() or node.config.time - config.time >= limit:
             continue
         agents = node.config.agents()
-        menus = []
-        for agent in agents:
-            options = action_set(graph, node.config, agent)
-            menus.append(sorted(options) if options else [EXIT])
-        combos = [[]]
-        for menu in menus:
-            combos = [c + [m] for c in combos for m in menu]
-        for combo in combos:
+        menus = [
+            sorted(_allowed(graph, e, idx)) or [EXIT]
+            for e, q in node.config.queues
+            for idx in range(len(q))
+        ]
+        for combo in itertools.product(*menus):
             child = child_history(graph, node, dict(zip(agents, combo)))
             out.append(child)
             frontier.append(child)
@@ -342,15 +354,7 @@ def play_histories(
     graph: Graph, config: Configuration, oracle: StrategyOracle
 ) -> list[HistoryNode]:
     """The on-path chain of histories under the oracle."""
-    node = root_history(config)
-    out = [node]
-    limit = default_horizon(graph, config)
-    while not node.config.is_empty():
-        if node.config.time > limit:
-            raise HorizonExceeded("oracle play does not terminate")
-        node = child_history(graph, node, oracle.profile(node))
-        out.append(node)
-    return out
+    return _play(graph, root_history(config), oracle, default_horizon(graph, config))
 
 
 def sampled_histories(
@@ -376,9 +380,10 @@ def sampled_histories(
         add(node)
         while not node.config.is_empty() and node.config.time - config.time < limit:
             acts = {}
-            for agent in node.config.agents():
-                options = sorted(action_set(graph, node.config, agent))
-                acts[agent] = rng.choice(options) if options else EXIT
+            for e, q in node.config.queues:
+                for idx, agent in enumerate(q):
+                    options = sorted(_allowed(graph, e, idx))
+                    acts[agent] = rng.choice(options) if options else EXIT
             node = child_history(graph, node, acts)
             add(node)
     return list(seen.values())

@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
-from dqroute.dynamics import EXIT, Configuration, step
+from dqroute.dynamics import (
+    EXIT,
+    Configuration,
+    RoutingTrace,
+    _allowed,
+    default_horizon,
+    validate_paths,
+)
 from dqroute.equilibrium import (
     PathProfile,
     SolveResult,
     SolveStage,
     _check_base_invariance,
 )
-from dqroute.errors import Unreachable
+from dqroute.errors import HorizonExceeded, InvalidAction, Unreachable
 from dqroute.netcore import Agent, Edge, Graph, InflowSchedule, Network, SPNode
-from dqroute.spe import StrategyOracle
+from dqroute.spe import HistoryNode, StrategyOracle, _canonical
 
 
 def random_net(rng: random.Random, max_v: int = 8, max_e: int = 12,
@@ -83,9 +90,133 @@ def random_fixed_paths(rng: random.Random, net: Network, config: Configuration, 
     return fixed
 
 
+def reference_step(
+    graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]
+) -> Configuration:
+    """The queuing rule written out on its own, checks and moves in one loop:
+    the oracle for `dynamics.step`.
+
+    Entrants joining an edge are ordered behind the surviving queue by the
+    priority order at the edge's tail over their previous edges; the sort is
+    stable so injected same-edge entrants keep their relative order.
+    """
+    queues = {e: list(q) for e, q in config.queues}
+    entrants: dict[str, list[tuple[int, Agent]]] = {}
+    for e, q in config.queues:
+        for idx, agent in enumerate(q):
+            if agent not in actions:
+                raise InvalidAction(agent, "missing from action profile")
+            act = actions[agent]
+            allowed = _allowed(graph, e, idx)
+            if act is EXIT:
+                if allowed:
+                    raise InvalidAction(agent, "exit is only available at the destination head")
+                queues[e].pop(0)
+            elif act == e and idx > 0:
+                continue  # stays put
+            elif act in allowed and idx == 0:
+                queues[e].pop(0)
+                entrants.setdefault(act, []).append((graph.rank(e), agent))
+            else:
+                raise InvalidAction(agent, f"{act!r} not in action set {sorted(allowed)}")
+    for e, incoming in entrants.items():
+        incoming.sort(key=lambda item: item[0])  # stable: same-rank entrants keep order
+        queues.setdefault(e, []).extend(agent for _, agent in incoming)
+    return Configuration.from_mapping(config.time + 1, queues)
+
+
+def reference_run_paths(
+    graph: Graph,
+    config: Configuration,
+    paths: Mapping[Agent, Sequence[str]],
+    horizon: Optional[int] = None,
+) -> RoutingTrace:
+    """Path simulation with its own round loop and entrant sort: the oracle
+    for `dynamics.run_paths`."""
+    validate_paths(graph, config, paths)
+    limit = horizon if horizon is not None else default_horizon(graph, config)
+    t = config.time
+
+    queues: dict[str, list[Agent]] = {e: list(q) for e, q in config.queues}
+    pos: dict[Agent, int] = {}
+    vertex_times: dict[Agent, dict[str, int]] = {}
+    exit_times: dict[Agent, int] = {}
+
+    for e, q in config.queues:
+        for agent in q:
+            pos[agent] = 0
+            vertex_times[agent] = {graph.edge(e).tail: t}
+
+    while queues:
+        if t > limit:
+            raise HorizonExceeded(f"simulation passed time {limit}")
+        moved: list[tuple[Agent, str, Optional[str]]] = []
+        for e in sorted(queues):
+            head = queues[e][0]
+            path = paths[head]
+            idx = pos[head]
+            nxt = path[idx + 1] if idx + 1 < len(path) else EXIT
+            moved.append((head, e, nxt))
+        entrants: dict[str, list[tuple[int, Agent]]] = {}
+        for agent, e, nxt in moved:
+            queues[e].pop(0)
+            if not queues[e]:
+                del queues[e]
+            v = graph.edge(e).head
+            vertex_times[agent][v] = t + 1
+            if nxt is EXIT:
+                exit_times[agent] = t + 1
+            else:
+                entrants.setdefault(nxt, []).append((graph.rank(e), agent))
+                pos[agent] += 1
+        for nxt, incoming in entrants.items():
+            incoming.sort(key=lambda item: item[0])
+            queues.setdefault(nxt, []).extend(agent for _, agent in incoming)
+        t += 1
+
+    return RoutingTrace(
+        start_time=config.time,
+        paths={a: tuple(p) for a, p in paths.items()},
+        vertex_times=vertex_times,
+        exit_times=exit_times,
+        horizon=t,
+    )
+
+
+def reference_induced_paths(
+    graph: Graph,
+    history: HistoryNode,
+    oracle: StrategyOracle,
+    horizon: Optional[int] = None,
+) -> tuple[dict[Agent, tuple[str, ...]], RoutingTrace]:
+    """Oracle play that asks each agent for its action and `locate`s it to
+    read its move, stepping with `reference_step` and closing with
+    `reference_run_paths`: the oracle for `spe.induced_paths`."""
+    limit = horizon if horizon is not None else default_horizon(graph, history.config)
+    node = history
+    realized: dict[Agent, list[str]] = {}
+    for agent in history.config.agents():
+        edge_name, _ = history.config.locate(agent)
+        realized[agent] = [edge_name]
+    while not node.config.is_empty():
+        if node.config.time > limit:
+            raise HorizonExceeded(f"induced play passed time {limit}")
+        acts = {a: oracle.action(node, a) for a in node.config.agents()}
+        for agent, act in acts.items():
+            current, idx = node.config.locate(agent)
+            if act is not EXIT and idx == 0 and act != current:
+                realized[agent].append(act)
+        config = reference_step(graph, node.config, acts)
+        node = HistoryNode(config, node.key + (_canonical(acts),), node, acts)
+    paths = {a: tuple(p) for a, p in realized.items()}
+    trace = reference_run_paths(graph, history.config, paths)
+    return paths, trace
+
+
 def step_replay(net: Graph, config: Configuration, paths) -> list[Configuration]:
-    """Configurations of `step` driven along fixed paths, from config until
-    every agent has exited: the slow, rule-by-rule replay of `run_paths`."""
+    """Configurations of `reference_step` driven along fixed paths, from
+    config until every agent has exited: the slow, rule-by-rule replay of
+    `run_paths`."""
     configs = [config]
     pos = {a: 0 for a in config.agents()}
     while not configs[-1].is_empty():
@@ -98,7 +229,7 @@ def step_replay(net: Graph, config: Configuration, paths) -> list[Configuration]
                 acts[head] = path[pos[head]]
             else:
                 acts[head] = EXIT
-        configs.append(step(net, configs[-1], acts))
+        configs.append(reference_step(net, configs[-1], acts))
     return configs
 
 

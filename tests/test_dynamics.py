@@ -19,9 +19,17 @@ from dqroute.errors import (
     UnknownAgent,
 )
 from dqroute.fixtures import load_fixture
-from dqroute.netcore import Agent, Network
+from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 
-from helpers import random_fixed_paths, random_interim_config, random_net, step_replay
+from helpers import (
+    random_fixed_paths,
+    random_interim_config,
+    random_net,
+    random_schedule,
+    reference_run_paths,
+    reference_step,
+    step_replay,
+)
 
 A, B, X, Y = Agent("A"), Agent("B"), Agent("X"), Agent("Y")
 
@@ -277,3 +285,97 @@ class TestInvariants:
 
             for t in range(config.time, trace.horizon):
                 assert remaining(t + 1) < remaining(t)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type, message and agent of its error."""
+    try:
+        return fn(*args)
+    except (HorizonExceeded, InvalidAction, PathNotFromCurrentEdge, UnknownAgent) as err:
+        return type(err), str(err), getattr(err, "agent", None)
+
+
+class TestReferenceEquivalence:
+    """`run_paths` and `step` share one round function; each is checked
+    against an oracle with its own round loop and entrant sort."""
+
+    def _assert_runs_match(self, net, config, paths):
+        trace = run_paths(net, config, paths)
+        assert trace == reference_run_paths(net, config, paths)
+        # the horizon guard trips at the same round
+        cut = trace.horizon - 2
+        if cut >= config.time:
+            assert outcome(run_paths, net, config, paths, cut) == outcome(
+                reference_run_paths, net, config, paths, cut)
+
+    def test_run_paths_on_the_interim_corpus(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            net = random_net(rng, max_v=7, max_e=11)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=8)
+            self._assert_runs_match(net, config, random_fixed_paths(rng, net, config))
+
+    def test_run_paths_on_normalized_networks(self):
+        # capacity-2 and transit-2 edges expand into lanes and segments
+        rng = random.Random(42)
+        done = 0
+        while done < 40:
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            unit = normalize_to_unit(net)
+            config, _ = random_interim_config(rng, unit, max_agents=8)
+            self._assert_runs_match(unit, config, random_fixed_paths(rng, unit, config))
+            done += 1
+
+    def test_run_paths_on_inflow_chains(self):
+        rng = random.Random(43)
+        done = 0
+        while done < 40:
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            ext, c0 = build_extended(normalize_to_unit(net), random_schedule(rng, waves=3, width=3))
+            self._assert_runs_match(ext.graph, c0, random_fixed_paths(rng, ext.graph, c0))
+            done += 1
+
+    def test_step_on_random_profiles(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            net = random_net(rng, max_v=7, max_e=11)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=8)
+            while not config.is_empty():
+                acts = {}
+                for a in config.agents():
+                    options = sorted(action_set(net, config, a))
+                    acts[a] = rng.choice(options) if options else EXIT
+                nxt = step(net, config, acts)
+                assert nxt == reference_step(net, config, acts)
+                config = nxt
+
+    def test_step_rejects_invalid_profiles_like_the_reference(self):
+        rng = random.Random(45)
+        rejected = 0
+        for _ in range(150):
+            net = random_net(rng, max_v=7, max_e=11)
+            if net is None:
+                continue
+            config, agents = random_interim_config(rng, net, max_agents=6)
+            acts = {}
+            for a in agents:
+                options = sorted(action_set(net, config, a))
+                acts[a] = rng.choice(options) if options else EXIT
+            # some agents drop out, others pick any edge of the network or EXIT
+            for a in rng.sample(agents, rng.randint(1, len(agents))):
+                if rng.random() < 0.2:
+                    del acts[a]
+                else:
+                    acts[a] = rng.choice(sorted(net.edges) + [EXIT])
+            got = outcome(step, net, config, acts)
+            assert got == outcome(reference_step, net, config, acts)
+            rejected += isinstance(got, tuple)
+        assert rejected > 50

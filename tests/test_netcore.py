@@ -46,6 +46,15 @@ def diamond():
     )
 
 
+class TestAgent:
+    def test_hash_is_the_name_and_equality_every_field(self):
+        plain, scheduled = Agent("a"), Agent("a", 1, 1)
+        assert hash(plain) == hash(scheduled) == hash("a")
+        assert plain != scheduled
+        assert plain == Agent("a") and scheduled == Agent("a", 1, 1)
+        assert len({plain, scheduled, Agent("a")}) == 2
+
+
 class TestValidateAndStats:
     def test_single_edge(self):
         stats = validate_and_stats(Network.build("o", "d", [("e", "o", "d")]))

@@ -27,7 +27,7 @@ from dqroute.spe import (
     sigma_star,
 )
 
-from helpers import random_interim_config, random_net, random_schedule
+from helpers import random_interim_config, random_net, random_schedule, reference_induced_paths
 
 
 class MyopicOracle(StrategyOracle):
@@ -318,3 +318,56 @@ class TestAudits:
         assert chain[-1].config.is_empty()
         for a, b in zip(chain, chain[1:]):
             assert b.parent is a
+
+
+class TestInducedPathsReference:
+    """`induced_paths` reads paths off the shared play loop; the reference
+    asks each agent for its action and steps with its own round function."""
+
+    def _assert_play_matches(self, graph, history, oracle):
+        assert induced_paths(graph, history, oracle) == reference_induced_paths(
+            graph, history, oracle)
+
+    def _random_cases(self, seed, count):
+        rng = random.Random(seed)
+        done = 0
+        while done < count:
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            unit = normalize_to_unit(net)
+            if done % 2:
+                ext, config = build_extended(unit, random_schedule(rng, waves=2, width=3))
+                yield ext.graph, config
+            else:
+                yield unit, random_interim_config(rng, unit, max_agents=5)[0]
+            done += 1
+
+    def test_sigma_star(self):
+        for graph, config in self._random_cases(51, 16):
+            self._assert_play_matches(graph, root_history(config), sigma_star(graph))
+
+    def test_myopic(self):
+        for graph, config in self._random_cases(52, 16):
+            self._assert_play_matches(graph, root_history(config), MyopicOracle(graph))
+        loaded = load_fixture("fig1")
+        for node in exhaustive_histories(loaded.graph, loaded.config):
+            self._assert_play_matches(loaded.graph, node, MyopicOracle(loaded.graph))
+
+    def test_ne_based(self):
+        for graph, config in self._random_cases(53, 8):
+            pi = iterative_dominating_profile(graph, config).paths
+            self._assert_play_matches(graph, root_history(config), ne_based_spe(graph, config, pi))
+        loaded = load_fixture("fig1")
+        hists = exhaustive_histories(loaded.graph, loaded.config)
+        for pi in enumerate_all_ne(loaded.graph, loaded.config):
+            oracle = ne_based_spe(loaded.graph, loaded.config, pi)
+            for node in hists:
+                self._assert_play_matches(loaded.graph, node, oracle)
+
+    def test_vicious(self):
+        loaded = load_fixture("fig1")
+        p1, p2 = sorted(loaded.config.agents(), key=lambda a: a.slot)
+        oracle = ViciousOracle(loaded.graph, blocker=p1, victim=p2)
+        for node in exhaustive_histories(loaded.graph, loaded.config):
+            self._assert_play_matches(loaded.graph, node, oracle)
