@@ -39,6 +39,7 @@ from .equilibrium import (
 )
 from .spe import (
     HistoryNode,
+    HistoryTree,
     SigmaStar,
     StrategyOracle,
     exhaustive_histories,

@@ -101,13 +101,17 @@ def _advance(
 
 def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]) -> Configuration:
     """Apply one round of simultaneous actions (`_advance`) after checking
-    each agent's action against its action set."""
+    each agent's action against its action set: its own edge behind the
+    head, the out-edges of the edge's head for the head."""
     for e, q in config.queues:
         for idx, agent in enumerate(q):
             if agent not in actions:
                 raise InvalidAction(agent, "missing from action profile")
             act = actions[agent]
-            allowed = _allowed(graph, e, idx)
+            if idx > 0 and act == e:
+                continue
+            head = graph.edge(e).head
+            allowed = [e] if idx > 0 else () if head == graph.destination else graph.out_edges(head)
             if act is EXIT:
                 if allowed:
                     raise InvalidAction(agent, "exit is only available at the destination head")

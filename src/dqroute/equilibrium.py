@@ -244,8 +244,8 @@ def strategy_sets(
     sets = {}
     total = 1
     for edge_name, q in config.queues:
+        opts = graph.paths(edge_name, graph.destination, guard=guard)
         for agent in q:
-            opts = graph.paths(edge_name, graph.destination, guard=guard)
             sets[agent] = opts
             total *= len(opts)
             if total > guard:
@@ -394,7 +394,8 @@ def check_properties(
     """Run the NE property suite on a verified equilibrium profile.
 
     The checks share one restricted world and one path menu per agent: every
-    path from its current edge, enumerated once per call."""
+    path from its current edge, read from the exit table when one is given and
+    otherwise enumerated once per call."""
     options = options or CheckOptions()
     ne = verify_ne(graph, config, profile)
     if not ne.passed:
@@ -404,7 +405,10 @@ def check_properties(
     world = config.restrict(profile)
     menus: dict[Agent, list[tuple[str, ...]]] = {}
     for e, q in world.queues:
-        menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
+        if exit_table is not None:
+            menus.update((a, exit_table.sets[a]) for a in q)
+        else:
+            menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
     order = _derive_original_order(config.agents())
     independence, optimality = _check_batches(graph, world, profile, trace, batches, menus, options)
     results = [

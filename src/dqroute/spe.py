@@ -5,10 +5,10 @@ and one-deviation auditing."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, default_horizon, run_paths, step
 from .equilibrium import (
@@ -47,17 +47,15 @@ def root_history(config: Configuration) -> HistoryNode:
 
 def child_history(graph: Graph, node: HistoryNode, actions: Mapping[Agent, Action]) -> HistoryNode:
     actions = dict(actions)
-    new_config = step(graph, node.config, actions)
-    return HistoryNode(
-        config=new_config,
-        key=node.key + (_canonical(actions),),
-        parent=node,
-        actions=actions,
-    )
+    return HistoryNode(step(graph, node.config, actions), node.key + (_canonical(actions),), node, actions)
 
 
 class StrategyOracle:
-    """Deterministic rule (history, agent) -> action; total over live agents."""
+    """Deterministic rule (history, agent) -> action; total over live agents.
+
+    `markovian = True` promises that the oracle's profile is a function of
+    `config.content_key()` alone; `one_deviation_audit` then audits each
+    distinct queue content once."""
 
     markovian = False
 
@@ -192,11 +190,7 @@ class NEBasedOracle(StrategyOracle):
         return prescribed_actions(self.graph, history.config, self.profile_at(history))
 
 
-def ne_based_spe(
-    graph: Graph,
-    config: Configuration,
-    pi: Mapping[Agent, Sequence[str]],
-) -> NEBasedOracle:
+def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequence[str]]) -> NEBasedOracle:
     return NEBasedOracle(graph, config, pi)
 
 
@@ -280,43 +274,98 @@ def one_deviation_audit(
     oracle: StrategyOracle,
     histories: Iterable[HistoryNode],
 ) -> DeviationAuditReport:
-    """Check that no single agent gains by deviating once and conforming after."""
+    """Check that no single agent gains by deviating once and conforming after.
+
+    A Markovian oracle is audited once per distinct queue content, weighted
+    by the number of histories that reach it (a `HistoryTree` counts them
+    without building them); any other oracle once per history. Exit times of
+    conforming play are memoised relative to the start, on the content or on
+    the history key; only failing ones are mapped back to their histories,
+    in order."""
+    if not isinstance(histories, HistoryTree):
+        histories = list(histories)
+    if oracle.markovian:
+        key = lambda node: node.config.content_key()
+        advance = lambda node, acts: root_history(step(graph, node.config, acts))
+    else:
+        key = lambda node: node.key
+        advance = lambda node, acts: child_history(graph, node, acts)
+    if oracle.markovian and isinstance(histories, HistoryTree):
+        counted = [(root_history(c), n) for c, n in histories.multiplicity.items()]
+    else:
+        counted = [(node, 1) for node in histories]
+    weights: dict[tuple, list] = {}
+    for node, n in counted:
+        weights.setdefault(key(node), [node, 0])[1] += n
+    memo: dict[tuple, dict[Agent, int]] = {}
+
+    def exits(start: HistoryNode) -> dict[Agent, int]:
+        # play one oracle step at a time up to a memoised or empty
+        # configuration, then fill the memo backwards along the play
+        node, chain = start, []
+        while not node.config.is_empty() and key(node) not in memo:
+            chain.append(node)
+            node = advance(node, oracle.profile(node))
+        later = memo[key(node)] if not node.config.is_empty() else {}
+        for node in reversed(chain):
+            later = memo[key(node)] = {a: later.get(a, 0) + 1 for a in node.config.agents()}
+        limit = default_horizon(graph, start.config)
+        if start.time + max(later.values(), default=0) - 1 > limit:
+            raise HorizonExceeded(f"induced play passed time {limit}")
+        return later
+
     report = DeviationAuditReport()
-    exit_memo: dict[tuple, dict[Agent, int]] = {}
-
-    def exits_from(node: HistoryNode) -> dict[Agent, int]:
-        if node.key not in exit_memo:
-            _, trace = induced_paths(graph, node, oracle)
-            exit_memo[node.key] = dict(trace.exit_times)
-        return exit_memo[node.key]
-
-    for node in histories:
+    failed: dict[tuple, list[tuple[Agent, str, int, int]]] = {}
+    for node, n in weights.values():
         if node.config.is_empty():
             continue
-        report.audited_histories += 1
-        base = exits_from(node)
+        report.audited_histories += n
+        base = exits(node)
         prof = oracle.profile(node)
         for e, q in node.config.queues:
             for idx, agent in enumerate(q):
                 for alt in sorted(_allowed(graph, e, idx) - {prof[agent]}):
-                    report.audited_deviations += 1
-                    deviated = child_history(graph, node, {**prof, agent: alt})
-                    t_dev = exits_from(deviated)[agent]
+                    report.audited_deviations += n
+                    t_dev = 1 + exits(advance(node, {**prof, agent: alt}))[agent]
                     if t_dev < base[agent]:
-                        report.violations.append(
-                            DeviationFinding(
-                                history_key=node.key,
-                                time=node.time,
-                                agent=agent,
-                                alternative=alt,
-                                conforming_exit=base[agent],
-                                deviating_exit=t_dev,
-                            )
-                        )
+                        failed.setdefault(key(node), []).append((agent, alt, base[agent], t_dev))
+    for node in histories if failed else ():
+        for agent, alt, conforming, deviating in failed.get(key(node), ()):
+            finding = (node.key, node.time, agent, alt, node.time + conforming, node.time + deviating)
+            report.violations.append(DeviationFinding(*finding))
     return report
 
 
 # -- history samplers --------------------------------------------------------------
+
+
+@dataclass
+class HistoryTree:
+    """Every history of arbitrary play, held as its configuration DAG.
+
+    `multiplicity` maps each distinct configuration (time included), in
+    breadth-first order, to the number of tree histories that reach it;
+    `children` maps each expanded one to its (successor, action profile,
+    canonical profile) triples in `itertools.product` order of the agents'
+    menus. `len` is the number of histories. Iterating yields the
+    `HistoryNode`s breadth first, built once from the stored children."""
+
+    graph: Graph
+    root: Configuration
+    multiplicity: dict[Configuration, int]
+    children: dict[Configuration, list[tuple[Configuration, dict[Agent, Action], tuple]]]
+    _nodes: Optional[list[HistoryNode]] = field(default=None, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return sum(self.multiplicity.values())
+
+    def __iter__(self) -> Iterator[HistoryNode]:
+        if self._nodes is None:
+            self._nodes = [root_history(self.root)]
+            for node in self._nodes:  # grows as it is read: breadth first
+                for child, acts, canon in self.children.get(node.config, ()):
+                    self._nodes.append(HistoryNode(child, node.key + (canon,), node, acts))
+        return iter(self._nodes)
 
 
 def exhaustive_histories(
@@ -324,30 +373,32 @@ def exhaustive_histories(
     config: Configuration,
     depth: Optional[int] = None,
     guard: int = 200_000,
-) -> list[HistoryNode]:
+) -> HistoryTree:
     """Every history reachable under arbitrary play, to the given depth
-    (default: until everyone exits)."""
+    (default: until everyone exits); HorizonExceeded past guard histories."""
     limit = depth if depth is not None else default_horizon(graph, config) - config.time
-    root = root_history(config)
-    out = [root]
-    frontier = deque([root])
-    while frontier:
-        node = frontier.popleft()
-        if node.config.is_empty() or node.config.time - config.time >= limit:
+    multiplicity = {config: 1}
+    children: dict = {}
+    size = 1
+    # configurations are layered by time, so each one's multiplicity is
+    # final once every configuration discovered before it is expanded
+    order = [config]
+    for c in order:
+        if c.is_empty() or c.time - config.time >= limit:
             continue
-        agents = node.config.agents()
-        menus = [
-            sorted(_allowed(graph, e, idx)) or [EXIT]
-            for e, q in node.config.queues
-            for idx in range(len(q))
-        ]
-        for combo in itertools.product(*menus):
-            child = child_history(graph, node, dict(zip(agents, combo)))
-            out.append(child)
-            frontier.append(child)
-            if len(out) > guard:
-                raise HorizonExceeded(f"history tree exceeds {guard} nodes")
-    return out
+        menus = [sorted(_allowed(graph, e, idx)) or [EXIT] for e, q in c.queues for idx in range(len(q))]
+        size += multiplicity[c] * math.prod(len(m) for m in menus)
+        if size > guard:
+            raise HorizonExceeded(f"history tree exceeds {guard} nodes")
+        agents = c.agents()
+        profiles = [dict(zip(agents, combo)) for combo in itertools.product(*menus)]
+        children[c] = [(step(graph, c, acts), acts, _canonical(acts)) for acts in profiles]
+        for kid, _, _ in children[c]:
+            seen = multiplicity.get(kid)
+            if seen is None:
+                order.append(kid)
+            multiplicity[kid] = (seen or 0) + multiplicity[c]
+    return HistoryTree(graph, config, multiplicity, children)
 
 
 def play_histories(

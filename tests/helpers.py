@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Mapping, Optional, Sequence
+from collections import deque
+from typing import Iterable, Mapping, Optional, Sequence
 
 from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
 from dqroute.dynamics import (
@@ -23,7 +25,16 @@ from dqroute.equilibrium import (
 )
 from dqroute.errors import HorizonExceeded, InvalidAction, Unreachable
 from dqroute.netcore import Agent, Edge, Graph, InflowSchedule, Network, SPNode
-from dqroute.spe import HistoryNode, StrategyOracle, _canonical
+from dqroute.spe import (
+    DeviationAuditReport,
+    DeviationFinding,
+    HistoryNode,
+    StrategyOracle,
+    _canonical,
+    child_history,
+    induced_paths,
+    root_history,
+)
 
 
 def random_net(rng: random.Random, max_v: int = 8, max_e: int = 12,
@@ -211,6 +222,81 @@ def reference_induced_paths(
     paths = {a: tuple(p) for a, p in realized.items()}
     trace = reference_run_paths(graph, history.config, paths)
     return paths, trace
+
+
+def reference_exhaustive_histories(
+    graph: Graph,
+    config: Configuration,
+    depth: Optional[int] = None,
+    guard: int = 200_000,
+) -> list[HistoryNode]:
+    """Every history reachable under arbitrary play, to the given depth
+    (default: until everyone exits), stepped one history at a time: the
+    oracle for `spe.exhaustive_histories`."""
+    limit = depth if depth is not None else default_horizon(graph, config) - config.time
+    root = root_history(config)
+    out = [root]
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        if node.config.is_empty() or node.config.time - config.time >= limit:
+            continue
+        agents = node.config.agents()
+        menus = [
+            sorted(_allowed(graph, e, idx)) or [EXIT]
+            for e, q in node.config.queues
+            for idx in range(len(q))
+        ]
+        for combo in itertools.product(*menus):
+            child = child_history(graph, node, dict(zip(agents, combo)))
+            out.append(child)
+            frontier.append(child)
+            if len(out) > guard:
+                raise HorizonExceeded(f"history tree exceeds {guard} nodes")
+    return out
+
+
+def reference_one_deviation_audit(
+    graph: Graph,
+    oracle: StrategyOracle,
+    histories: Iterable[HistoryNode],
+) -> DeviationAuditReport:
+    """Check that no single agent gains by deviating once and conforming after,
+    re-playing the oracle from every history: the oracle for
+    `spe.one_deviation_audit`."""
+    report = DeviationAuditReport()
+    exit_memo: dict[tuple, dict[Agent, int]] = {}
+
+    def exits_from(node: HistoryNode) -> dict[Agent, int]:
+        if node.key not in exit_memo:
+            _, trace = induced_paths(graph, node, oracle)
+            exit_memo[node.key] = dict(trace.exit_times)
+        return exit_memo[node.key]
+
+    for node in histories:
+        if node.config.is_empty():
+            continue
+        report.audited_histories += 1
+        base = exits_from(node)
+        prof = oracle.profile(node)
+        for e, q in node.config.queues:
+            for idx, agent in enumerate(q):
+                for alt in sorted(_allowed(graph, e, idx) - {prof[agent]}):
+                    report.audited_deviations += 1
+                    deviated = child_history(graph, node, {**prof, agent: alt})
+                    t_dev = exits_from(deviated)[agent]
+                    if t_dev < base[agent]:
+                        report.violations.append(
+                            DeviationFinding(
+                                history_key=node.key,
+                                time=node.time,
+                                agent=agent,
+                                alternative=alt,
+                                conforming_exit=base[agent],
+                                deviating_exit=t_dev,
+                            )
+                        )
+    return report
 
 
 def step_replay(net: Graph, config: Configuration, paths) -> list[Configuration]:

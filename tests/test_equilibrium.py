@@ -323,6 +323,30 @@ class TestProperties:
         # one for verify_ne, then one per sample for each of the three prefixes
         assert len(calls) == 1 + 3 * 7
 
+    def test_menus_come_from_the_exit_table(self, monkeypatch):
+        net = Network.build(
+            "o", "d",
+            [("s", "o", "x"), ("t", "o", "x"), ("p", "x", "d"), ("q", "x", "y"),
+             ("r", "y", "d"), ("u", "y", "d")],
+        )
+        c = Configuration.from_mapping(0, {"s": [Agent("a"), Agent("b")], "t": [Agent("c")]})
+        enumerated, paths = [], Network.paths
+
+        def counting_paths(graph, first_edge, *args, **kwargs):
+            enumerated.append(first_edge)
+            return paths(graph, first_edge, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "paths", counting_paths)
+        table = build_exit_table(net, c)
+        assert enumerated == ["s", "t"]  # once per edge, not per agent
+        assert table.sets[Agent("a")] is table.sets[Agent("b")]
+        for pi in enumerate_all_ne(net, c, table=table):
+            del enumerated[:]
+            options = CheckOptions(samples=9, seed=4)
+            with_table = check_properties(net, c, pi, options, exit_table=table)
+            assert enumerated == []
+            assert with_table == check_properties(net, c, pi, options)
+
     def test_sampled_pass_failures_reproduce_from_their_witnesses(self):
         # b's detour lets a exit first; b's direct path reaches w with a and
         # wins there on priority, so a moves and b beats its batch time

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from dqroute.equilibrium import (
     iterative_dominating_profile,
     verify_ne,
 )
-from dqroute.errors import NotAnNE
-from dqroute.fixtures import FIG2_EXPECTED, ViciousOracle, load_fixture
+from dqroute.errors import HorizonExceeded, NotAnNE
+from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 from dqroute.spe import (
     StrategyOracle,
@@ -24,10 +25,18 @@ from dqroute.spe import (
     one_deviation_audit,
     play_histories,
     root_history,
+    sampled_histories,
     sigma_star,
 )
 
-from helpers import random_interim_config, random_net, random_schedule, reference_induced_paths
+from helpers import (
+    random_interim_config,
+    random_net,
+    random_schedule,
+    reference_exhaustive_histories,
+    reference_induced_paths,
+    reference_one_deviation_audit,
+)
 
 
 class MyopicOracle(StrategyOracle):
@@ -41,6 +50,13 @@ class MyopicOracle(StrategyOracle):
         if idx > 0:
             return edge_name
         return self.graph.out_edges(self.graph.edge(edge_name).head)[-1]
+
+
+class MarkovianMyopic(MyopicOracle):
+    """The myopic rule reads only the configuration, so it may declare itself
+    Markovian; it is not an SPE, so its audit has findings to compare."""
+
+    markovian = True
 
 
 class PathFollower(StrategyOracle):
@@ -371,3 +387,110 @@ class TestInducedPathsReference:
         oracle = ViciousOracle(loaded.graph, blocker=p1, victim=p2)
         for node in exhaustive_histories(loaded.graph, loaded.config):
             self._assert_play_matches(loaded.graph, node, oracle)
+
+
+class TestHistoryTreeReference:
+    """The configuration-DAG history tree and the per-content audit against
+    the tree stepped one history at a time and the audit re-played from every
+    history."""
+
+    CAP = 3_000  # reference audits re-play every history; keep trees small
+
+    def _random_cases(self, seed):
+        rng = random.Random(seed)
+        while True:
+            net = random_net(rng, max_v=6, max_e=8)
+            if net is None:
+                continue
+            if rng.random() < 0.5:
+                ext, config = build_extended(net, random_schedule(rng, waves=2, width=2))
+                yield ext.graph, config, None
+            else:
+                yield net, random_interim_config(rng, net, max_agents=5)[0], rng.choice((None, 2, 3))
+
+    def _trees(self, seed, count):
+        """(graph, config, depth, reference histories): count random instances
+        of 20 to CAP histories, then every fixture at full depth and depth 2."""
+        fixtures = [(load_fixture(name), depth) for name in FIXTURES for depth in (None, 2)]
+        cases = itertools.chain(
+            itertools.islice(self._random_cases(seed), 10 * count),
+            ((loaded.graph, loaded.config, depth) for loaded, depth in fixtures),
+        )
+        random_left = count
+        for graph, config, depth in cases:
+            fixture = any(config is loaded.config for loaded, _ in fixtures)
+            if not fixture and not random_left:
+                continue
+            try:
+                expected = reference_exhaustive_histories(graph, config, depth, guard=self.CAP)
+            except HorizonExceeded:
+                with pytest.raises(HorizonExceeded, match=f"exceeds {self.CAP} nodes"):
+                    exhaustive_histories(graph, config, depth, guard=self.CAP)
+                continue
+            if not fixture:
+                if len(expected) < 20:
+                    continue
+                random_left -= 1
+            yield graph, config, depth, expected
+        assert not random_left
+
+    def test_histories_and_guard_match_the_reference(self):
+        checked = 0
+        for graph, config, depth, expected in self._trees(61, 12):
+            tree = exhaustive_histories(graph, config, depth)
+            assert len(tree) == len(expected)
+            got = list(tree)
+            assert [n.key for n in got] == [n.key for n in expected]
+            assert [n.config for n in got] == [n.config for n in expected]
+            assert [n.actions for n in got] == [n.actions for n in expected]
+            assert all(n.parent is None or n.parent.key == n.key[:-1] for n in got)
+            assert len({n.config for n in got}) == len(tree.multiplicity)
+            with pytest.raises(HorizonExceeded):
+                exhaustive_histories(graph, config, depth, guard=len(expected) - 1)
+            assert len(exhaustive_histories(graph, config, depth, guard=len(expected))) == len(expected)
+            checked += 1
+        assert checked == 12 + 2 * len(FIXTURES)
+
+    def test_iterating_builds_the_histories_once_without_stepping(self, monkeypatch):
+        loaded = load_fixture("fanout")
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("the history tree stepped again")
+
+        monkeypatch.setattr(dqroute.spe, "step", no_step)
+        first, second = list(tree), list(tree)
+        assert len(first) == len(tree) and all(a is b for a, b in zip(first, second))
+
+    def test_audits_match_the_reference(self):
+        failing = 0
+        for graph, config, depth, expected in self._trees(62, 8):
+            tree = exhaustive_histories(graph, config, depth)
+            for make in (sigma_star, MarkovianMyopic, MyopicOracle):
+                got = one_deviation_audit(graph, make(graph), tree)
+                assert got == reference_one_deviation_audit(graph, make(graph), expected)
+                failing += make is MarkovianMyopic and not got.passed
+        assert failing >= 3
+
+    def test_audits_of_history_lists_match_the_reference(self):
+        # a plain list counts each listed history, repeats included
+        for graph, config, depth, expected in self._trees(63, 4):
+            rng = random.Random(len(expected))
+            listed = expected + rng.sample(expected, min(5, len(expected)))
+            sampled = sampled_histories(graph, config, rng, playouts=4, depth=depth)
+            for histories in (listed, sampled):
+                for make in (sigma_star, MarkovianMyopic):
+                    got = one_deviation_audit(graph, make(graph), iter(histories))
+                    assert got == reference_one_deviation_audit(graph, make(graph), histories)
+
+    def test_history_dependent_audits_match_the_reference(self):
+        loaded = load_fixture("fig1")
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        expected = reference_exhaustive_histories(loaded.graph, loaded.config)
+        p1, p2 = sorted(loaded.config.agents(), key=lambda a: a.slot)
+        oracles = [lambda: ViciousOracle(loaded.graph, blocker=p1, victim=p2)]
+        for pi in enumerate_all_ne(loaded.graph, loaded.config):
+            oracles.append(lambda pi=pi: ne_based_spe(loaded.graph, loaded.config, pi))
+        for make in oracles:
+            assert one_deviation_audit(loaded.graph, make(), tree) == \
+                reference_one_deviation_audit(loaded.graph, make(), expected)
