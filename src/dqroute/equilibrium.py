@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from .bestresponse import (
@@ -18,7 +19,7 @@ from .bestresponse import (
     queued_agent_table,
 )
 from .dynamics import Configuration, RoutingTrace, run_paths
-from .errors import BaseInvarianceViolated, NotAnNE, TooManyProfiles, Unreachable
+from .errors import BaseInvarianceViolated, DQRouteError, NotAnNE, TooManyProfiles, Unreachable
 from .netcore import Agent, Graph
 
 PathProfile = Mapping[Agent, tuple[str, ...]]
@@ -255,14 +256,23 @@ def strategy_sets(
 
 @dataclass(frozen=True)
 class ExitTable:
-    """Exit times of every joint profile, shared by enumeration and coalition checks."""
+    """Exit times of every joint profile of `config`, shared by enumeration and the
+    property suite, and a lazy cache of full traces keyed on paths in `agents` order."""
 
     agents: tuple[Agent, ...]
     sets: dict[Agent, list[tuple[str, ...]]]
     exits: dict[tuple[int, ...], tuple[int, ...]]
+    config: Configuration
+    traces: dict[tuple, RoutingTrace] = field(default_factory=dict, compare=False, repr=False)
 
     def combo_of(self, profile: PathProfile) -> tuple[int, ...]:
         return tuple(self.sets[a].index(tuple(profile[a])) for a in self.agents)
+
+    def trace(self, graph: Graph, profile: PathProfile) -> RoutingTrace:
+        key = tuple(profile[a] for a in self.agents)
+        if key not in self.traces:
+            self.traces[key] = run_paths(graph, self.config, profile)
+        return self.traces[key]
 
 
 def build_exit_table(graph: Graph, config: Configuration, guard: int = 1_000_000) -> ExitTable:
@@ -273,7 +283,7 @@ def build_exit_table(graph: Graph, config: Configuration, guard: int = 1_000_000
         profile = {a: sets[a][combo[i]] for i, a in enumerate(agents)}
         trace = run_paths(graph, config, profile)
         exits[combo] = tuple(trace.exit_times[a] for a in agents)
-    return ExitTable(agents=agents, sets=sets, exits=exits)
+    return ExitTable(agents=agents, sets=sets, exits=exits, config=config)
 
 
 def enumerate_all_ne(
@@ -395,22 +405,27 @@ def check_properties(
 
     The checks share one restricted world and one path menu per agent: every
     path from its current edge, read from the exit table when one is given and
-    otherwise enumerated once per call."""
+    otherwise enumerated once per call. Without a table, one is built when the
+    world has at most `_EXHAUSTIVE_GUARD` joint profiles; the checks share it."""
     options = options or CheckOptions()
+    world = config.restrict(profile)
+    if exit_table is not None and exit_table.config != world:
+        raise DQRouteError("the exit table was built on another configuration than the profile's")
     ne = verify_ne(graph, config, profile)
     if not ne.passed:
         raise NotAnNE(f"profile fails verify_ne: {ne.witnesses[0]}")
     trace = ne.trace
     batches = batch_decompose(trace)
-    world = config.restrict(profile)
-    menus: dict[Agent, list[tuple[str, ...]]] = {}
-    for e, q in world.queues:
-        if exit_table is not None:
-            menus.update((a, exit_table.sets[a]) for a in q)
-        else:
+    menus = exit_table.sets if exit_table is not None else {}
+    if exit_table is None:
+        for e, q in world.queues:
             menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
+        if math.prod(len(m) for m in menus.values()) <= _EXHAUSTIVE_GUARD:
+            exit_table = build_exit_table(graph, world, _EXHAUSTIVE_GUARD)
     order = _derive_original_order(config.agents())
-    independence, optimality = _check_batches(graph, world, profile, trace, batches, menus, options)
+    independence, optimality = _check_batches(
+        graph, world, profile, trace, batches, menus, options, exit_table
+    )
     results = [
         _check_fifo(graph, config, profile, trace),
         independence,
@@ -453,7 +468,7 @@ def _check_fifo(graph, config, profile, trace) -> CheckResult:
     return CheckResult("fifo", "pass")
 
 
-def _check_batches(graph, world, profile, trace, batches, menus, options):
+def _check_batches(graph, world, profile, trace, batches, menus, options, exit_table=None):
     """Independence and optimality of the batches, from one set of sampled worlds.
 
     For j = 0 .. K-1 the agents of the first j batches keep their paths and
@@ -464,13 +479,14 @@ def _check_batches(graph, world, profile, trace, batches, menus, options):
     rng = random.Random(options.seed)
     independence: Optional[CheckResult] = None
     optimality: Optional[CheckResult] = None
+    simulate = partial(exit_table.trace, graph) if exit_table else partial(run_paths, graph, world)
     for j, bound in enumerate(batches.times):
         prefix = batches.prefix(j)
-        kept = {a: profile[a] for a in prefix}
+        kept = {a: tuple(profile[a]) for a in prefix}
         rest = [a for a in profile if a not in kept]
         for _ in range(options.samples):
             completion = {a: rng.choice(menus[a]) for a in rest}
-            sub = run_paths(graph, world, {**kept, **completion})
+            sub = simulate({**kept, **completion})
             moved = [a for a in prefix if sub.vertex_times[a] != trace.vertex_times[a]]
             if independence is None and moved:
                 independence = CheckResult(
@@ -508,8 +524,6 @@ def _check_batches(graph, world, profile, trace, batches, menus, options):
 
 def _check_strong_ne(graph, world, profile, trace, options, menus, exit_table) -> CheckResult:
     agents = list(profile)
-    if exit_table is None and math.prod(len(menus[a]) for a in agents) <= _EXHAUSTIVE_GUARD:
-        exit_table = build_exit_table(graph, world, _EXHAUSTIVE_GUARD)
     if exit_table is not None:
         base_combo = exit_table.combo_of(profile)
         base_exits = exit_table.exits[base_combo]

@@ -140,6 +140,7 @@ class NEBasedOracle(StrategyOracle):
         self._profiles: dict[tuple, dict[Agent, tuple[str, ...]]] = {
             (): {a: tuple(p) for a, p in pi.items()}
         }
+        self._parents: dict[tuple, tuple[dict[Agent, Action], BatchDecomposition]] = {}
 
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
@@ -150,12 +151,15 @@ class NEBasedOracle(StrategyOracle):
         self, node: HistoryNode
     ) -> tuple[dict[Agent, tuple[str, ...]], BatchDecomposition, int]:
         """The parent NE, its batches and the matched prefix size, from one
-        simulation of the parent NE."""
-        rho = self.profile_at(node.parent)
-        prescribed = prescribed_actions(self.graph, node.parent.config, rho)
+        simulation of the parent NE, shared by all of the parent's children."""
+        parent = node.parent
+        rho = self.profile_at(parent)
+        if parent.key not in self._parents:
+            trace = run_paths(self.graph, parent.config.restrict(rho), rho)
+            prescribed = prescribed_actions(self.graph, parent.config, rho)
+            self._parents[parent.key] = prescribed, batch_decompose(trace)
+        prescribed, batches = self._parents[parent.key]
         realized = node.actions or {}
-        trace = run_paths(self.graph, node.parent.config.restrict(rho), rho)
-        batches = batch_decompose(trace)
         matched = 0
         for k, batch in enumerate(batches.batches, start=1):
             if all(realized.get(a, EXIT) == prescribed[a] for a in batch):

@@ -15,16 +15,29 @@ from dqroute.dynamics import (
     RoutingTrace,
     _allowed,
     default_horizon,
+    run_paths,
     validate_paths,
 )
 from dqroute.equilibrium import (
+    CheckResult,
+    ExitTable,
     PathProfile,
     SolveResult,
     SolveStage,
     _check_base_invariance,
+    build_exit_table,
 )
-from dqroute.errors import HorizonExceeded, InvalidAction, Unreachable
-from dqroute.netcore import Agent, Edge, Graph, InflowSchedule, Network, SPNode
+from dqroute.errors import HorizonExceeded, InvalidAction, TooManyProfiles, Unreachable
+from dqroute.netcore import (
+    Agent,
+    Edge,
+    Graph,
+    InflowSchedule,
+    Network,
+    SPNode,
+    build_extended,
+    normalize_to_unit,
+)
 from dqroute.spe import (
     DeviationAuditReport,
     DeviationFinding,
@@ -89,6 +102,24 @@ def realize_sp_tree(node: SPNode, net_edges: Mapping[str, Edge]) -> Network:
     """Reconstruct the network a decomposition tree describes (for round-trip checks)."""
     edges = [net_edges[name] for name in sorted(node.edge_set())]
     return Network(edges, node.origin, node.destination)
+
+
+def tiny_schedule_tables(
+    rng: random.Random, count: int, guard: int
+) -> list[tuple[Graph, Configuration, ExitTable]]:
+    """(extended graph, entry configuration, exit table) of `count` random
+    two-wave schedules on small networks with at most `guard` joint profiles."""
+    out = []
+    while len(out) < count:
+        net = random_net(rng, max_v=5, max_e=6)
+        if net is None:
+            continue
+        ext, c0 = build_extended(normalize_to_unit(net), random_schedule(rng, waves=2, width=2))
+        try:
+            out.append((ext.graph, c0, build_exit_table(ext.graph, c0, guard=guard)))
+        except TooManyProfiles:
+            continue
+    return out
 
 
 def random_fixed_paths(rng: random.Random, net: Network, config: Configuration, skip=()):
@@ -506,3 +537,51 @@ def reference_dominating_profile(
         remaining.remove(chosen)
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))
+
+
+def reference_check_batches(graph, world, profile, trace, batches, menus, options):
+    """The uncached sampled pass: one `run_paths` per sampled world. The
+    oracle for the pass that reads its worlds through the exit table."""
+    rng = random.Random(options.seed)
+    independence: Optional[CheckResult] = None
+    optimality: Optional[CheckResult] = None
+    for j, bound in enumerate(batches.times):
+        prefix = batches.prefix(j)
+        kept = {a: profile[a] for a in prefix}
+        rest = [a for a in profile if a not in kept]
+        for _ in range(options.samples):
+            completion = {a: rng.choice(menus[a]) for a in rest}
+            sub = run_paths(graph, world, {**kept, **completion})
+            moved = [a for a in prefix if sub.vertex_times[a] != trace.vertex_times[a]]
+            if independence is None and moved:
+                independence = CheckResult(
+                    "independence",
+                    "fail",
+                    f"batch {j} agent {moved[0]} moved under a sampled completion",
+                    witness={
+                        "agent": moved[0].name,
+                        "batch": j,
+                        "expected": trace.vertex_times[moved[0]],
+                        "got": sub.vertex_times[moved[0]],
+                        "completion": {b.name: list(p) for b, p in completion.items()},
+                    },
+                )
+            earliest = min(sub.exit_times[a] for a in rest)
+            if optimality is None and earliest < bound:
+                optimality = CheckResult(
+                    "optimality",
+                    "fail",
+                    f"batch {j + 1} bound {bound} beaten by a sampled completion ({earliest})",
+                    witness={
+                        "batch": j + 1,
+                        "bound": bound,
+                        "earliest": earliest,
+                        "completion": {b.name: list(p) for b, p in completion.items()},
+                    },
+                )
+            if independence and optimality:
+                return independence, optimality
+    return (
+        independence or CheckResult("independence", "pass"),
+        optimality or CheckResult("optimality", "pass"),
+    )

@@ -4,10 +4,12 @@ import random
 import pytest
 
 import dqroute.equilibrium
+import helpers
 from dqroute.bestresponse import dominates
 from dqroute.dynamics import Configuration, run_paths
 from dqroute.equilibrium import (
     CheckOptions,
+    _check_batches,
     batch_decompose,
     build_exit_table,
     check_properties,
@@ -15,7 +17,7 @@ from dqroute.equilibrium import (
     iterative_dominating_profile,
     verify_ne,
 )
-from dqroute.errors import BaseInvarianceViolated, NotAnNE, TooManyProfiles
+from dqroute.errors import BaseInvarianceViolated, DQRouteError, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit, validate_and_stats
 
@@ -23,7 +25,9 @@ from helpers import (
     random_interim_config,
     random_net,
     random_schedule,
+    reference_check_batches,
     reference_dominating_profile,
+    tiny_schedule_tables,
 )
 
 
@@ -302,26 +306,56 @@ class TestProperties:
         assert report.result("strong_ne").detail == "sampled (truncated coalitions)"
 
     def test_sampled_pass_simulates_each_world_once(self, monkeypatch):
-        # three agents queued on one edge leave it one per step: three batches
-        net = Network.build(
-            "o", "d",
-            [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "y"), ("r", "y", "d")],
-        )
+        # three agents queued on one edge leave it one per step: three batches;
+        # either of the two parallel last edges is as fast, so all 8 profiles are NEs
+        net = Network.build("o", "d", [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "d")])
+        c = Configuration.from_mapping(0, {"s": [Agent(n) for n in "abc"]})
+        table = build_exit_table(net, c)
+        nes = enumerate_all_ne(net, c, table=table)
+        assert len(nes) == len(table.exits) == 8
+        worlds = []
+
+        def counting_run_paths(graph, config, profile):
+            worlds.append(frozenset((a, tuple(p)) for a, p in profile.items()))
+            return run_paths(graph, config, profile)
+
+        monkeypatch.setattr(dqroute.equilibrium, "run_paths", counting_run_paths)
+        monkeypatch.setattr(helpers, "run_paths", counting_run_paths)
+        options = CheckOptions(samples=7)
+        simulated = set()
+        for pi in (nes[0], nes[-1]):
+            trace = run_paths(net, c, pi)
+            batches = batch_decompose(trace)
+            assert len(batches.batches) == 3
+            del worlds[:]
+            reference_check_batches(net, c, pi, trace, batches, table.sets, options)
+            assert len(worlds) == 3 * 7  # the uncached pass: one run per sample
+            drawn = set(worlds)
+            del worlds[:]
+            assert check_properties(net, c, pi, options, exit_table=table).passed
+            # one for verify_ne, then one per drawn world no earlier NE simulated
+            new = worlds[1:]
+            assert len(new) == len(set(new))
+            assert set(new) == drawn - simulated
+            simulated |= drawn
+        assert len(new) < len(drawn)  # the second NE re-reads the first one's worlds
+
+    def test_exit_table_of_another_configuration_is_refused(self):
+        net = Network.build("o", "d", [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "d")])
         c = Configuration.from_mapping(0, {"s": [Agent(n) for n in "abc"]})
         table = build_exit_table(net, c)
         pi = enumerate_all_ne(net, c, table=table)[0]
-        assert len(batch_decompose(run_paths(net, c, pi)).batches) == 3
-        calls = []
-
-        def counting_run_paths(*args, **kwargs):
-            calls.append(args)
-            return run_paths(*args, **kwargs)
-
-        monkeypatch.setattr(dqroute.equilibrium, "run_paths", counting_run_paths)
-        report = check_properties(net, c, pi, CheckOptions(samples=7), exit_table=table)
-        assert report.passed
-        # one for verify_ne, then one per sample for each of the three prefixes
-        assert len(calls) == 1 + 3 * 7
+        # the same queues one step later: the table's traces would be a step early
+        later = Configuration(1, c.queues)
+        assert verify_ne(net, later, pi).passed
+        with pytest.raises(DQRouteError, match="another configuration"):
+            check_properties(net, later, pi, exit_table=table)
+        # a profile without one of the table's agents restricts to another world
+        partial = {a: p for a, p in pi.items() if a.name != "b"}
+        assert verify_ne(net, c, partial).passed
+        with pytest.raises(DQRouteError, match="another configuration"):
+            check_properties(net, c, partial, exit_table=table)
+        assert check_properties(net, c, partial).passed  # its own table is built
 
     def test_menus_come_from_the_exit_table(self, monkeypatch):
         net = Network.build(
@@ -388,6 +422,56 @@ class TestProperties:
         sub, completion = resimulate(w, w["batch"] - 1)
         assert min(sub.exit_times[x] for x in completion) == w["earliest"]
         assert w["earliest"] < w["bound"] == batches.times[w["batch"] - 1]
+
+    def test_cached_pass_matches_the_reference(self):
+        # any joint profile, NE or not: failures and witnesses included
+        rng = random.Random(41)
+        failed = 0
+        for graph, c0, table in tiny_schedule_tables(rng, 8, guard=400):
+            for combo in rng.sample(sorted(table.exits), min(5, len(table.exits))):
+                profile = {a: table.sets[a][i] for a, i in zip(table.agents, combo)}
+                trace = run_paths(graph, c0, profile)
+                options = CheckOptions(samples=rng.randint(1, 20), seed=rng.randrange(100))
+                args = (graph, c0, profile, trace, batch_decompose(trace), table.sets, options)
+                cached = _check_batches(*args, table)
+                assert cached == reference_check_batches(*args)
+                failed += any(res.status == "fail" for res in cached)
+        assert failed  # the corpus exercises failing checks and their witnesses
+        # the hand-built failing profile of the witness test below
+        net = Network.build(
+            "o", "d",
+            [("ou", "o", "u"), ("ov", "o", "v"), ("uw", "u", "w"), ("vw", "v", "w"),
+             ("vx", "v", "x"), ("xw", "x", "w"), ("wd", "w", "d")],
+            priorities={"w": ["vw", "xw", "uw"]},
+        )
+        a, b = Agent("a"), Agent("b")
+        c = Configuration.from_mapping(0, {"ou": [a], "ov": [b]})
+        profile = {a: ("ou", "uw", "wd"), b: ("ov", "vx", "xw", "wd")}
+        trace = run_paths(net, c, profile)
+        table = build_exit_table(net, c)
+        args = (net, c, profile, trace, batch_decompose(trace), table.sets,
+                CheckOptions(samples=10, seed=0))
+        cached = _check_batches(*args, table)
+        assert [res.status for res in cached] == ["fail", "fail"]
+        assert cached == reference_check_batches(*args)
+
+    def test_reports_match_the_uncached_reference(self, monkeypatch):
+        # whole reports, with the table given, without one (the CLI path) and
+        # through the uncached reference pass
+        rng = random.Random(29)
+        runs = []
+        for graph, c0, table in tiny_schedule_tables(rng, 8, guard=400):
+            options = CheckOptions(samples=rng.randint(5, 30), seed=rng.randrange(100))
+            for pi in enumerate_all_ne(graph, c0, table=table):
+                report = check_properties(graph, c0, pi, options, exit_table=table)
+                assert check_properties(graph, c0, pi, options) == report
+                runs.append((graph, c0, pi, options, table, report))
+        monkeypatch.setattr(
+            dqroute.equilibrium, "_check_batches",
+            lambda *args: reference_check_batches(*args[:7]),
+        )
+        for graph, c0, pi, options, table, report in runs:
+            assert check_properties(graph, c0, pi, options, exit_table=table) == report
 
     def test_non_ne_is_rejected(self):
         loaded = load_fixture("fig1_vicious")

@@ -264,6 +264,28 @@ class TestNEBasedOracle:
         oracle.profile_at(child)
         assert len(calls) == 1
 
+    def test_sibling_misses_share_one_parent_simulation(self, monkeypatch):
+        loaded = load_fixture("fig1")
+        pi = iterative_dominating_profile(loaded.graph, loaded.config).paths
+        oracle = ne_based_spe(loaded.graph, loaded.config, pi)
+        root = root_history(loaded.config)
+        acts = oracle.profile(root)
+        p1 = next(a for a in acts if a.name == "p1")
+        alts = sorted(action_set(loaded.graph, loaded.config, p1) - {acts[p1]})
+        siblings = [child_history(loaded.graph, root, acts),
+                    child_history(loaded.graph, root, {**acts, p1: alts[0]})]
+        calls = []
+
+        def counting_run_paths(*args, **kwargs):
+            calls.append(args)
+            return run_paths(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.spe, "run_paths", counting_run_paths)
+        assert [oracle.matched_prefix_size(child) for child in siblings] == [1, 0]
+        for child in siblings:
+            assert verify_ne(loaded.graph, child.config, oracle.profile_at(child)).passed
+        assert len(calls) == 1
+
     def test_first_batch_deviation_rebuilds_from_scratch(self):
         loaded = load_fixture("fig1")
         agents = loaded.config.agents()
