@@ -3,6 +3,7 @@ parallel-composition ratio monitor, and the two boundedness checks."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,15 +49,8 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     d = net.destination
     for r, wave in schedule.waves:
         for slot, agent in enumerate(wave, start=1):
-            table = dp_from_vertex(
-                net,
-                agent,
-                start_vertex=net.origin,
-                start_time=r,
-                start_edge=None,
-                start_rank=slot - 1,
-                counters=timelines,
-            )
+            table = dp_from_vertex(net, agent, start_vertex=net.origin, start_time=r,
+                                   start_edge=None, start_rank=slot - 1, counters=timelines)
             assert d in table.tau, "validated networks always reach the destination"
             path = table.path_to(net, d)
             times = {v: table.tau[v] for v in net.path_vertices(path)}
@@ -85,6 +79,10 @@ class OccupancyTrace:
     def occupancy(self, edges: frozenset[str] | set[str], t: int) -> int:
         return sum(self.per_edge[e][t] for e in edges if e in self.per_edge)
 
+    def series(self, edges: frozenset[str] | set[str]) -> list[int]:
+        """The occupancy of the edges at every time 0..horizon."""
+        return _column_sums([self.per_edge[e] for e in edges if e in self.per_edge], self.horizon)
+
     def conservation_holds(self) -> bool:
         for t in range(1, self.horizon + 1):
             if self.total[t] != self.total[t - 1] + self.entrants[t] - self.exiters[t]:
@@ -92,36 +90,26 @@ class OccupancyTrace:
         return True
 
 
+def _column_sums(series: list[list[int]], horizon: int) -> list[int]:
+    return list(map(sum, zip(*series))) if series else [0] * (horizon + 1)
+
+
 def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
     horizon = max(result.exit_times.values(), default=0)
-    per_edge = {
-        e: [0] * (horizon + 1) for e in result.timelines.sizes
-    }
+    per_edge = {e: [0] * (horizon + 1) for e in result.timelines.sizes}
     for e, counts in result.timelines.sizes.items():
         series = per_edge[e]
         for t, n in counts.items():
             if t <= horizon:
                 series[t] = n
-    total = [0] * (horizon + 1)
-    for series in per_edge.values():
-        for t, n in enumerate(series):
-            total[t] += n
+    total = _column_sums(list(per_edge.values()), horizon)
     entrants = [0] * (horizon + 1)
     exiters = [0] * (horizon + 1)
-    arrival_counts: dict[tuple[str, int], int] = {}
-    for agent, times in result.arrivals.items():
+    for agent, t in result.exit_times.items():
         entrants[agent.entry] += 1
-        exiters[result.exit_times[agent]] += 1
-        for v, t in times.items():
-            arrival_counts[(v, t)] = arrival_counts.get((v, t), 0) + 1
-    return OccupancyTrace(
-        horizon=horizon,
-        per_edge=per_edge,
-        total=total,
-        entrants=entrants,
-        exiters=exiters,
-        arrival_counts=arrival_counts,
-    )
+        exiters[t] += 1
+    arrival_counts = Counter(cell for times in result.arrivals.values() for cell in times.items())
+    return OccupancyTrace(horizon, per_edge, total, entrants, exiters, arrival_counts)
 
 
 @dataclass
@@ -137,24 +125,18 @@ def degree_ratio_monitor(
 ) -> list[RatioVerdict]:
     """Check n_i <= 2 m^2 (2m + n_j) at every step of every parallel node."""
     m = stats.m
-    bound = lambda other: 2 * m * m * (2 * m + other)
+    scale, base = 2 * m * m, 2 * m  # n_i may not exceed scale * (base + n_j)
     verdicts = []
     for idx, node in enumerate(decomp.parallel_nodes()):
-        left = node.left.edge_set()
-        right = node.right.edge_set()
-        ok = True
-        worst_t = None
-        worst = None
+        left = trace.series(node.left.edge_set())
+        right = trace.series(node.right.edge_set())
+        verdict = RatioVerdict(node=f"parallel#{idx}", ok=True)
         for t in range(trace.horizon + 1):
-            n1 = trace.occupancy(left, t)
-            n2 = trace.occupancy(right, t)
-            if n1 > bound(n2) or n2 > bound(n1):
-                ok = False
-                worst_t, worst = t, (n1, n2)
+            n1, n2 = left[t], right[t]
+            if n1 > scale * (base + n2) or n2 > scale * (base + n1):
+                verdict = RatioVerdict(verdict.node, False, worst_time=t, worst_pair=(n1, n2))
                 break
-        verdicts.append(
-            RatioVerdict(node=f"parallel#{idx}", ok=ok, worst_time=worst_t, worst_pair=worst)
-        )
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -228,20 +210,13 @@ def _experiment_report(
     else:
         bounded = stabilization + required <= inflow_end and lat_stab_entry + required <= inflow_end
 
-    checks = []
-    checks.append(("occupancy_conservation", trace.conservation_holds(), ""))
-    over = [
-        (v, t, n)
-        for (v, t), n in trace.arrival_counts.items()
-        if n > stats.max_in_degree and v != net.origin
+    over = [(v, t, n) for (v, t), n in trace.arrival_counts.items()
+            if n > stats.max_in_degree and v != net.origin]
+    checks = [
+        ("occupancy_conservation", trace.conservation_holds(), ""),
+        ("simultaneous_arrivals_within_max_in_degree", not over,
+         f"first violation {over[0]}" if over else ""),
     ]
-    checks.append(
-        (
-            "simultaneous_arrivals_within_max_in_degree",
-            not over,
-            "" if not over else f"first violation {over[0]}",
-        )
-    )
     return BoundReport(
         horizon=trace.horizon,
         inflow_end=inflow_end,
@@ -265,11 +240,11 @@ def _check_full_cut_drain(
         series = trace.per_edge.get(e)
         return series[t] if series and t < len(series) else 0
 
+    left = trace.series(left_edges)
     for t in range(trace.horizon):
         if not all(qlen(e, t) > 0 for e in cut):
             continue
-        n_now = trace.occupancy(left_edges, t)
-        n_next = trace.occupancy(left_edges, t + 1)
+        n_now, n_next = left[t], left[t + 1]
         inflow = trace.entrants[t + 1] if t + 1 < len(trace.entrants) else 0
         if n_next != n_now - len(cut) + inflow:
             return (
@@ -298,13 +273,8 @@ def queue_bound_experiment(
     trace = occupancy_trace(net, result)
     report = _experiment_report(net, schedule, result, trace, stats)
     verdicts = degree_ratio_monitor(trace, decomp, stats)
-    report.checks.append(
-        (
-            "parallel_ratio_bound",
-            all(v.ok for v in verdicts),
-            "" if all(v.ok for v in verdicts) else "see verdicts",
-        )
-    )
+    ratio_ok = all(v.ok for v in verdicts)
+    report.checks.append(("parallel_ratio_bound", ratio_ok, "" if ratio_ok else "see verdicts"))
     # queues live on tail parts, so an edge counts into the side of its tail
     left_edges = frozenset(e for e, edge in net.edges.items() if edge.tail in left)
     report.checks.append(_check_full_cut_drain(net, trace, cut, left_edges))

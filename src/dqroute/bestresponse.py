@@ -12,6 +12,9 @@ from .errors import Unreachable, VertexNotOnPath
 from .netcore import Agent, Graph
 
 
+_EMPTY: Mapping = {}
+
+
 class QueueCounters:
     """The occupancy index the best-response recursion reads: |Q_e^t| and the
     previous-edge ranks of the agents entering e at t.
@@ -36,24 +39,25 @@ class QueueCounters:
     def size(self, edge: str, t: int) -> int:
         return self.sizes.get(edge, {}).get(t, 0)
 
-    def entered_no_higher(self, edge: str, t: int, ref_rank: int) -> int:
-        ranks = self.entrant_ranks.get(edge, {}).get(t)
-        return len([r for r in ranks if 0 <= ref_rank <= r]) if ranks else 0
-
     def commit(
         self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
     ) -> None:
         """Add one trajectory: the agent queues on each path edge (u, v) during
         [times[u], times[v]) and enters it with the rank of its previous edge,
-        or with the given rank on its first edge."""
+        or with the given rank on its first edge. Times rise strictly along the
+        path, so every entrant of an edge at t is queued there at t."""
+        arcs = graph.plan().arcs
         for e in path:
-            edge = graph.edge(e)
-            enter = times[edge.tail]
-            sizes = self.sizes.setdefault(e, {})
-            for t in range(enter, times[edge.head]):
+            tail, head, next_rank = arcs[e]
+            enter = times[tail]
+            sizes = self.sizes.get(e)
+            if sizes is None:
+                sizes = self.sizes[e] = {}
+                self.entrant_ranks[e] = {}
+            for t in range(enter, times[head]):
                 sizes[t] = sizes.get(t, 0) + 1
-            self.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
-            rank = graph.rank(e)
+            self.entrant_ranks[e].setdefault(enter, []).append(rank)
+            rank = next_rank
 
     def assert_displaces_none(
         self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
@@ -62,13 +66,16 @@ class QueueCounters:
         on no path edge does an agent of lower priority enter at the same time,
         or any agent enter while it queues. Iterative domination promises this
         to every trajectory a dominating-profile solver commits."""
+        arcs = graph.plan().arcs
         for e in path:
-            edge = graph.edge(e)
-            enter = times[edge.tail]
-            assert self.entered_no_higher(e, enter, rank + 1) == 0
-            while_queued = range(enter + 1, times[edge.head])
-            assert self.entrant_ranks.get(e, {}).keys().isdisjoint(while_queued)
-            rank = graph.rank(e)
+            tail, head, next_rank = arcs[e]
+            enter, leave = times[tail], times[head]
+            entered = self.entrant_ranks.get(e, _EMPTY)
+            for r in entered.get(enter, ()):
+                assert r <= rank
+            if leave > enter + 1:
+                assert entered.keys().isdisjoint(range(enter + 1, leave))
+            rank = next_rank
 
 
 @dataclass
@@ -89,11 +96,12 @@ class EarliestArrivalTable:
 
     def path_to(self, graph: Graph, vertex: str) -> tuple[str, ...]:
         """The edges e*(.) from start_vertex to the vertex, traced back from it."""
+        arcs = graph.plan().arcs
         path: list[str] = []
         while vertex != self.start_vertex:
             e = self.estar[vertex]
             path.append(e)
-            vertex = graph.edge(e).tail
+            vertex = arcs[e][0]
         return tuple(reversed(path))
 
 
@@ -118,36 +126,39 @@ def dp_from_vertex(
     if start_edge is not None:
         estar[start_vertex] = start_edge
         achieving[start_vertex] = (start_edge,)
-    for v in graph.topo_order():
-        if v == start_vertex:
-            continue
-        best = math.inf
+    sizes, entrant_ranks = counters.sizes, counters.entrant_ranks
+    plan = graph.plan()
+    # vertices before start_vertex in topological order cannot be reached
+    for v, arcs in plan.order[plan.position[start_vertex] + 1 :]:
+        best = 0
         winners: list[str] = []
-        for name in graph.in_edges(v):  # priority order: first winner is e*(v)
-            u = graph.edge(name).tail
+        for name, u, rank in arcs:  # priority order: first winner is e*(v)
             tu = tau.get(u)
             if tu is None:
                 continue
-            ahead = counters.size(name, tu) - counters.entered_no_higher(name, tu, ref_rank[u])
-            val = tu + 1 + ahead
-            if val < best:
+            val = tu + 1
+            # agents ahead: those queued at tu less the entrants ranked no
+            # higher; every entrant at tu is queued at tu
+            queued = sizes.get(name, _EMPTY).get(tu)
+            if queued:
+                val += queued
+                ref = ref_rank[u]
+                if ref >= 0:
+                    for r in entrant_ranks[name].get(tu, ()):
+                        if r >= ref:
+                            val -= 1
+            if not winners or val < best:
                 best = val
                 winners = [name]
+                top = rank
             elif val == best:
                 winners.append(name)
         if winners:
-            tau[v] = int(best)
+            tau[v] = best
             estar[v] = winners[0]
             achieving[v] = tuple(winners)
-            ref_rank[v] = graph.rank(winners[0])
-    return EarliestArrivalTable(
-        zeta=zeta,
-        start_time=start_time,
-        start_vertex=start_vertex,
-        tau=tau,
-        estar=estar,
-        achieving=achieving,
-    )
+            ref_rank[v] = top
+    return EarliestArrivalTable(zeta, start_time, start_vertex, tau, estar, achieving)
 
 
 def fixed_counters(
@@ -176,15 +187,8 @@ def queued_agent_table(
     """Earliest-arrival table of an agent with idx agents ahead of it in the
     queue of edge_name at the given time."""
     edge = graph.edge(edge_name)
-    table = dp_from_vertex(
-        graph,
-        zeta,
-        start_vertex=edge.head,
-        start_time=time + idx + 1,
-        start_edge=edge_name,
-        start_rank=graph.rank(edge_name),
-        counters=counters,
-    )
+    table = dp_from_vertex(graph, zeta, start_vertex=edge.head, start_time=time + idx + 1,
+                           start_edge=edge_name, start_rank=graph.rank(edge_name), counters=counters)
     # the agent counts as reaching its current tail at the configuration time
     table.tau[edge.tail] = time
     return table

@@ -353,6 +353,17 @@ def cmd_fixtures(args, rep: Reporter) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count, depth or horizon option: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqroute",
@@ -367,19 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="directory for report.txt and *.tsv files")
         if name in ("properties", "spe-audit"):
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=50)
+            p.add_argument("--samples", type=_count, default=50)
         if name in ("best-response", "enumerate-ne", "spe-audit"):
-            p.add_argument("--guard", type=int, default=100_000)
+            p.add_argument("--guard", type=_count, default=100_000)
         if name in ("simulate", "queue-bound", "spe-bound"):
-            p.add_argument("--horizon", type=int, default=None)
+            p.add_argument("--horizon", type=_count, default=None)
         if name == "simulate":
             p.add_argument("--without-agent", action="append", metavar="NAME")
         if name == "best-response":
             p.add_argument("--agent", required=True)
             p.add_argument("--brute", action="store_true")
         if name == "properties":
-            p.add_argument("--coalition", type=int, default=3)
-            p.add_argument("--budget", type=int, default=20)
+            p.add_argument("--coalition", type=_count, default=3)
+            p.add_argument("--budget", type=_count, default=20)
             p.add_argument("--replay", metavar="WITNESS_JSON")
         if name == "spe-audit":
             p.add_argument(
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["sigma-star", "ne-based", "vicious"],
                 default="sigma-star",
             )
-            p.add_argument("--depth", type=int, default=None)
+            p.add_argument("--depth", type=_count, default=None)
     return parser
 
 

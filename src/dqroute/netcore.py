@@ -29,6 +29,18 @@ class Edge:
     transit: int = 1
 
 
+@dataclass(frozen=True)
+class GraphPlan:
+    """A graph compiled for its hot loops: `order` lists the vertices in
+    topological order, each with its in-arcs (edge, tail, rank) in priority
+    order; `position` indexes `order` by vertex; `arcs` maps every edge to
+    (tail, head, rank)."""
+
+    order: tuple[tuple[str, tuple[tuple[str, str, int], ...]], ...]
+    position: dict[str, int]
+    arcs: dict[str, tuple[str, str, int]]
+
+
 class Graph:
     """Directed multigraph with a strict incoming-edge priority order at every vertex.
 
@@ -74,6 +86,7 @@ class Graph:
             for i, name in enumerate(order):
                 self._rank[name] = i
         self._topo: Optional[tuple[str, ...]] = None
+        self._plan: Optional[GraphPlan] = None
 
     # -- structure accessors --------------------------------------------------
 
@@ -107,6 +120,17 @@ class Graph:
                 raise CyclicGraph("graph contains a directed cycle")
             self._topo = tuple(order)
         return self._topo
+
+    def plan(self) -> GraphPlan:
+        """The compiled in-arc plan, built on first use."""
+        if self._plan is None:
+            arcs = {n: (e.tail, e.head, self._rank[n]) for n, e in self.edges.items()}
+            order = tuple(
+                (v, tuple((n, arcs[n][0], arcs[n][2]) for n in self.priorities[v]))
+                for v in self.topo_order()
+            )
+            self._plan = GraphPlan(order, {v: i for i, (v, _) in enumerate(order)}, arcs)
+        return self._plan
 
     def reachable_from(self, v: str) -> frozenset[str]:
         seen = {v}

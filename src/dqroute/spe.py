@@ -134,6 +134,9 @@ class NEBasedOracle(StrategyOracle):
         pi: Mapping[Agent, Sequence[str]],
     ):
         super().__init__(graph)
+        missing = [a for a in root_config.agents() if a not in pi]
+        if missing:
+            raise NotAnNE(f"given profile has no path for agent {missing[0]}")
         report = verify_ne(graph, root_config, pi)
         if not report.passed:
             raise NotAnNE(f"given profile is not an NE: {report.witnesses[0]}")

@@ -8,7 +8,13 @@ import random
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
-from dqroute.bestresponse import EarliestArrivalTable, earliest_arrival_table, fixed_counters
+from dqroute.analysis import OccupancyTrace, RatioVerdict
+from dqroute.bestresponse import (
+    EarliestArrivalTable,
+    QueueCounters,
+    earliest_arrival_table,
+    fixed_counters,
+)
 from dqroute.dynamics import (
     EXIT,
     Configuration,
@@ -32,9 +38,12 @@ from dqroute.netcore import (
     Agent,
     Edge,
     Graph,
+    GraphStats,
     InflowSchedule,
     Network,
+    SPDecomposition,
     SPNode,
+    UnitNetwork,
     build_extended,
     normalize_to_unit,
 )
@@ -585,3 +594,171 @@ def reference_check_batches(graph, world, profile, trace, batches, menus, option
         independence or CheckResult("independence", "pass"),
         optimality or CheckResult("optimality", "pass"),
     )
+
+
+# -- occupancy index, earliest-arrival DP and bound monitors, read through the
+# graph's accessors one arc at a time: the oracles for the compiled-plan versions
+
+
+def reference_entered_no_higher(counters: QueueCounters, edge: str, t: int, ref_rank: int) -> int:
+    """Entrants of edge at t whose previous-edge rank is no higher than ref_rank."""
+    ranks = counters.entrant_ranks.get(edge, {}).get(t)
+    return len([r for r in ranks if 0 <= ref_rank <= r]) if ranks else 0
+
+
+def reference_commit(
+    counters: QueueCounters, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+) -> None:
+    """The oracle for `QueueCounters.commit`."""
+    for e in path:
+        edge = graph.edge(e)
+        enter = times[edge.tail]
+        sizes = counters.sizes.setdefault(e, {})
+        for t in range(enter, times[edge.head]):
+            sizes[t] = sizes.get(t, 0) + 1
+        counters.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
+        rank = graph.rank(e)
+
+
+def reference_assert_displaces_none(
+    counters: QueueCounters, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+) -> None:
+    """The oracle for `QueueCounters.assert_displaces_none`."""
+    for e in path:
+        edge = graph.edge(e)
+        enter = times[edge.tail]
+        assert reference_entered_no_higher(counters, e, enter, rank + 1) == 0
+        while_queued = range(enter + 1, times[edge.head])
+        assert counters.entrant_ranks.get(e, {}).keys().isdisjoint(while_queued)
+        rank = graph.rank(e)
+
+
+def reference_dp_from_vertex(
+    graph: Graph,
+    zeta: Agent,
+    start_vertex: str,
+    start_time: int,
+    start_edge: Optional[str],
+    start_rank: int,
+    counters: QueueCounters,
+) -> EarliestArrivalTable:
+    """The oracle for `bestresponse.dp_from_vertex`."""
+    tau: dict[str, int] = {start_vertex: start_time}
+    estar: dict[str, str] = {}
+    ref_rank: dict[str, int] = {start_vertex: start_rank}
+    achieving: dict[str, tuple[str, ...]] = {}
+    if start_edge is not None:
+        estar[start_vertex] = start_edge
+        achieving[start_vertex] = (start_edge,)
+    for v in graph.topo_order():
+        if v == start_vertex:
+            continue
+        best = math.inf
+        winners: list[str] = []
+        for name in graph.in_edges(v):  # priority order: first winner is e*(v)
+            u = graph.edge(name).tail
+            tu = tau.get(u)
+            if tu is None:
+                continue
+            ahead = counters.size(name, tu) - reference_entered_no_higher(
+                counters, name, tu, ref_rank[u]
+            )
+            val = tu + 1 + ahead
+            if val < best:
+                best = val
+                winners = [name]
+            elif val == best:
+                winners.append(name)
+        if winners:
+            tau[v] = int(best)
+            estar[v] = winners[0]
+            achieving[v] = tuple(winners)
+            ref_rank[v] = graph.rank(winners[0])
+    return EarliestArrivalTable(
+        zeta=zeta,
+        start_time=start_time,
+        start_vertex=start_vertex,
+        tau=tau,
+        estar=estar,
+        achieving=achieving,
+    )
+
+
+def reference_degree_ratio_monitor(
+    trace: OccupancyTrace, decomp: SPDecomposition, stats: GraphStats
+) -> list[RatioVerdict]:
+    """The oracle for `analysis.degree_ratio_monitor`."""
+    m = stats.m
+    bound = lambda other: 2 * m * m * (2 * m + other)
+    verdicts = []
+    for idx, node in enumerate(decomp.parallel_nodes()):
+        left = node.left.edge_set()
+        right = node.right.edge_set()
+        ok = True
+        worst_t = None
+        worst = None
+        for t in range(trace.horizon + 1):
+            n1 = trace.occupancy(left, t)
+            n2 = trace.occupancy(right, t)
+            if n1 > bound(n2) or n2 > bound(n1):
+                ok = False
+                worst_t, worst = t, (n1, n2)
+                break
+        verdicts.append(
+            RatioVerdict(node=f"parallel#{idx}", ok=ok, worst_time=worst_t, worst_pair=worst)
+        )
+    return verdicts
+
+
+def reference_check_full_cut_drain(
+    net: UnitNetwork, trace: OccupancyTrace, cut: frozenset[str], left_edges: frozenset[str]
+) -> tuple[str, bool, str]:
+    """The oracle for `analysis._check_full_cut_drain`."""
+
+    def qlen(e: str, t: int) -> int:
+        series = trace.per_edge.get(e)
+        return series[t] if series and t < len(series) else 0
+
+    for t in range(trace.horizon):
+        if not all(qlen(e, t) > 0 for e in cut):
+            continue
+        n_now = trace.occupancy(left_edges, t)
+        n_next = trace.occupancy(left_edges, t + 1)
+        inflow = trace.entrants[t + 1] if t + 1 < len(trace.entrants) else 0
+        if n_next != n_now - len(cut) + inflow:
+            return (
+                "full_cut_drain",
+                False,
+                f"t={t}: left occupancy {n_now}->{n_next} with inflow {inflow}, cut {len(cut)}",
+            )
+    return ("full_cut_drain", True, "")
+
+
+def random_sp_net(rng: random.Random, edges: int) -> Network:
+    """Random two-terminal series-parallel network with the given number of
+    edges, random capacities and transits in {1, 2} and random priorities."""
+    out: list[tuple] = []
+    inner: list[str] = []
+
+    def build(o: str, d: str, k: int) -> None:
+        if k == 1:
+            out.append((f"e{len(out)}", o, d, rng.randint(1, 2), rng.randint(1, 2)))
+        elif rng.random() < 0.5:
+            j = rng.randint(1, k - 1)
+            inner.append(f"v{len(inner) + 1}")
+            mid = inner[-1]
+            build(o, mid, j)
+            build(mid, d, k - j)
+        else:
+            j = rng.randint(1, k - 1)
+            build(o, d, j)
+            build(o, d, k - j)
+
+    build("o", "d", edges)
+    net = Network.build("o", "d", out)
+    prios = {}
+    for v in net.vertices:
+        ins = list(net.in_edges(v))
+        rng.shuffle(ins)
+        prios[v] = ins
+    return Network.build("o", "d", out, priorities=prios)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from dqroute.analysis import (
+    OccupancyTrace,
+    _check_full_cut_drain,
     degree_ratio_monitor,
     occupancy_trace,
     queue_bound_experiment,
@@ -13,16 +15,26 @@ from dqroute.dynamics import run_paths
 from dqroute.equilibrium import iterative_dominating_profile
 from dqroute.errors import DegreeConditionViolated, InflowExceedsCut, NotSeriesParallel
 from dqroute.netcore import (
+    GraphStats,
     InflowSchedule,
     Network,
     build_extended,
+    leftmost_min_cut,
     normalize_to_unit,
     sp_decompose,
     validate_and_stats,
 )
 from dqroute.spe import induced_paths, root_history, sigma_star
 
-from helpers import random_net, random_schedule, replay_queue_lengths, step_replay
+from helpers import (
+    random_net,
+    random_schedule,
+    random_sp_net,
+    reference_check_full_cut_drain,
+    reference_degree_ratio_monitor,
+    replay_queue_lengths,
+    step_replay,
+)
 
 
 def unit(net):
@@ -151,6 +163,68 @@ class TestQueueBound:
                 n1, n2 = occ.occupancy(left, t), occ.occupancy(right, t)
                 if n2 == 0:
                     assert n1 <= 4 * m ** 3
+
+
+def left_side_edges(net, left):
+    return frozenset(e for e, edge in net.edges.items() if edge.tail in left)
+
+
+class TestBoundMonitors:
+    """The series-reading monitors against the parent's per-time versions."""
+
+    def test_random_sp_schedules_match_the_reference(self):
+        rng = random.Random(21)
+        verdicts_seen, drains_seen = set(), set()
+        for _ in range(25):
+            u = unit(random_sp_net(rng, rng.randint(2, 7)))
+            decomp = sp_decompose(u)
+            stats = validate_and_stats(u)
+            cut, left, _ = leftmost_min_cut(u)
+            schedule = constant_schedule(rng.randint(1, len(cut)), rng.randint(5, 40))
+            occ = occupancy_trace(u, route_entry_order(u, schedule))
+            # a jolted copy and a tight bound make the monitors fail too
+            jolted = OccupancyTrace(
+                occ.horizon, {e: list(s) for e, s in occ.per_edge.items()}, occ.total,
+                occ.entrants, occ.exiters, occ.arrival_counts,
+            )
+            for series in jolted.per_edge.values():
+                series[rng.randrange(len(series))] += rng.randint(1, 30)
+            tight = GraphStats(m=1, longest_path=stats.longest_path,
+                               max_in_degree=stats.max_in_degree)
+            for trace in (occ, jolted):
+                for st in (stats, tight):
+                    got = degree_ratio_monitor(trace, decomp, st)
+                    assert got == reference_degree_ratio_monitor(trace, decomp, st)
+                    verdicts_seen.update(v.ok for v in got)
+                drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
+                assert drain == reference_check_full_cut_drain(
+                    u, trace, cut, left_side_edges(u, left)
+                )
+                drains_seen.add(drain[1])
+        assert verdicts_seen == {True, False} and drains_seen == {True, False}
+
+    def test_hand_built_ratio_failure(self):
+        u = unit(diamond_net())
+        decomp = sp_decompose(u)
+        stats = validate_and_stats(u)  # m = 4: n_i <= 32 (8 + n_j)
+        # the left side overflows at the last time step
+        per_edge = {"e1": [0, 1, 300], "e2": [0, 0, 1], "e3": [0, 5, 0]}
+        trace = OccupancyTrace(2, per_edge, [0, 6, 301], [0] * 3, [0] * 3, {})
+        verdicts = degree_ratio_monitor(trace, decomp, stats)
+        assert [(v.ok, v.worst_time, v.worst_pair) for v in verdicts] == [(False, 2, (301, 0))]
+        assert verdicts == reference_degree_ratio_monitor(trace, decomp, stats)
+
+    def test_hand_built_drain_failure(self):
+        u = unit(path_net(2))
+        cut, left, _ = leftmost_min_cut(u)
+        assert cut == {"e0"}
+        # e0 is full at 0 and nobody enters, yet the left side keeps its agent
+        trace = OccupancyTrace(2, {"e0": [1, 1, 0], "e1": [0, 0, 1]}, [1, 1, 1],
+                               [0, 0, 0], [0, 0, 0], {})
+        drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
+        assert drain == ("full_cut_drain", False,
+                         "t=0: left occupancy 1->1 with inflow 0, cut 1")
+        assert drain == reference_check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
 
 
 class TestSpeBound:

@@ -8,6 +8,7 @@ from dqroute.bestresponse import (
     best_response_path,
     brute_force_best_response,
     dominates,
+    dp_from_vertex,
     earliest_arrival_table,
 )
 from dqroute.dynamics import Configuration, run_paths
@@ -19,6 +20,9 @@ from helpers import (
     random_fixed_paths,
     random_interim_config,
     random_net,
+    reference_assert_displaces_none,
+    reference_commit,
+    reference_dp_from_vertex,
     replay_queue_lengths,
     step_replay,
 )
@@ -120,6 +124,81 @@ class TestQueueCounters:
         with pytest.raises(AssertionError):
             counters.assert_displaces_none(net, ("wd",), {"w": 1, "d": 4}, -1)
         counters.assert_displaces_none(net, ("wd",), {"w": 3, "d": 4}, 0)
+
+
+def random_trajectory(rng: random.Random, net: Network):
+    """A path from a random edge to the destination, strictly increasing
+    vertex times from a small start time, and an entry rank from -1 up."""
+    path = rng.choice(net.paths(rng.choice(sorted(net.edges)), net.destination, guard=5_000))
+    times = {}
+    t = rng.randint(0, 4)
+    for v in net.path_vertices(path):
+        times[v] = t
+        t += rng.randint(1, 3)
+    return path, times, rng.randint(-1, 2)
+
+
+def random_nets_with_counters(rng: random.Random, count: int):
+    """(net, counters, reference counters): random nets whose two indexes are
+    grown by the same random commits, one by `commit`, one by the oracle."""
+    out = []
+    while len(out) < count:
+        net = random_net(rng, max_v=7, max_e=11)
+        if net is None:
+            continue
+        counters, reference = QueueCounters(), QueueCounters()
+        for _ in range(rng.randint(0, 10)):
+            path, times, rank = random_trajectory(rng, net)
+            counters.commit(net, path, times, rank)
+            reference_commit(reference, net, path, times, rank)
+        out.append((net, counters, reference))
+    return out
+
+
+class TestCompiledPlan:
+    """The plan-reading DP and occupancy index against the parent's
+    accessor-reading versions."""
+
+    def test_commits_build_the_reference_index(self):
+        for net, counters, reference in random_nets_with_counters(random.Random(11), 40):
+            assert counters.sizes == reference.sizes
+            assert counters.entrant_ranks == reference.entrant_ranks
+
+    def test_displacement_check_matches_the_reference(self):
+        rng = random.Random(12)
+        outcomes = set()
+        for net, counters, _ in random_nets_with_counters(rng, 40):
+            for _ in range(10):
+                path, times, rank = random_trajectory(rng, net)
+                expected = refused = False
+                try:
+                    reference_assert_displaces_none(counters, net, path, times, rank)
+                except AssertionError:
+                    expected = True
+                try:
+                    counters.assert_displaces_none(net, path, times, rank)
+                except AssertionError:
+                    refused = True
+                assert refused == expected, (path, times, rank)
+                outcomes.add(refused)
+        assert outcomes == {True, False}
+
+    def test_tables_match_the_reference_dp(self):
+        rng = random.Random(13)
+        for net, counters, _ in random_nets_with_counters(rng, 30):
+            for v in net.vertices:
+                starts = [(None, r) for r in range(-1, 3)]
+                starts += [(e, net.rank(e)) for e in net.in_edges(v)]
+                for start_edge, start_rank in starts:
+                    args = (net, A, v, rng.randint(0, 6), start_edge, start_rank, counters)
+                    table = dp_from_vertex(*args)
+                    assert table == reference_dp_from_vertex(*args)
+                    for w in table.tau:
+                        path, at = [], w
+                        while at != v:
+                            path.insert(0, table.estar[at])
+                            at = net.edge(table.estar[at]).tail
+                        assert table.path_to(net, w) == tuple(path)
 
 
 class TestBruteForce:

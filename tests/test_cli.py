@@ -95,6 +95,34 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spe-audit", "fanout", "--depth", "-1"],
+            ["spe-audit", "fanout", "--samples", "-2"],
+            ["spe-audit", "fanout", "--guard", "-1"],
+            ["properties", "fig3", "--samples", "-1"],
+            ["properties", "fig3", "--coalition", "-1"],
+            ["properties", "fig3", "--budget", "-5"],
+            ["queue-bound", "sp_diamond", "--horizon", "-3"],
+            ["simulate", "fig3", "--horizon", "-1"],
+        ],
+    )
+    def test_negative_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[2]}: must be >= 0, got {argv[3]}" in capsys.readouterr().err
+
+    def test_ne_based_audit_names_an_agent_without_a_path(self, capsys, tmp_path):
+        run(capsys, "fixtures", "--out", str(tmp_path))
+        text = (tmp_path / "fig3.scn").read_text()
+        scn = tmp_path / "fig3_without_c3.scn"
+        scn.write_text("".join(line for line in text.splitlines(True) if "agent c3" not in line))
+        code, out = run(capsys, "spe-audit", str(scn), "--oracle", "ne-based")
+        assert code == 2
+        assert out.splitlines()[-1] == "error: given profile has no path for agent c3"
+
     def test_properties_on_solved_profile(self, capsys, tmp_path):
         code, out = run(capsys, "properties", "fig3", "--samples", "10",
                         "--out", str(tmp_path))
