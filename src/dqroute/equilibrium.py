@@ -475,7 +475,11 @@ def _check_batches(graph, world, profile, trace, batches, menus, options, exit_t
     everyone else takes a sampled path from its menu. Each simulation checks
     both that those j batches keep their vertex times (independence of batch
     j, for j >= 1) and that no other agent exits before batch j + 1
-    (optimality of batch j + 1). Each check keeps its first failure."""
+    (optimality of batch j + 1). Each check keeps its first failure; with no
+    samples both are skipped."""
+    if not options.samples:
+        drawn = "samples=0: no completion was drawn"
+        return CheckResult("independence", "skip", drawn), CheckResult("optimality", "skip", drawn)
     rng = random.Random(options.seed)
     independence: Optional[CheckResult] = None
     optimality: Optional[CheckResult] = None

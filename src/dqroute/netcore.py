@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     CyclicGraph,
@@ -328,9 +328,10 @@ def normalize_to_unit(net: Network) -> UnitNetwork:
 # -- extended network (inflow chains) ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Agent:
-    """Opaque agent identifier with entry wave and slot kept for reporting."""
+class Agent(NamedTuple):
+    """Opaque agent identifier with entry wave and slot kept for reporting.
+
+    A named tuple, so dict and set lookups hash and compare it in C."""
 
     name: str
     entry: Optional[int] = None
@@ -338,10 +339,6 @@ class Agent:
 
     def __str__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        # equal agents have equal names, so this agrees with the generated __eq__
-        return hash(self.name)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,10 @@ class StrategyOracle:
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return {a: self.action(history, a) for a in history.config.agents()}
 
+    def played(self, config: Configuration, successor: Configuration) -> None:
+        """Play went from config to successor on this oracle's own profile
+        (sigma-star seeds the successor's prescription from it)."""
+
 
 def prescribed_actions(
     graph: Graph, config: Configuration, profile: Mapping[Agent, Sequence[str]]
@@ -91,20 +95,35 @@ def prescribed_actions(
 
 class SigmaStar(StrategyOracle):
     """Markovian oracle replaying the iterative dominating profile of the
-    current configuration; memoized on queue contents."""
+    current configuration; memoized on queue contents. `played` seeds, not
+    solves, a successor of its own play: by on-path consistency its profile is
+    the parent's order with each path cut to the suffix from the agent's edge."""
 
     markovian = True
 
     def __init__(self, graph: Graph):
         super().__init__(graph)
         self._memo: dict[tuple, dict[Agent, Action]] = {}
+        self._paths: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
         key = config.content_key()
         if key not in self._memo:
             solve = iterative_dominating_profile(self.graph, config)
+            self._paths[key] = solve.paths
             self._memo[key] = prescribed_actions(self.graph, config, solve.paths)
         return self._memo[key]
+
+    def played(self, config: Configuration, successor: Configuration) -> None:
+        key = successor.content_key()
+        if key in self._memo:
+            return
+        edge = {a: e for e, q in successor.queues for a in q}
+        paths = self._paths[key] = {
+            a: p if p[0] == edge[a] else p[1:]
+            for a, p in self._paths[config.content_key()].items() if a in edge
+        }
+        self._memo[key] = prescribed_actions(self.graph, successor, paths)
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
         return self.prescription(history.config)[agent]
@@ -213,7 +232,9 @@ def _play(
     while not node.config.is_empty():
         if node.config.time > limit:
             raise HorizonExceeded(f"induced play passed time {limit}")
-        node = child_history(graph, node, oracle.profile(node))
+        child = child_history(graph, node, oracle.profile(node))
+        oracle.played(node.config, child.config)
+        node = child
         out.append(node)
     return out
 
@@ -285,7 +306,8 @@ def one_deviation_audit(
 
     A Markovian oracle is audited once per distinct queue content, weighted
     by the number of histories that reach it (a `HistoryTree` counts them
-    without building them); any other oracle once per history. Exit times of
+    without building them, and gives the successors of every configuration
+    it expanded); any other oracle once per history. Exit times of
     conforming play are memoised relative to the start, on the content or on
     the history key; only failing ones are mapped back to their histories,
     in order."""
@@ -293,7 +315,12 @@ def one_deviation_audit(
         histories = list(histories)
     if oracle.markovian:
         key = lambda node: node.config.content_key()
-        advance = lambda node, acts: root_history(step(graph, node.config, acts))
+        expanded = histories.children if isinstance(histories, HistoryTree) else {}
+
+        def advance(node: HistoryNode, acts: Mapping[Agent, Action]) -> HistoryNode:
+            kids = expanded.get(node.config)
+            succ = step(graph, node.config, acts) if kids is None else kids[_canonical(acts)][0]
+            return root_history(succ)
     else:
         key = lambda node: node.key
         advance = lambda node, acts: child_history(graph, node, acts)
@@ -313,6 +340,7 @@ def one_deviation_audit(
         while not node.config.is_empty() and key(node) not in memo:
             chain.append(node)
             node = advance(node, oracle.profile(node))
+            oracle.played(chain[-1].config, node.config)
         later = memo[key(node)] if not node.config.is_empty() else {}
         for node in reversed(chain):
             later = memo[key(node)] = {a: later.get(a, 0) + 1 for a in node.config.agents()}
@@ -352,15 +380,15 @@ class HistoryTree:
 
     `multiplicity` maps each distinct configuration (time included), in
     breadth-first order, to the number of tree histories that reach it;
-    `children` maps each expanded one to its (successor, action profile,
-    canonical profile) triples in `itertools.product` order of the agents'
+    `children` maps each expanded one to its canonical profiles, each to its
+    (successor, action profile), in `itertools.product` order of the agents'
     menus. `len` is the number of histories. Iterating yields the
     `HistoryNode`s breadth first, built once from the stored children."""
 
     graph: Graph
     root: Configuration
     multiplicity: dict[Configuration, int]
-    children: dict[Configuration, list[tuple[Configuration, dict[Agent, Action], tuple]]]
+    children: dict[Configuration, dict[tuple, tuple[Configuration, dict[Agent, Action]]]]
     _nodes: Optional[list[HistoryNode]] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -370,7 +398,7 @@ class HistoryTree:
         if self._nodes is None:
             self._nodes = [root_history(self.root)]
             for node in self._nodes:  # grows as it is read: breadth first
-                for child, acts, canon in self.children.get(node.config, ()):
+                for canon, (child, acts) in self.children.get(node.config, {}).items():
                     self._nodes.append(HistoryNode(child, node.key + (canon,), node, acts))
         return iter(self._nodes)
 
@@ -399,8 +427,8 @@ def exhaustive_histories(
             raise HorizonExceeded(f"history tree exceeds {guard} nodes")
         agents = c.agents()
         profiles = [dict(zip(agents, combo)) for combo in itertools.product(*menus)]
-        children[c] = [(step(graph, c, acts), acts, _canonical(acts)) for acts in profiles]
-        for kid, _, _ in children[c]:
+        children[c] = {_canonical(acts): (step(graph, c, acts), acts) for acts in profiles}
+        for kid, _ in children[c].values():
             seen = multiplicity.get(kid)
             if seen is None:
                 order.append(kid)

@@ -32,8 +32,10 @@ from dqroute.equilibrium import (
     SolveStage,
     _check_base_invariance,
     build_exit_table,
+    iterative_dominating_profile,
 )
 from dqroute.errors import HorizonExceeded, InvalidAction, TooManyProfiles, Unreachable
+from dqroute.fixtures import FIXTURES
 from dqroute.netcore import (
     Agent,
     Edge,
@@ -47,7 +49,9 @@ from dqroute.netcore import (
     build_extended,
     normalize_to_unit,
 )
+from dqroute.scenario import load_scenario, parse_scenario
 from dqroute.spe import (
+    Action,
     DeviationAuditReport,
     DeviationFinding,
     HistoryNode,
@@ -55,6 +59,7 @@ from dqroute.spe import (
     _canonical,
     child_history,
     induced_paths,
+    prescribed_actions,
     root_history,
 )
 
@@ -105,6 +110,17 @@ def random_schedule(rng: random.Random, waves: int = 2, width: int = 3) -> Inflo
         t += rng.randint(1, 2)
         out.append((t, [f"a{t}.{k}" for k in range(rng.randint(1, width))]))
     return InflowSchedule.build(out)
+
+
+def fanout_config(widths: Sequence[int]):
+    """The `fanout` fixture network with waves of the given widths at t=1, 2, ...:
+    (graph, entry configuration)."""
+    inflow = "".join(
+        f"  at {t} " + " ".join(f"a{t}.{k}" for k in range(1, width + 1)) + "\n"
+        for t, width in enumerate(widths, start=1)
+    )
+    loaded = load_scenario(parse_scenario(FIXTURES["fanout"].replace("  at 1 f1 f2 f3\n", inflow)))
+    return loaded.graph, loaded.config
 
 
 def realize_sp_tree(node: SPNode, net_edges: Mapping[str, Edge]) -> Network:
@@ -262,6 +278,34 @@ def reference_induced_paths(
     paths = {a: tuple(p) for a, p in realized.items()}
     trace = reference_run_paths(graph, history.config, paths)
     return paths, trace
+
+
+class ReferenceSigmaStar(StrategyOracle):
+    """Markovian oracle replaying the iterative dominating profile of the
+    current configuration; memoized on queue contents.
+
+    It solves every content it is asked about, its own play's successors
+    included: the oracle for `spe.SigmaStar`, which seeds those from the
+    parent's solve."""
+
+    markovian = True
+
+    def __init__(self, graph: Graph):
+        super().__init__(graph)
+        self._memo: dict[tuple, dict[Agent, Action]] = {}
+
+    def prescription(self, config: Configuration) -> dict[Agent, Action]:
+        key = config.content_key()
+        if key not in self._memo:
+            solve = iterative_dominating_profile(self.graph, config)
+            self._memo[key] = prescribed_actions(self.graph, config, solve.paths)
+        return self._memo[key]
+
+    def action(self, history: HistoryNode, agent: Agent) -> Action:
+        return self.prescription(history.config)[agent]
+
+    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
+        return dict(self.prescription(history.config))
 
 
 def reference_exhaustive_histories(

@@ -129,6 +129,14 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "report.txt").exists()
 
+    def test_properties_with_no_samples_skips_the_sampled_checks(self, capsys):
+        code, out = run(capsys, "properties", "fig3", "--samples", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  [PASS] strong_ne - exhaustive" in lines
+        for name in ("independence", "optimality"):
+            assert f"  [SKIP] {name} - samples=0: no completion was drawn" in lines
+
     def test_queue_bound_writes_tsv(self, capsys, tmp_path):
         code, out = run(capsys, "queue-bound", "sp_diamond", "--horizon", "500",
                         "--out", str(tmp_path))

@@ -289,6 +289,18 @@ class TestProperties:
         assert report.result("strong_ne").detail == "exhaustive"
         assert report.result("consecutive_exiting").status == "pass"
 
+    def test_no_samples_skips_independence_and_optimality(self):
+        loaded = load_fixture("fig1")
+        result = iterative_dominating_profile(loaded.graph, loaded.config)
+        for table in (None, build_exit_table(loaded.graph, loaded.config)):
+            report = check_properties(loaded.graph, loaded.config, result.paths,
+                                      CheckOptions(samples=0), exit_table=table)
+            assert report.passed
+            for name in ("independence", "optimality"):
+                assert report.result(name).status == "skip"
+                assert report.result(name).detail == "samples=0: no completion was drawn"
+            assert report.result("strong_ne").status == "pass"
+
     def test_strong_ne_truncates_when_paths_exceed_the_exhaustive_guard(self):
         # one agent before a chain of 15 diamonds has 2**15 paths: too many
         # for the exhaustive check, so coalitions are truncated, not refused

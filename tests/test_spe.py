@@ -17,6 +17,7 @@ from dqroute.errors import HorizonExceeded, NotAnNE
 from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 from dqroute.spe import (
+    SigmaStar,
     StrategyOracle,
     child_history,
     exhaustive_histories,
@@ -30,6 +31,8 @@ from dqroute.spe import (
 )
 
 from helpers import (
+    ReferenceSigmaStar,
+    fanout_config,
     random_interim_config,
     random_net,
     random_schedule,
@@ -148,8 +151,11 @@ class TestSigmaStar:
                 prev_names = [a.name for a in prev.order if a in node.config.agents()]
                 cur_names = [a.name for a in cur.order]
                 assert cur_names == prev_names
+                # each path is the parent's cut to the suffix from the current edge
                 for agent in cur.order:
-                    assert set(cur.paths[agent]) <= set(prev.paths[agent])
+                    edge_name, _ = node.config.locate(agent)
+                    old = prev.paths[agent]
+                    assert cur.paths[agent] == old[old.index(edge_name):]
                 prev = cur
             done += 1
 
@@ -218,6 +224,104 @@ class TestSigmaStar:
                         assert trace.arrival(agent, v) <= dev.arrival(agent, v) or \
                             dev.arrival(agent, v) == float("inf")
             done += 1
+
+
+class RecordingSigmaStar(SigmaStar):
+    """Sigma-star that keeps every configuration its own play reached."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.reached = []
+
+    def played(self, config, successor):
+        super().played(config, successor)
+        self.reached.append(successor)
+
+
+class TestSeededSigmaStar:
+    """Sigma-star seeds each configuration its own play reaches from the
+    parent's solve; `ReferenceSigmaStar` solves every content afresh."""
+
+    CAP = 3_000
+
+    def _cases(self, seed, count):
+        """count random instances with at least 20 histories (interim on unit
+        DAGs, inflow chains, and interim or inflow-chain on normalized
+        capacity/transit-2 networks), then fig1, fig2, fanout and fanout with
+        waves (3, 1) and (1, 2, 1), each with its history tree."""
+        rng = random.Random(seed)
+        done = 0
+        while done < count:
+            kind = done % 4
+            net = random_net(rng, max_v=6, max_e=8, caps=(1, 1 + (kind > 1)),
+                             transits=(1, 1 + (kind > 1)))
+            if net is None:
+                continue
+            graph = normalize_to_unit(net) if kind > 1 else net
+            if kind % 2:
+                ext, config = build_extended(graph, random_schedule(rng, waves=2, width=3))
+                graph = ext.graph
+            else:
+                config = random_interim_config(rng, graph, max_agents=5)[0]
+            tree = self._tree(graph, config)
+            if tree is not None and len(tree) >= 20:
+                yield graph, config, tree
+                done += 1
+        fixtures = [(loaded.graph, loaded.config)
+                    for loaded in map(load_fixture, ("fig1", "fig2", "fanout"))]
+        for graph, config in fixtures + [fanout_config((3, 1)), fanout_config((1, 2, 1))]:
+            yield graph, config, self._tree(graph, config)
+
+    def _tree(self, graph, config):
+        """The full history tree, else the depth-2 one, else None when that
+        too has more than CAP histories."""
+        for depth in (None, 2):
+            try:
+                return exhaustive_histories(graph, config, depth, guard=self.CAP)
+            except HorizonExceeded:
+                pass
+        return None
+
+    def test_prescriptions_and_audits_match_the_reference(self):
+        audited = 0
+        for graph, config, tree in self._cases(71, 16):
+            oracle = RecordingSigmaStar(graph)
+            reference = ReferenceSigmaStar(graph)
+            assert induced_paths(graph, root_history(config), oracle) == \
+                induced_paths(graph, root_history(config), reference)
+            for histories in (tree, list(tree)):
+                got = one_deviation_audit(graph, oracle, histories)
+                assert got == one_deviation_audit(graph, ReferenceSigmaStar(graph), histories)
+                assert got.passed, got.to_text()
+            assert oracle.reached
+            for successor in oracle.reached:
+                assert oracle.prescription(successor) == reference.prescription(successor)
+            audited += 1
+        assert audited == 16 + 5
+
+    def test_induced_play_solves_once(self, monkeypatch):
+        calls = []
+
+        def counting_solver(*args, **kwargs):
+            calls.append(args)
+            return iterative_dominating_profile(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.spe, "iterative_dominating_profile", counting_solver)
+        for name in ("fig1", "fig2", "fanout"):
+            loaded = load_fixture(name)
+            del calls[:]
+            paths, _ = induced_paths(loaded.graph, root_history(loaded.config),
+                                     sigma_star(loaded.graph))
+            assert len(calls) == 1
+            assert paths == iterative_dominating_profile(loaded.graph, loaded.config).paths
+
+    def test_full_tree_audit_of_fanout_with_waves_3_and_2(self):
+        graph, config = fanout_config((3, 2))
+        tree = exhaustive_histories(graph, config)
+        assert (len(tree), len(tree.multiplicity)) == (9_398, 1_298)
+        report = one_deviation_audit(graph, sigma_star(graph), tree)
+        assert report.passed, report.to_text()
+        assert report == one_deviation_audit(graph, ReferenceSigmaStar(graph), tree)
 
 
 class TestNEBasedOracle:
