@@ -189,6 +189,10 @@ class NEWitness:
     best_arrival: int
     improving_path: tuple[str, ...]
 
+    def __str__(self) -> str:
+        return (f"{self.agent.name} exits {self.current_arrival}, can reach "
+                f"{self.best_arrival} via {' '.join(self.improving_path)}")
+
 
 @dataclass(frozen=True)
 class NEReport:

@@ -8,7 +8,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, default_horizon, run_paths, step
 from .equilibrium import (
@@ -24,11 +24,10 @@ Action = Optional[str]
 
 
 def _canonical(actions: Mapping[Agent, Action]) -> tuple:
-    return tuple(sorted((a.name, act if act is not None else "") for a, act in actions.items()))
+    return tuple(sorted([(a.name, act if act is not None else "") for a, act in actions.items()]))
 
 
-@dataclass(frozen=True)
-class HistoryNode:
+class HistoryNode(NamedTuple):
     """A realized history: the root configuration plus the action profiles taken."""
 
     config: Configuration
@@ -53,11 +52,11 @@ def child_history(graph: Graph, node: HistoryNode, actions: Mapping[Agent, Actio
 class StrategyOracle:
     """Deterministic rule (history, agent) -> action; total over live agents.
 
-    `markovian = True` promises that the oracle's profile is a function of
-    `config.content_key()` alone; `one_deviation_audit` then audits each
-    distinct queue content once."""
-
-    markovian = False
+    `state(history)` must fix the queue content and all that later play depends
+    on: equal states get equal profiles, and equal action profiles take them
+    to equal states, at any time. The default, the history key, is exact for
+    any oracle; one that reads only the configuration returns
+    `config.content_key()` and is audited once per content of the tree's DAG."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -67,6 +66,9 @@ class StrategyOracle:
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return {a: self.action(history, a) for a in history.config.agents()}
+
+    def state(self, history: HistoryNode) -> Hashable:
+        return history.key
 
     def played(self, config: Configuration, successor: Configuration) -> None:
         """Play went from config to successor on this oracle's own profile
@@ -99,8 +101,6 @@ class SigmaStar(StrategyOracle):
     solves, a successor of its own play: by on-path consistency its profile is
     the parent's order with each path cut to the suffix from the agent's edge."""
 
-    markovian = True
-
     def __init__(self, graph: Graph):
         super().__init__(graph)
         self._memo: dict[tuple, dict[Agent, Action]] = {}
@@ -131,6 +131,9 @@ class SigmaStar(StrategyOracle):
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return dict(self.prescription(history.config))
 
+    def state(self, history: HistoryNode) -> Hashable:
+        return history.config.content_key()
+
 
 def sigma_star(graph: Graph) -> SigmaStar:
     return SigmaStar(graph)
@@ -143,8 +146,6 @@ class NEBasedOracle(StrategyOracle):
     actions matched the prescription (Construction I) and rebuilds the rest as
     an iterative dominating partial profile on that base (Construction II).
     """
-
-    markovian = False
 
     def __init__(
         self,
@@ -163,57 +164,52 @@ class NEBasedOracle(StrategyOracle):
             (): {a: tuple(p) for a, p in pi.items()}
         }
         self._parents: dict[tuple, tuple[dict[Agent, Action], BatchDecomposition]] = {}
+        self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
-        maximal k; the whole population when nothing deviated)."""
-        return self._matched_prefix(node)[2]
-
-    def _matched_prefix(
-        self, node: HistoryNode
-    ) -> tuple[dict[Agent, tuple[str, ...]], BatchDecomposition, int]:
-        """The parent NE, its batches and the matched prefix size, from one
+        maximal k; the whole population when nothing deviated), from one
         simulation of the parent NE, shared by all of the parent's children."""
         parent = node.parent
-        rho = self.profile_at(parent)
         if parent.key not in self._parents:
+            rho = self.profile_at(parent)
             trace = run_paths(self.graph, parent.config.restrict(rho), rho)
-            prescribed = prescribed_actions(self.graph, parent.config, rho)
-            self._parents[parent.key] = prescribed, batch_decompose(trace)
+            self._parents[parent.key] = self.profile(parent), batch_decompose(trace)
         prescribed, batches = self._parents[parent.key]
-        realized = node.actions or {}
-        matched = 0
-        for k, batch in enumerate(batches.batches, start=1):
-            if all(realized.get(a, EXIT) == prescribed[a] for a in batch):
-                matched = k
-            else:
-                break
-        return rho, batches, matched
+        for k, batch in enumerate(batches.batches):
+            if any(node.actions.get(a, EXIT) != prescribed[a] for a in batch):
+                return k
+        return len(batches.batches)
 
     def profile_at(self, node: HistoryNode) -> dict[Agent, tuple[str, ...]]:
         if node.key in self._profiles:
             return self._profiles[node.key]
         assert node.parent is not None, "root profile must be seeded"
-        rho, batches, matched = self._matched_prefix(node)
-        keep = set(batches.prefix(matched))
-        live = set(node.config.agents())
-        base: dict[Agent, tuple[str, ...]] = {}
-        for agent in sorted(keep & live, key=lambda a: a.name):
-            old = rho[agent]
-            edge_name, _ = node.config.locate(agent)
-            base[agent] = old if old[0] == edge_name else old[1:]
-            assert base[agent][0] == edge_name
-        solve = iterative_dominating_profile(
-            self.graph, node.config, base=base, base_check_samples=0
-        )
-        self._profiles[node.key] = solve.paths
-        return solve.paths
+        matched = self.matched_prefix_size(node)
+        rho = self.profile_at(node.parent)
+        keep = set(self._parents[node.parent.key][1].prefix(matched))
+        edge = {a: e for e, q in node.config.queues for a in q}
+        base = {a: rho[a] if rho[a][0] == e else rho[a][1:] for a, e in edge.items() if a in keep}
+        if len(base) < len(edge):
+            # the rebuild depends only on the queue content and the base
+            solved = (node.config.content_key(), tuple(base.items()))
+            if solved not in self._solves:
+                self._solves[solved] = iterative_dominating_profile(
+                    self.graph, node.config, base=base, base_check_samples=0
+                ).paths
+            base = self._solves[solved]
+        self._profiles[node.key] = base
+        return base
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
         return self.profile(history)[agent]
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return prescribed_actions(self.graph, history.config, self.profile_at(history))
+
+    def state(self, history: HistoryNode) -> Hashable:
+        rho = self.profile_at(history)
+        return history.config.content_key(), tuple(rho[a] for a in history.config.agents())
 
 
 def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequence[str]]) -> NEBasedOracle:
@@ -304,54 +300,46 @@ def one_deviation_audit(
 ) -> DeviationAuditReport:
     """Check that no single agent gains by deviating once and conforming after.
 
-    A Markovian oracle is audited once per distinct queue content, weighted
-    by the number of histories that reach it (a `HistoryTree` counts them
-    without building them, and gives the successors of every configuration
-    it expanded); any other oracle once per history. Exit times of
-    conforming play are memoised relative to the start, on the content or on
-    the history key; only failing ones are mapped back to their histories,
-    in order."""
-    if not isinstance(histories, HistoryTree):
-        histories = list(histories)
-    if oracle.markovian:
-        key = lambda node: node.config.content_key()
-        expanded = histories.children if isinstance(histories, HistoryTree) else {}
+    Each distinct oracle state is audited once, weighted by the histories
+    behind it (`_grouped`: a `HistoryTree` is walked from its root, any other
+    iterable counts the histories it lists). Play steps only past the tree.
+    Exit times of conforming play are memoised relative to the start, on the
+    state; only failing states are mapped back to their histories, in order."""
+    if isinstance(histories, HistoryTree):
+        expanded, roots = histories.children, [root_history(histories.root)]
+    else:
+        expanded, roots = {}, list(histories)
+        histories = roots
 
-        def advance(node: HistoryNode, acts: Mapping[Agent, Action]) -> HistoryNode:
-            kids = expanded.get(node.config)
-            succ = step(graph, node.config, acts) if kids is None else kids[_canonical(acts)][0]
-            return root_history(succ)
-    else:
-        key = lambda node: node.key
-        advance = lambda node, acts: child_history(graph, node, acts)
-    if oracle.markovian and isinstance(histories, HistoryTree):
-        counted = [(root_history(c), n) for c, n in histories.multiplicity.items()]
-    else:
-        counted = [(node, 1) for node in histories]
-    weights: dict[tuple, list] = {}
-    for node, n in counted:
-        weights.setdefault(key(node), [node, 0])[1] += n
-    memo: dict[tuple, dict[Agent, int]] = {}
+    def advance(node: HistoryNode, acts: Mapping[Agent, Action]) -> HistoryNode:
+        kids = expanded.get(node.config)
+        if kids is None:
+            return child_history(graph, node, acts)
+        canon = _canonical(acts)
+        successor, acts = kids[canon]
+        return HistoryNode(successor, node.key + (canon,), node, acts)
+
+    memo: dict[Hashable, dict[Agent, int]] = {}
 
     def exits(start: HistoryNode) -> dict[Agent, int]:
         # play one oracle step at a time up to a memoised or empty
         # configuration, then fill the memo backwards along the play
         node, chain = start, []
-        while not node.config.is_empty() and key(node) not in memo:
-            chain.append(node)
+        while not node.config.is_empty() and (state := oracle.state(node)) not in memo:
+            chain.append((state, node.config))
             node = advance(node, oracle.profile(node))
-            oracle.played(chain[-1].config, node.config)
-        later = memo[key(node)] if not node.config.is_empty() else {}
-        for node in reversed(chain):
-            later = memo[key(node)] = {a: later.get(a, 0) + 1 for a in node.config.agents()}
+            oracle.played(chain[-1][1], node.config)
+        later = memo[state] if not node.config.is_empty() else {}
+        for state, config in reversed(chain):
+            later = memo[state] = {a: later.get(a, 0) + 1 for a in config.agents()}
         limit = default_horizon(graph, start.config)
         if start.time + max(later.values(), default=0) - 1 > limit:
             raise HorizonExceeded(f"induced play passed time {limit}")
         return later
 
     report = DeviationAuditReport()
-    failed: dict[tuple, list[tuple[Agent, str, int, int]]] = {}
-    for node, n in weights.values():
+    failed: dict[Hashable, list[tuple[Agent, str, int, int]]] = {}
+    for node, n in _grouped(roots, expanded, oracle.state):
         if node.config.is_empty():
             continue
         report.audited_histories += n
@@ -363,12 +351,31 @@ def one_deviation_audit(
                     report.audited_deviations += n
                     t_dev = 1 + exits(advance(node, {**prof, agent: alt}))[agent]
                     if t_dev < base[agent]:
-                        failed.setdefault(key(node), []).append((agent, alt, base[agent], t_dev))
+                        failed.setdefault(oracle.state(node), []).append((agent, alt, base[agent], t_dev))
     for node in histories if failed else ():
-        for agent, alt, conforming, deviating in failed.get(key(node), ()):
+        for agent, alt, conforming, deviating in failed.get(oracle.state(node), ()):
             finding = (node.key, node.time, agent, alt, node.time + conforming, node.time + deviating)
             report.violations.append(DeviationFinding(*finding))
     return report
+
+
+def _grouped(nodes: Iterable[HistoryNode], children: Mapping, state: Callable) -> list[list]:
+    """[representative history, weight] per distinct state of the given histories
+    and of their successors in `children`, walked a time step at a time: each
+    successor is met once per distinct (time, state) and weighs its parent's weight."""
+    layer: dict[tuple, list] = {}
+    for node in nodes:
+        layer.setdefault((node.time, state(node)), [node, 0])[1] += 1
+    groups: dict[Hashable, list] = {}
+    while layer:
+        succ: dict[tuple, list] = {}
+        for (_, key), (node, n) in layer.items():
+            groups.setdefault(key, [node, 0])[1] += n
+            for canon, (child, acts) in children.get(node.config, {}).items():
+                kid = HistoryNode(child, node.key + (canon,), node, acts)
+                succ.setdefault((child.time, state(kid)), [kid, 0])[1] += n
+        layer = succ
+    return list(groups.values())
 
 
 # -- history samplers --------------------------------------------------------------
@@ -385,7 +392,6 @@ class HistoryTree:
     menus. `len` is the number of histories. Iterating yields the
     `HistoryNode`s breadth first, built once from the stored children."""
 
-    graph: Graph
     root: Configuration
     multiplicity: dict[Configuration, int]
     children: dict[Configuration, dict[tuple, tuple[Configuration, dict[Agent, Action]]]]
@@ -396,10 +402,8 @@ class HistoryTree:
 
     def __iter__(self) -> Iterator[HistoryNode]:
         if self._nodes is None:
-            self._nodes = [root_history(self.root)]
-            for node in self._nodes:  # grows as it is read: breadth first
-                for canon, (child, acts) in self.children.get(node.config, {}).items():
-                    self._nodes.append(HistoryNode(child, node.key + (canon,), node, acts))
+            groups = _grouped([root_history(self.root)], self.children, lambda node: node.key)
+            self._nodes = [node for node, _ in groups]
         return iter(self._nodes)
 
 
@@ -422,7 +426,8 @@ def exhaustive_histories(
         if c.is_empty() or c.time - config.time >= limit:
             continue
         menus = [sorted(_allowed(graph, e, idx)) or [EXIT] for e, q in c.queues for idx in range(len(q))]
-        size += multiplicity[c] * math.prod(len(m) for m in menus)
+        n = multiplicity[c]
+        size += n * math.prod(len(m) for m in menus)
         if size > guard:
             raise HorizonExceeded(f"history tree exceeds {guard} nodes")
         agents = c.agents()
@@ -432,8 +437,8 @@ def exhaustive_histories(
             seen = multiplicity.get(kid)
             if seen is None:
                 order.append(kid)
-            multiplicity[kid] = (seen or 0) + multiplicity[c]
-    return HistoryTree(graph, config, multiplicity, children)
+            multiplicity[kid] = (seen or 0) + n
+    return HistoryTree(config, multiplicity, children)
 
 
 def play_histories(
@@ -452,18 +457,12 @@ def sampled_histories(
     oracle: Optional[StrategyOracle] = None,
 ) -> list[HistoryNode]:
     """Random playouts to the given depth, always including oracle play when given."""
-    seen: dict[tuple, HistoryNode] = {}
-
-    def add(node: HistoryNode) -> None:
-        seen.setdefault(node.key, node)
-
-    if oracle is not None:
-        for node in play_histories(graph, config, oracle):
-            add(node)
+    chain = play_histories(graph, config, oracle) if oracle is not None else []
+    seen: dict[tuple, HistoryNode] = {node.key: node for node in chain}
     limit = depth if depth is not None else default_horizon(graph, config) - config.time
     for _ in range(playouts):
         node = root_history(config)
-        add(node)
+        seen.setdefault(node.key, node)
         while not node.config.is_empty() and node.config.time - config.time < limit:
             acts = {}
             for e, q in node.config.queues:
@@ -471,5 +470,5 @@ def sampled_histories(
                     options = sorted(_allowed(graph, e, idx))
                     acts[agent] = rng.choice(options) if options else EXIT
             node = child_history(graph, node, acts)
-            add(node)
+            seen.setdefault(node.key, node)
     return list(seen.values())

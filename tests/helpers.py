@@ -112,6 +112,42 @@ def random_schedule(rng: random.Random, waves: int = 2, width: int = 3) -> Inflo
     return InflowSchedule.build(out)
 
 
+def random_fan(rng: random.Random, fan: int = 2, max_mid: int = 3, max_e: int = 10):
+    """Random fan-shaped instance: (extended graph, entry configuration), or None
+    when the network draw fails validation.
+
+    `fan` edges leave the origin for their own heads f1..f{fan}; each head has
+    two edges into a random layered DAG of up to max_mid middle vertices
+    before d. Two waves, each one agent wider than the fan, enter one step
+    apart, so agents share a fan edge's queue, part at its head and meet other
+    fan edges' agents further on: the case where co-queued agents end up on
+    different routes."""
+    heads = [f"f{i}" for i in range(1, fan + 1)]
+    mids = [f"m{i}" for i in range(1, rng.randint(1, max_mid) + 1)]
+    names = mids + ["d"]
+    edges = [(f"o_{h}", "o", h) for h in heads]
+    for h in heads:
+        edges += [(f"e{len(edges) + k}", h, rng.choice(mids)) for k in range(2)]
+    for i, v in enumerate(mids):
+        edges.append((f"e{len(edges)}", v, names[rng.randrange(i + 1, len(names))]))
+    while len(edges) < max_e:
+        i = rng.randrange(len(mids))
+        edges.append((f"e{len(edges)}", mids[i], names[rng.randrange(i + 1, len(names))]))
+    try:
+        net = Network.build("o", "d", edges)
+    except Exception:
+        return None
+    prios = {}
+    for v in net.vertices:
+        ins = list(net.in_edges(v))
+        rng.shuffle(ins)
+        prios[v] = ins
+    net = Network.build("o", "d", edges, priorities=prios)
+    waves = [(t, [f"a{t}.{k}" for k in range(1, fan + 2)]) for t in (1, 2)]
+    ext, config = build_extended(net, InflowSchedule.build(waves))
+    return ext.graph, config
+
+
 def fanout_config(widths: Sequence[int]):
     """The `fanout` fixture network with waves of the given widths at t=1, 2, ...:
     (graph, entry configuration)."""
@@ -288,8 +324,6 @@ class ReferenceSigmaStar(StrategyOracle):
     included: the oracle for `spe.SigmaStar`, which seeds those from the
     parent's solve."""
 
-    markovian = True
-
     def __init__(self, graph: Graph):
         super().__init__(graph)
         self._memo: dict[tuple, dict[Agent, Action]] = {}
@@ -306,6 +340,9 @@ class ReferenceSigmaStar(StrategyOracle):
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return dict(self.prescription(history.config))
+
+    def state(self, history: HistoryNode) -> tuple:
+        return history.config.content_key()
 
 
 def reference_exhaustive_histories(

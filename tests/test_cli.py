@@ -123,6 +123,24 @@ class TestCommands:
         assert code == 2
         assert out.splitlines()[-1] == "error: given profile has no path for agent c3"
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["spe-audit", "--oracle", "ne-based"], "given profile is not an NE"),
+            (["properties"], "profile fails verify_ne"),
+        ],
+    )
+    def test_profile_that_is_not_an_ne_names_the_improving_path(self, capsys, tmp_path, argv, prefix):
+        run(capsys, "fixtures", "--out", str(tmp_path))
+        text = (tmp_path / "fig3.scn").read_text()
+        scn = tmp_path / "fig3_i_on_u.scn"
+        scn.write_text(text.replace("agent i u1_u2 u2_v3 v3_v4 v4_d", "agent i u1_u2 u2_u3 u3_u4 u4_u5 u5_d"))
+        code, out = run(capsys, argv[0], str(scn), *argv[1:])
+        assert code == 2
+        assert out.splitlines()[1:] == [
+            f"error: {prefix}: i exits 6, can reach 5 via u1_u2 u2_v3 v3_v4 v4_d"
+        ]
+
     def test_properties_on_solved_profile(self, capsys, tmp_path):
         code, out = run(capsys, "properties", "fig3", "--samples", "10",
                         "--out", str(tmp_path))

@@ -17,6 +17,7 @@ from dqroute.errors import HorizonExceeded, NotAnNE
 from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 from dqroute.spe import (
+    HistoryNode,
     SigmaStar,
     StrategyOracle,
     child_history,
@@ -33,12 +34,14 @@ from dqroute.spe import (
 from helpers import (
     ReferenceSigmaStar,
     fanout_config,
+    random_fan,
     random_interim_config,
     random_net,
     random_schedule,
     reference_exhaustive_histories,
     reference_induced_paths,
     reference_one_deviation_audit,
+    tiny_schedule_tables,
 )
 
 
@@ -56,10 +59,31 @@ class MyopicOracle(StrategyOracle):
 
 
 class MarkovianMyopic(MyopicOracle):
-    """The myopic rule reads only the configuration, so it may declare itself
-    Markovian; it is not an SPE, so its audit has findings to compare."""
+    """The myopic rule reads only the configuration, so its state may be the
+    queue content; it is not an SPE, so its audit has findings to compare."""
 
-    markovian = True
+    def state(self, history):
+        return history.config.content_key()
+
+
+class GrudgeOracle(StrategyOracle):
+    """Sigma-star until some profile of the history left sigma-star's, the
+    myopic rule after: a trigger strategy, whose play depends on the history
+    and not only on the configuration, so it keeps the default state."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.calm = SigmaStar(graph)
+        self.grudge = MyopicOracle(graph)
+
+    def action(self, history, agent):
+        return self.profile(history)[agent]
+
+    def profile(self, history):
+        node = history
+        while node.parent is not None and node.actions == self.calm.profile(node.parent):
+            node = node.parent
+        return (self.calm if node.parent is None else self.grudge).profile(history)
 
 
 class PathFollower(StrategyOracle):
@@ -244,11 +268,15 @@ class TestSeededSigmaStar:
 
     CAP = 3_000
 
+    FANS = 8
+
     def _cases(self, seed, count):
         """count random instances with at least 20 histories (interim on unit
         DAGs, inflow chains, and interim or inflow-chain on normalized
-        capacity/transit-2 networks), then fig1, fig2, fanout and fanout with
-        waves (3, 1) and (1, 2, 1), each with its history tree."""
+        capacity/transit-2 networks), FANS fan-shaped ones with their depth-1
+        trees (co-queued agents part there, and every history's play is
+        audited to the end), then fig1, fig2, fanout and fanout with waves
+        (3, 1) and (1, 2, 1), each with its history tree."""
         rng = random.Random(seed)
         done = 0
         while done < count:
@@ -267,6 +295,12 @@ class TestSeededSigmaStar:
             if tree is not None and len(tree) >= 20:
                 yield graph, config, tree
                 done += 1
+        fans = 0
+        while fans < self.FANS:
+            case = random_fan(rng)
+            if case is not None:
+                yield (*case, exhaustive_histories(*case, 1))
+                fans += 1
         fixtures = [(loaded.graph, loaded.config)
                     for loaded in map(load_fixture, ("fig1", "fig2", "fanout"))]
         for graph, config in fixtures + [fanout_config((3, 1)), fanout_config((1, 2, 1))]:
@@ -297,7 +331,7 @@ class TestSeededSigmaStar:
             for successor in oracle.reached:
                 assert oracle.prescription(successor) == reference.prescription(successor)
             audited += 1
-        assert audited == 16 + 5
+        assert audited == 16 + self.FANS + 5
 
     def test_induced_play_solves_once(self, monkeypatch):
         calls = []
@@ -617,6 +651,112 @@ class TestHistoryTreeReference:
         oracles = [lambda: ViciousOracle(loaded.graph, blocker=p1, victim=p2)]
         for pi in enumerate_all_ne(loaded.graph, loaded.config):
             oracles.append(lambda pi=pi: ne_based_spe(loaded.graph, loaded.config, pi))
+        sampled = sampled_histories(loaded.graph, loaded.config, random.Random(3), playouts=6,
+                                    oracle=oracles[0]())
         for make in oracles:
             assert one_deviation_audit(loaded.graph, make(), tree) == \
                 reference_one_deviation_audit(loaded.graph, make(), expected)
+            assert one_deviation_audit(loaded.graph, make(), sampled) == \
+                reference_one_deviation_audit(loaded.graph, make(), sampled)
+
+
+class TestStateKeyedAudit:
+    """One audit for every oracle: each distinct oracle state once, weighted by
+    its histories, against the reference that re-plays every history."""
+
+    def test_ne_based_full_tree_audit_of_fanout_with_waves_3_and_2(self, monkeypatch):
+        graph, config = fanout_config((3, 2))
+        tree = exhaustive_histories(graph, config)
+        pi = iterative_dominating_profile(graph, config).paths
+        calls = []
+
+        def counting_solver(*args, **kwargs):
+            calls.append(args)
+            return iterative_dominating_profile(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.spe, "iterative_dominating_profile", counting_solver)
+        report = one_deviation_audit(graph, ne_based_spe(graph, config, pi), tree)
+        solves = len(calls)
+        assert (len(tree), report.audited_histories, report.audited_deviations) == (9_398, 6_273, 2_294)
+        assert report.passed, report.to_text()
+        reference = ne_based_spe(graph, config, pi)
+        assert report == reference_one_deviation_audit(graph, reference, list(tree))
+        # at most one solve per distinct (time, state), and fewer than one per history
+        assert solves <= len({(node.time, reference.state(node)) for node in tree}) < len(tree)
+
+    def test_failing_audit_maps_its_violations_to_histories(self):
+        loaded = load_fixture("fig1")
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        expected = reference_exhaustive_histories(loaded.graph, loaded.config)
+        for make in (MyopicOracle, MarkovianMyopic):
+            for histories in (tree, expected):
+                got = one_deviation_audit(loaded.graph, make(loaded.graph), histories)
+                assert got == reference_one_deviation_audit(loaded.graph, make(loaded.graph), expected)
+                assert not got.passed
+
+    def test_history_dependent_oracle_on_the_default_state(self):
+        loaded = load_fixture("fig1")
+        cases = [(loaded.graph, loaded.config, exhaustive_histories(loaded.graph, loaded.config))]
+        rng = random.Random(81)
+        while len(cases) < 5:
+            case = random_fan(rng)
+            if case is not None:
+                cases.append((*case, exhaustive_histories(*case, 1)))
+        failing = 0
+        for graph, config, tree in cases:
+            got = one_deviation_audit(graph, GrudgeOracle(graph), tree)
+            assert got == reference_one_deviation_audit(graph, GrudgeOracle(graph), list(tree))
+            failing += not got.passed
+        assert failing
+
+    def test_fan_corpus(self):
+        rng = random.Random(82)
+        done = 0
+        while done < 4:
+            case = random_fan(rng)
+            if case is None:
+                continue
+            graph, config = case
+            tree = exhaustive_histories(graph, config, 1)
+            pi = iterative_dominating_profile(graph, config).paths
+            for make in (sigma_star, MarkovianMyopic, lambda g: ne_based_spe(g, config, pi)):
+                for histories in (tree, list(tree)):
+                    got = one_deviation_audit(graph, make(graph), histories)
+                    assert got == reference_one_deviation_audit(graph, make(graph), histories)
+            done += 1
+
+    def test_tiny_schedule_corpus_of_every_ne(self):
+        # the ne-suite pipeline: every NE of a tiny schedule, audited on its full tree
+        audited = 0
+        for graph, c0, table in tiny_schedule_tables(random.Random(83), 10, guard=64):
+            tree = exhaustive_histories(graph, c0, guard=20_000)
+            expected = list(tree)
+            for pi in enumerate_all_ne(graph, c0, table=table):
+                got = one_deviation_audit(graph, ne_based_spe(graph, c0, pi), tree)
+                assert got.passed, got.to_text()
+                assert got == reference_one_deviation_audit(graph, ne_based_spe(graph, c0, pi), expected)
+                self._assert_state_contract(ne_based_spe(graph, c0, pi), tree)
+                audited += 1
+        assert audited >= 10
+
+    def test_fixture_oracles_keep_the_state_contract(self):
+        loaded = load_fixture("fig1")
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        p1, p2 = sorted(loaded.config.agents(), key=lambda a: a.slot)
+        self._assert_state_contract(ViciousOracle(loaded.graph, blocker=p1, victim=p2), tree)
+        self._assert_state_contract(sigma_star(loaded.graph), tree)
+        for pi in enumerate_all_ne(loaded.graph, loaded.config):
+            self._assert_state_contract(ne_based_spe(loaded.graph, loaded.config, pi), tree)
+
+    @staticmethod
+    def _assert_state_contract(oracle, tree):
+        """Histories of equal state have equal contents and profiles, and every
+        action profile takes them to successors of equal state. Exit times
+        alone cannot show a state that is too coarse: on these corpora every
+        NE continuation of a content exits alike."""
+        seen = {}
+        for node in tree:
+            kids = {canon: oracle.state(HistoryNode(kid, node.key + (canon,), node, acts))
+                    for canon, (kid, acts) in tree.children.get(node.config, {}).items()}
+            got = (node.config.content_key(), oracle.profile(node), kids)
+            assert seen.setdefault(oracle.state(node), got) == got
