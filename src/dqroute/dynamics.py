@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import HorizonExceeded, InvalidAction, PathNotFromCurrentEdge, UnknownAgent
 from .netcore import Agent, Graph
@@ -12,7 +12,8 @@ from .netcore import Agent, Graph
 EXIT = None  # action taken by a queue head whose edge ends at the destination
 
 
-class Configuration(NamedTuple):
+@dataclass(frozen=True)
+class Configuration:
     """Disjoint ordered agent queues per edge at one time step (head first).
 
     Queues are stored as a sorted tuple of (edge, agents) pairs with empty
@@ -24,7 +25,7 @@ class Configuration(NamedTuple):
 
     @classmethod
     def from_mapping(cls, time: int, queues: Mapping[str, Sequence[Agent]]) -> "Configuration":
-        items = tuple(sorted([(e, tuple(q)) for e, q in queues.items() if q]))
+        items = tuple(sorted((e, tuple(q)) for e, q in queues.items() if q))
         return cls(time=time, queues=items)
 
     def queue(self, edge: str) -> tuple[Agent, ...]:
@@ -34,7 +35,7 @@ class Configuration(NamedTuple):
         return ()
 
     def agents(self) -> tuple[Agent, ...]:
-        return tuple([a for _, q in self.queues for a in q])
+        return tuple(a for _, q in self.queues for a in q)
 
     def locate(self, agent: Agent) -> tuple[str, int]:
         """(edge, queue index) of the agent."""

@@ -191,11 +191,6 @@ class ViciousOracle(StrategyOracle):
         self.blocker = blocker
         self.victim = victim
         self._fallback = SigmaStar(graph)
-        # each scripted agent's action at the head vertex of its edge
-        self._scripts = {
-            victim: {"o": "ou1", "u1": "u1w1", "w1": "w1d", "d": EXIT},
-            blocker: {"o": "ov", "w1": "w1d", "w2": "w2d", "d": EXIT},
-        }
 
     def state(self, history: HistoryNode) -> tuple:
         return history.config.content_key()
@@ -206,9 +201,18 @@ class ViciousOracle(StrategyOracle):
         if idx > 0:
             return edge_name
         head = self.graph.edge(edge_name).head
-        if agent == self.blocker and head == "v":
-            return "vw1" if self.victim in config.queue("ou1") else "vw2"
-        script = self._scripts.get(agent, {})
-        if head in script:
-            return script[head]
+        if agent == self.victim:
+            script = {"o": "ou1", "u1": "u1w1", "w1": "w1d", "d": EXIT}
+            if head in script:
+                return script[head]
+            return self._fallback.action(history, agent)
+        if agent == self.blocker:
+            script = {"w1": "w1d", "w2": "w2d", "d": EXIT}
+            if head == "o":
+                return "ov"
+            if head == "v":
+                return "vw1" if self.victim in config.queue("ou1") else "vw2"
+            if head in script:
+                return script[head]
+            return self._fallback.action(history, agent)
         return self._fallback.action(history, agent)
