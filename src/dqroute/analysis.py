@@ -3,11 +3,10 @@ parallel-composition ratio monitor, and the two boundedness checks."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bestresponse import QueueCounters, dp_from_vertex
+from .bestresponse import UNREACHED, QueueCounters, dp_from_vertex
 from .errors import DegreeConditionViolated, InflowExceedsCut, NotSeriesParallel
 from .netcore import (
     Agent,
@@ -23,15 +22,15 @@ from .netcore import (
 
 @dataclass
 class RouterResult:
-    """Equilibrium routing of a whole schedule, agent by agent in entry order."""
+    """Equilibrium routing of a whole schedule, agent by agent in entry order.
+    `timelines` counts from time 0, and arrival_counts[v][t] is the number of
+    agents reaching vertex v at t."""
 
     paths: dict[Agent, tuple[str, ...]]
     arrivals: dict[Agent, dict[str, int]]
     exit_times: dict[Agent, int]
     timelines: QueueCounters
-
-    def latency(self, agent: Agent) -> int:
-        return self.exit_times[agent] - agent.entry
+    arrival_counts: dict[str, list[int]]
 
 
 def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResult:
@@ -42,24 +41,39 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     each agent's trajectory can be committed incrementally, entering its first
     edge with rank slot - 1, after the solver's no-displacement check.
     """
-    timelines = QueueCounters()
+    plan = net.plan()
+    names, edge_names, arcs = plan.vertices, plan.edges, plan.arcs
+    timelines = QueueCounters(net)
+    # arrivals per vertex and time, as long as the index's lists, which every
+    # time a DP produces indexes (see QueueCounters)
+    counts: list[list[int]] = [[] for _ in names]
     paths: dict[Agent, tuple[str, ...]] = {}
     arrivals: dict[Agent, dict[str, int]] = {}
     exits: dict[Agent, int] = {}
-    d = net.destination
+    o, d = plan.vertex_id[net.origin], plan.vertex_id[net.destination]
     for r, wave in schedule.waves:
         for slot, agent in enumerate(wave, start=1):
-            table = dp_from_vertex(net, agent, start_vertex=net.origin, start_time=r,
+            table = dp_from_vertex(net, agent, start_vertex=o, start_time=r,
                                    start_edge=None, start_rank=slot - 1, counters=timelines)
-            assert d in table.tau, "validated networks always reach the destination"
-            path = table.path_to(net, d)
-            times = {v: table.tau[v] for v in net.path_vertices(path)}
-            timelines.assert_displaces_none(net, path, times, slot - 1)
-            timelines.commit(net, path, times, slot - 1)
-            paths[agent] = path
+            tau = table.time_at
+            assert tau[d] != UNREACHED, "validated networks always reach the destination"
+            path = table.edge_path(d)
+            timelines.assert_displaces_none(path, tau, slot - 1)
+            timelines.commit(path, tau, slot - 1)
+            if len(counts[o]) < timelines.length:
+                for series in counts:
+                    series.extend([0] * (timelines.length - len(series)))
+            times = {names[o]: r}
+            for e in path:
+                v = arcs[e][1]
+                t = tau[v]
+                times[names[v]] = t
+                counts[v][t] += 1
+            paths[agent] = tuple([edge_names[e] for e in path])
             arrivals[agent] = times
-            exits[agent] = times[d]
-    return RouterResult(paths=paths, arrivals=arrivals, exit_times=exits, timelines=timelines)
+            exits[agent] = tau[d]
+    return RouterResult(paths=paths, arrivals=arrivals, exit_times=exits, timelines=timelines,
+                        arrival_counts=dict(zip(names, counts)))
 
 
 # -- occupancy bookkeeping ---------------------------------------------------------
@@ -74,7 +88,6 @@ class OccupancyTrace:
     total: list[int]
     entrants: list[int]
     exiters: list[int]
-    arrival_counts: dict[tuple[str, int], int]
 
     def occupancy(self, edges: frozenset[str] | set[str], t: int) -> int:
         return sum(self.per_edge[e][t] for e in edges if e in self.per_edge)
@@ -96,20 +109,34 @@ def _column_sums(series: list[list[int]], horizon: int) -> list[int]:
 
 def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
     horizon = max(result.exit_times.values(), default=0)
-    per_edge = {e: [0] * (horizon + 1) for e in result.timelines.sizes}
-    for e, counts in result.timelines.sizes.items():
-        series = per_edge[e]
-        for t, n in counts.items():
-            if t <= horizon:
-                series[t] = n
+    timelines = result.timelines
+    timelines.pad(horizon + 1)
+    names = timelines.plan.edges
+    per_edge = {names[e]: timelines.lengths[e][: horizon + 1] for e in timelines.committed}
     total = _column_sums(list(per_edge.values()), horizon)
     entrants = [0] * (horizon + 1)
     exiters = [0] * (horizon + 1)
     for agent, t in result.exit_times.items():
         entrants[agent.entry] += 1
         exiters[t] += 1
-    arrival_counts = Counter(cell for times in result.arrivals.values() for cell in times.items())
-    return OccupancyTrace(horizon, per_edge, total, entrants, exiters, arrival_counts)
+    return OccupancyTrace(horizon, per_edge, total, entrants, exiters)
+
+
+def _check_simultaneous_arrivals(
+    arrival_counts: dict[str, list[int]], max_in_degree: int
+) -> tuple[str, bool, str]:
+    """No vertex sees more simultaneous arrivals than the maximum in-degree
+    (the router counts no arrival at the origin); the detail names the
+    earliest violation."""
+    over = []
+    for v, counts in arrival_counts.items():
+        if max(counts, default=0) > max_in_degree:
+            t = next(t for t, n in enumerate(counts) if n > max_in_degree)
+            over.append((t, v, counts[t]))
+    if not over:
+        return ("simultaneous_arrivals_within_max_in_degree", True, "")
+    t, v, n = min(over)
+    return ("simultaneous_arrivals_within_max_in_degree", False, f"first violation {(v, t, n)}")
 
 
 @dataclass
@@ -169,23 +196,20 @@ class BoundReport:
 
 
 def _stabilization(series: list[int]) -> tuple[int, int]:
-    """(last time the running max grew, running max)."""
-    best = -1
-    when = 0
-    for t, v in enumerate(series):
-        if v > best:
-            best = v
-            when = t
-    return when, best
+    """(last time the running max grew, running max): the running max last
+    grows where the series first reaches its maximum."""
+    if not series:
+        return 0, -1
+    best = max(series)
+    return series.index(best), best
 
 
 def _experiment_report(
-    net: UnitNetwork,
-    schedule: InflowSchedule,
-    result: RouterResult,
-    trace: OccupancyTrace,
-    stats: GraphStats,
-) -> BoundReport:
+    net: UnitNetwork, schedule: InflowSchedule, stats: GraphStats
+) -> tuple[BoundReport, OccupancyTrace]:
+    """Route the schedule in entry order and report on its occupancy trace."""
+    result = route_entry_order(net, schedule)
+    trace = occupancy_trace(net, result)
     inflow_end = schedule.last_time
     required = max(inflow_end // 2, 200)
     occ_stab, max_occ = _stabilization(trace.total)
@@ -196,9 +220,8 @@ def _experiment_report(
     stabilization = max(occ_stab, edge_stab)
 
     latency_by_entry: dict[int, int] = {}
-    for agent in result.exit_times:
-        lat = result.latency(agent)
-        latency_by_entry[agent.entry] = max(latency_by_entry.get(agent.entry, 0), lat)
+    for agent, t in result.exit_times.items():
+        latency_by_entry[agent.entry] = max(latency_by_entry.get(agent.entry, 0), t - agent.entry)
     entries = sorted(latency_by_entry)
     lat_series = [latency_by_entry[r] for r in entries]
     lat_stab_idx, max_latency = _stabilization(lat_series)
@@ -210,14 +233,11 @@ def _experiment_report(
     else:
         bounded = stabilization + required <= inflow_end and lat_stab_entry + required <= inflow_end
 
-    over = [(v, t, n) for (v, t), n in trace.arrival_counts.items()
-            if n > stats.max_in_degree and v != net.origin]
     checks = [
         ("occupancy_conservation", trace.conservation_holds(), ""),
-        ("simultaneous_arrivals_within_max_in_degree", not over,
-         f"first violation {over[0]}" if over else ""),
+        _check_simultaneous_arrivals(result.arrival_counts, stats.max_in_degree),
     ]
-    return BoundReport(
+    report = BoundReport(
         horizon=trace.horizon,
         inflow_end=inflow_end,
         max_occupancy=max_occ,
@@ -228,6 +248,7 @@ def _experiment_report(
         latency_stabilization_entry=lat_stab_entry,
         checks=checks,
     )
+    return report, trace
 
 
 def _check_full_cut_drain(
@@ -236,13 +257,11 @@ def _check_full_cut_drain(
     """Whenever the cut is full, exactly its size crosses next step, so the left
     side changes by the inflow minus the cut size."""
 
-    def qlen(e: str, t: int) -> int:
-        series = trace.per_edge.get(e)
-        return series[t] if series and t < len(series) else 0
-
     left = trace.series(left_edges)
-    for t in range(trace.horizon):
-        if not all(qlen(e, t) > 0 for e in cut):
+    # the shortest queue on the cut at each time; a missing series is empty
+    shortest = map(min, zip(*(trace.per_edge.get(e, ()) for e in cut)))
+    for t, queued in zip(range(trace.horizon), shortest):
+        if queued <= 0:
             continue
         n_now, n_next = left[t], left[t + 1]
         inflow = trace.entrants[t + 1] if t + 1 < len(trace.entrants) else 0
@@ -269,9 +288,7 @@ def queue_bound_experiment(
         if len(wave) > len(cut):
             raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > cut size {len(cut)}")
     stats = validate_and_stats(net)
-    result = route_entry_order(net, schedule)
-    trace = occupancy_trace(net, result)
-    report = _experiment_report(net, schedule, result, trace, stats)
+    report, trace = _experiment_report(net, schedule, stats)
     verdicts = degree_ratio_monitor(trace, decomp, stats)
     ratio_ok = all(v.ok for v in verdicts)
     report.checks.append(("parallel_ratio_bound", ratio_ok, "" if ratio_ok else "see verdicts"))
@@ -298,8 +315,4 @@ def spe_bound_experiment(
     for r, wave in schedule.waves:
         if len(wave) > len(cut):
             raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > min cut {len(cut)}")
-    stats = validate_and_stats(net)
-    result = route_entry_order(net, schedule)
-    trace = occupancy_trace(net, result)
-    report = _experiment_report(net, schedule, result, trace, stats)
-    return report, trace
+    return _experiment_report(net, schedule, validate_and_stats(net))

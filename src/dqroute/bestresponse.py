@@ -8,157 +8,265 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .dynamics import Configuration, RoutingTrace, run_paths
-from .errors import Unreachable, VertexNotOnPath
-from .netcore import Agent, Graph
+from .errors import DQRouteError, Unreachable, VertexNotOnPath
+from .netcore import Agent, Graph, GraphPlan
 
 
-_EMPTY: Mapping = {}
+UNREACHED = 1 << 62  # the time at a vertex the deviator cannot reach, later than any other
 
 
 class QueueCounters:
-    """The occupancy index the best-response recursion reads: |Q_e^t| and the
-    previous-edge ranks of the agents entering e at t.
+    """The occupancy index the best-response recursion reads, on the graph
+    plan's edge ids, as lists over index time s, the time since
+    `start_time`, before which no agent queues: `lengths[e][s]` is |Q_e^t| at
+    t = start_time + s and `entered[e][s]` the tuple of previous-edge ranks of
+    the agents entering e at t. `commit`, `assert_displaces_none` and the DP's
+    `time_at` lists use index times; the name-keyed views `sizes` and
+    `entrant_ranks`, built on read, and `size` use absolute times.
 
     It is written only by `commit`, one trajectory at a time: all of a
     simulation's trajectories (`from_trace`) or each chosen path of a solver.
-    Initial queue members rank -1, strictly ahead of any entrant.
+    Initial queue members rank -1, strictly ahead of any entrant. Edges that
+    nothing commits to share one list of zeros and one of empty cells.
+
+    Padding, in index times: a DP starting at s0 first pads every list to
+    max(frontier, s0) + |V| cells, `frontier` being the latest committed
+    leave time, and it produces no time, and so reads no cell, past that.
+    Under unit capacity at most one agent leaves an edge per step, so a queue
+    at t holds at most frontier - t agents and a hop from it arrives by
+    frontier + 1; past the frontier every hop costs exactly one step, and a
+    path has < |V| hops.
     """
 
-    def __init__(self):
-        self.sizes: dict[str, dict[int, int]] = {}
-        self.entrant_ranks: dict[str, dict[int, list[int]]] = {}
+    def __init__(self, graph: Graph, start_time: int = 0):
+        self.plan = plan = graph.plan()
+        self.start_time = start_time
+        self.frontier = self.length = 0
+        self._zeros: list[int] = []
+        self._nobody: list[tuple] = []
+        self.lengths: list[list[int]] = [self._zeros] * len(plan.edges)
+        self.entered: list[list[tuple]] = [self._nobody] * len(plan.edges)
+        self.committed: list[int] = []  # edge ids with lists of their own, in commit order
 
     @classmethod
     def from_trace(cls, graph: Graph, trace: RoutingTrace) -> "QueueCounters":
         """The queue lengths and entrants of a simulation, from its trajectories."""
-        counters = cls()
+        start = trace.start_time
+        counters = cls(graph, start)
+        edge_id, vertex_id = counters.plan.edge_id, counters.plan.vertex_id
+        # the padding a DP from the last exit needs, once, not per commit
+        counters.pad(trace.horizon - start + len(vertex_id))
         for agent, path in trace.paths.items():
-            counters.commit(graph, path, trace.vertex_times[agent], -1)
+            times = {vertex_id[v]: t - start for v, t in trace.vertex_times[agent].items()}
+            counters.commit([edge_id[e] for e in path], times, -1)
         return counters
 
+    @property
+    def sizes(self) -> dict[str, dict[int, int]]:
+        names, start = self.plan.edges, self.start_time
+        return {
+            names[e]: {start + t: n for t, n in enumerate(self.lengths[e]) if n}
+            for e in self.committed
+        }
+
+    @property
+    def entrant_ranks(self) -> dict[str, dict[int, list[int]]]:
+        names, start = self.plan.edges, self.start_time
+        return {
+            names[e]: {start + t: list(ranks) for t, ranks in enumerate(self.entered[e]) if ranks}
+            for e in self.committed
+        }
+
     def size(self, edge: str, t: int) -> int:
-        return self.sizes.get(edge, {}).get(t, 0)
+        t -= self.start_time
+        return self.lengths[self.plan.edge_id[edge]][t] if 0 <= t < self.length else 0
+
+    def pad(self, need: int) -> None:
+        """Grow every list to at least `need` cells, at least doubling it."""
+        if need <= self.length:
+            return
+        more = max(need, 2 * self.length) - self.length
+        for e in self.committed:
+            self.lengths[e].extend([0] * more)
+            self.entered[e].extend([()] * more)
+        self._zeros.extend([0] * more)
+        self._nobody.extend([()] * more)
+        self.length += more
 
     def commit(
-        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+        self, path: Sequence[int], times: Mapping[int, int] | Sequence[int], rank: int
     ) -> None:
-        """Add one trajectory: the agent queues on each path edge (u, v) during
-        [times[u], times[v]) and enters it with the rank of its previous edge,
-        or with the given rank on its first edge. Times rise strictly along the
-        path, so every entrant of an edge at t is queued there at t."""
-        arcs = graph.plan().arcs
-        for e in path:
-            tail, head, next_rank = arcs[e]
-            enter = times[tail]
-            sizes = self.sizes.get(e)
-            if sizes is None:
-                sizes = self.sizes[e] = {}
-                self.entrant_ranks[e] = {}
-            for t in range(enter, times[head]):
-                sizes[t] = sizes.get(t, 0) + 1
-            self.entrant_ranks[e].setdefault(enter, []).append(rank)
-            rank = next_rank
+        """Add one trajectory, on edge and vertex ids and index times: the agent
+        queues on each path edge (u, v) during [times[u], times[v]) and enters it
+        with the rank of its previous edge, or with the given rank on its first
+        edge. Times rise strictly along the path, so every entrant of an edge
+        at t is queued there at t."""
+        arcs = self.plan.arcs
+        enter = times[arcs[path[0]][0]]
+        if enter < 0:
+            raise DQRouteError(f"a trajectory enters before its index's start {self.start_time}")
+        last = times[arcs[path[-1]][1]]
+        if last > self.frontier:
+            self.frontier = last
+            if last > self.length:
+                self.pad(last)
+        lengths, entered, zeros = self.lengths, self.entered, self._zeros
+        for e in path:  # consecutive edges: each one's head is the next one's tail
+            _, head, next_rank = arcs[e]
+            leave = times[head]
+            sizes = lengths[e]
+            if sizes is zeros:
+                sizes = lengths[e] = [0] * self.length
+                entered[e] = [()] * self.length
+                self.committed.append(e)
+            for t in range(enter, leave):
+                sizes[t] += 1
+            entered[e][enter] += (rank,)
+            enter, rank = leave, next_rank
 
     def assert_displaces_none(
-        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+        self, path: Sequence[int], times: Mapping[int, int] | Sequence[int], rank: int
     ) -> None:
         """Assert that committing the trajectory puts no indexed agent behind it:
         on no path edge does an agent of lower priority enter at the same time,
         or any agent enter while it queues. Iterative domination promises this
         to every trajectory a dominating-profile solver commits."""
-        arcs = graph.plan().arcs
-        for e in path:
-            tail, head, next_rank = arcs[e]
-            enter, leave = times[tail], times[head]
-            entered = self.entrant_ranks.get(e, _EMPTY)
-            for r in entered.get(enter, ()):
+        arcs, entered = self.plan.arcs, self.entered
+        last = times[arcs[path[-1]][1]]
+        if last > self.length:
+            self.pad(last)
+        enter = times[arcs[path[0]][0]]
+        for e in path:  # consecutive edges, as in commit
+            _, head, next_rank = arcs[e]
+            leave = times[head]
+            cells = entered[e]
+            for r in cells[enter]:
                 assert r <= rank
             if leave > enter + 1:
-                assert entered.keys().isdisjoint(range(enter + 1, leave))
-            rank = next_rank
+                assert not any(cells[enter + 1 : leave])
+            enter, rank = leave, next_rank
 
 
-@dataclass
+@dataclass(slots=True)
 class EarliestArrivalTable:
-    """tau[v]: earliest arrival of the deviator at v; estar[v]: the highest-priority
-    entering edge achieving it; achieving[v]: all achieving entering edges in
-    priority order."""
+    """On the plan's ids: the deviator reaches v at base + time_at[v] at the
+    earliest (time_at[v] is an index time of the DP's `QueueCounters`, or
+    UNREACHED), estar_at[v] is the highest-priority entering edge achieving
+    it and achieving_at[v] all of them in priority order. `tau`, `estar` and
+    `achieving` are the name-keyed views, built on read, in absolute times."""
 
     zeta: Agent
     start_time: int
-    start_vertex: str
-    tau: dict[str, int]
-    estar: dict[str, str]
-    achieving: dict[str, tuple[str, ...]]
+    start_vertex: int
+    plan: GraphPlan
+    base: int
+    time_at: list[int]
+    estar_at: list[Optional[int]]
+    achieving_at: list[Optional[list[int]]]
+
+    @property
+    def tau(self) -> dict[str, int]:
+        names, base = self.plan.vertices, self.base
+        return {names[v]: base + t for v, t in enumerate(self.time_at) if t != UNREACHED}
+
+    @property
+    def estar(self) -> dict[str, str]:
+        names, edges = self.plan.vertices, self.plan.edges
+        return {names[v]: edges[e] for v, e in enumerate(self.estar_at) if e is not None}
+
+    @property
+    def achieving(self) -> dict[str, tuple[str, ...]]:
+        names, edges = self.plan.vertices, self.plan.edges
+        return {
+            names[v]: tuple(edges[e] for e in es)
+            for v, es in enumerate(self.achieving_at)
+            if es is not None
+        }
 
     def arrival(self, vertex: str) -> float:
-        return self.tau.get(vertex, math.inf)
+        t = self.time_at[self.plan.vertex_id[vertex]]
+        return math.inf if t == UNREACHED else self.base + t
+
+    def edge_path(self, v: int) -> list[int]:
+        """The edge ids e*(.) from the start vertex to vertex id v, traced back from it."""
+        estar_at, arcs = self.estar_at, self.plan.arcs
+        path: list[int] = []
+        while v != self.start_vertex:
+            e = estar_at[v]
+            path.append(e)
+            v = arcs[e][0]
+        path.reverse()
+        return path
 
     def path_to(self, graph: Graph, vertex: str) -> tuple[str, ...]:
-        """The edges e*(.) from start_vertex to the vertex, traced back from it."""
-        arcs = graph.plan().arcs
-        path: list[str] = []
-        while vertex != self.start_vertex:
-            e = self.estar[vertex]
-            path.append(e)
-            vertex = arcs[e][0]
-        return tuple(reversed(path))
+        """The edges e*(.) from the start vertex to the vertex."""
+        edges = self.plan.edges
+        return tuple(edges[e] for e in self.edge_path(self.plan.vertex_id[vertex]))
 
 
 def dp_from_vertex(
     graph: Graph,
     zeta: Agent,
-    start_vertex: str,
+    start_vertex: int,
     start_time: int,
-    start_edge: Optional[str],
+    start_edge: Optional[int],
     start_rank: int,
     counters: QueueCounters,
 ) -> EarliestArrivalTable:
-    """Run the earliest-arrival recursion from a seeded vertex in topological order.
+    """Run the earliest-arrival recursion from a seeded vertex id in
+    topological order, reading the index's lists (padded first, see
+    `QueueCounters`).
 
     start_edge/start_rank describe how the deviator shows up at start_vertex for
     same-time priority comparisons on the first hop.
     """
-    tau: dict[str, int] = {start_vertex: start_time}
-    estar: dict[str, str] = {}
-    ref_rank: dict[str, int] = {start_vertex: start_rank}
-    achieving: dict[str, tuple[str, ...]] = {}
+    plan = graph.plan()
+    n = len(plan.vertices)
+    base = counters.start_time  # the recursion runs on the index's times
+    s0 = start_time - base
+    if s0 < 0:
+        raise DQRouteError(f"the recursion starts before its index's start {base}")
+    need = counters.frontier
+    if s0 > need:
+        need = s0
+    if need + n > counters.length:
+        counters.pad(need + n)
+    tau = [UNREACHED] * n
+    estar: list[Optional[int]] = [None] * n
+    achieving: list[Optional[list[int]]] = [None] * n
+    tau[start_vertex] = s0
     if start_edge is not None:
         estar[start_vertex] = start_edge
-        achieving[start_vertex] = (start_edge,)
-    sizes, entrant_ranks = counters.sizes, counters.entrant_ranks
-    plan = graph.plan()
+        achieving[start_vertex] = [start_edge]
+    lengths, entered, order, arcs = counters.lengths, counters.entered, plan.order, plan.arcs
     # vertices before start_vertex in topological order cannot be reached
-    for v, arcs in plan.order[plan.position[start_vertex] + 1 :]:
-        best = 0
-        winners: list[str] = []
-        for name, u, rank in arcs:  # priority order: first winner is e*(v)
-            tu = tau.get(u)
-            if tu is None:
+    for v in range(start_vertex + 1, n):
+        best = unreached = UNREACHED
+        for e, u, _ in order[v]:  # priority order: first winner is e*(v)
+            tu = tau[u]
+            if tu == unreached:
                 continue
             val = tu + 1
             # agents ahead: those queued at tu less the entrants ranked no
             # higher; every entrant at tu is queued at tu
-            queued = sizes.get(name, _EMPTY).get(tu)
+            queued = lengths[e][tu]
             if queued:
                 val += queued
-                ref = ref_rank[u]
+                ref = start_rank if u == start_vertex else arcs[estar[u]][2]
                 if ref >= 0:
-                    for r in entrant_ranks[name].get(tu, ()):
+                    for r in entered[e][tu]:
                         if r >= ref:
                             val -= 1
-            if not winners or val < best:
+            if val < best:
                 best = val
-                winners = [name]
-                top = rank
+                winners = [e]
             elif val == best:
-                winners.append(name)
-        if winners:
+                winners.append(e)
+        if best < unreached:
             tau[v] = best
             estar[v] = winners[0]
-            achieving[v] = tuple(winners)
-            ref_rank[v] = top
-    return EarliestArrivalTable(zeta, start_time, start_vertex, tau, estar, achieving)
+            achieving[v] = winners
+    return EarliestArrivalTable(zeta, start_time, start_vertex, plan, base, tau, estar, achieving)
 
 
 def fixed_counters(
@@ -170,7 +278,7 @@ def fixed_counters(
     """Simulate the fixed agents with the deviator removed and index the queues."""
     others = [a for a in config.agents() if a in fixed and a != zeta]
     if not others:
-        return QueueCounters()
+        return QueueCounters(graph, config.time)
     sub = config.restrict(others)
     trace = run_paths(graph, sub, {a: fixed[a] for a in others})
     return QueueCounters.from_trace(graph, trace)
@@ -186,11 +294,13 @@ def queued_agent_table(
 ) -> EarliestArrivalTable:
     """Earliest-arrival table of an agent with idx agents ahead of it in the
     queue of edge_name at the given time."""
-    edge = graph.edge(edge_name)
-    table = dp_from_vertex(graph, zeta, start_vertex=edge.head, start_time=time + idx + 1,
-                           start_edge=edge_name, start_rank=graph.rank(edge_name), counters=counters)
+    plan = graph.plan()
+    e = plan.edge_id[edge_name]
+    tail, head, rank = plan.arcs[e]
+    table = dp_from_vertex(graph, zeta, start_vertex=head, start_time=time + idx + 1,
+                           start_edge=e, start_rank=rank, counters=counters)
     # the agent counts as reaching its current tail at the configuration time
-    table.tau[edge.tail] = time
+    table.time_at[tail] = time - counters.start_time
     return table
 
 
@@ -224,7 +334,7 @@ def best_response_path(
     if table is None:
         table = earliest_arrival_table(graph, config, fixed, zeta)
     d = graph.destination
-    if d not in table.tau:
+    if math.isinf(table.arrival(d)):
         raise Unreachable(f"{zeta} cannot reach {d!r}")
     edge_name, _ = config.locate(zeta)
     return (edge_name,) + table.path_to(graph, d)

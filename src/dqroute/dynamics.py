@@ -193,6 +193,12 @@ def run_paths(
     Deterministic: identical inputs produce identical traces.
     """
     validate_paths(graph, config, paths)
+    return _simulate(graph, config, paths, horizon)
+
+
+def _simulate(graph: Graph, config: Configuration, paths: Mapping[Agent, Sequence[str]],
+              horizon: Optional[int] = None) -> RoutingTrace:
+    """`run_paths` without validation, for paths drawn from the configuration's menus."""
     limit = horizon if horizon is not None else default_horizon(graph, config)
     t = config.time
     queues = {e: list(q) for e, q in config.queues}

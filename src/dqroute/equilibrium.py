@@ -11,6 +11,7 @@ from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from .bestresponse import (
+    UNREACHED,
     EarliestArrivalTable,
     QueueCounters,
     best_response_path,
@@ -18,7 +19,7 @@ from .bestresponse import (
     fixed_counters,
     queued_agent_table,
 )
-from .dynamics import Configuration, RoutingTrace, run_paths
+from .dynamics import Configuration, RoutingTrace, _simulate, run_paths
 from .errors import BaseInvarianceViolated, DQRouteError, NotAnNE, TooManyProfiles, Unreachable
 from .netcore import Agent, Graph
 
@@ -27,12 +28,17 @@ PathProfile = Mapping[Agent, tuple[str, ...]]
 
 @dataclass(frozen=True)
 class SolveStage:
-    """Snapshot of one solver iteration, kept for the domination checks."""
+    """Snapshot of one solver iteration, kept for the domination checks: the
+    chosen agent's earliest-arrival table, read through its `tau` view."""
 
     agent: Agent
     path: tuple[str, ...]
-    tau: dict[str, int]
+    table: EarliestArrivalTable
     assigned_before: tuple[Agent, ...]
+
+    @property
+    def tau(self) -> dict[str, int]:
+        return self.table.tau
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,10 @@ def iterative_dominating_profile(
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
     stages: list[SolveStage] = []
-    r = config.time
-    counters = QueueCounters()
+    r = config.time  # index time 0 of the index and the tables
+    plan = graph.plan()
+    arcs = plan.arcs
+    counters = QueueCounters(graph, r)
     if assigned and remaining:
         counters = fixed_counters(graph, config, assigned, zeta=Agent("~none"))
     start_edge: dict[Agent, str] = {}
@@ -125,55 +133,57 @@ def iterative_dominating_profile(
         for j in remaining:
             if j not in tables:
                 tables[j] = queued_agent_table(graph, j, start_edge[j], r, ahead[j], counters)
-        w = graph.destination
+        w = plan.vertex_id[graph.destination]
         pool = list(remaining)
-        path_rev: list[str] = []
+        path_rev: list[int] = []
         while True:
-            taus = {j: tables[j].arrival(w) for j in pool}
+            taus = {j: tables[j].time_at[w] for j in pool}
             tau = min(taus.values())
-            if math.isinf(tau):
-                raise Unreachable(f"no remaining agent reaches {w!r}")
-            if tau < r + 1:
+            if tau == UNREACHED:
+                raise Unreachable(f"no remaining agent reaches {plan.vertices[w]!r}")
+            if tau < 1:  # a start tail, reached at r
                 break
             pool = [j for j in pool if taus[j] == tau]
             cands = set()
             for j in pool:
-                cands.update(tables[j].achieving.get(w, ()))
-            uw = min(cands, key=graph.rank)
+                cands.update(tables[j].achieving_at[w])
+            uw = min(cands, key=lambda e: arcs[e][2])
             # survivors must share the chosen ending edge (tie-break on last edges)
-            pool = [j for j in pool if uw in tables[j].achieving.get(w, ())]
+            pool = [j for j in pool if uw in tables[j].achieving_at[w]]
             path_rev.append(uw)
-            w = graph.edge(uw).tail
-        path = tuple(reversed(path_rev))
+            w = arcs[uw][0]
+        path_rev.reverse()
+        path = tuple(plan.edges[e] for e in path_rev)
         line = config.queue(path[0])
         in_line = [a for a in line if a in pool]
         assert in_line, "backward walk must stop at a candidate's current edge"
         chosen = in_line[0]
         behind = line[line.index(chosen) + 1 :]
         assert not any(a in assigned for a in behind), "an assigned agent queues behind"
-        times = tables.pop(chosen).tau
+        table = tables.pop(chosen)
         order.append(chosen)
         stages.append(
             SolveStage(
                 agent=chosen,
                 path=path,
-                tau=times,
+                table=table,
                 assigned_before=tuple(order[:-1]),
             )
         )
         assigned[chosen] = path
         remaining.remove(chosen)
 
-        counters.assert_displaces_none(graph, path, times, -1)
-        counters.commit(graph, path, times, -1)
+        times = table.time_at
+        counters.assert_displaces_none(path_rev, times, -1)
+        counters.commit(path_rev, times, -1)
         # tables reach vertices after r, so cells at r are never read
-        vs = graph.path_vertices(path)
-        touched = [(u, max(times[u], r + 1), times[v]) for u, v in zip(vs, vs[1:])]
+        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_rev)]
         for a in behind:
             ahead[a] += 1
             tables.pop(a, None)
         for j, table in list(tables.items()):
-            if any(lo <= table.tau.get(u, r) < hi for u, lo, hi in touched):
+            at = table.time_at
+            if any(lo <= at[u] < hi for u, lo, hi in touched):
                 del tables[j]
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))
@@ -275,7 +285,7 @@ class ExitTable:
     def trace(self, graph: Graph, profile: PathProfile) -> RoutingTrace:
         key = tuple(profile[a] for a in self.agents)
         if key not in self.traces:
-            self.traces[key] = run_paths(graph, self.config, profile)
+            self.traces[key] = _simulate(graph, self.config, profile)
         return self.traces[key]
 
 
@@ -487,7 +497,7 @@ def _check_batches(graph, world, profile, trace, batches, menus, options, exit_t
     rng = random.Random(options.seed)
     independence: Optional[CheckResult] = None
     optimality: Optional[CheckResult] = None
-    simulate = partial(exit_table.trace, graph) if exit_table else partial(run_paths, graph, world)
+    simulate = partial(exit_table.trace, graph) if exit_table else partial(_simulate, graph, world)
     for j, bound in enumerate(batches.times):
         prefix = batches.prefix(j)
         kept = {a: tuple(profile[a]) for a in prefix}

@@ -31,14 +31,18 @@ class Edge:
 
 @dataclass(frozen=True)
 class GraphPlan:
-    """A graph compiled for its hot loops: `order` lists the vertices in
-    topological order, each with its in-arcs (edge, tail, rank) in priority
-    order; `position` indexes `order` by vertex; `arcs` maps every edge to
-    (tail, head, rank)."""
+    """A graph compiled for its hot loops, on integer ids: vertex ids follow
+    the topological order and edge ids the declaration order. `order[v]`
+    lists vertex v's in-arcs (edge, tail, rank) in priority order and
+    `arcs[e]` is edge e's (tail, head, rank). `vertices` and `edges` name
+    the ids, and `vertex_id` and `edge_id` number the names."""
 
-    order: tuple[tuple[str, tuple[tuple[str, str, int], ...]], ...]
-    position: dict[str, int]
-    arcs: dict[str, tuple[str, str, int]]
+    vertices: tuple[str, ...]
+    edges: tuple[str, ...]
+    vertex_id: dict[str, int]
+    edge_id: dict[str, int]
+    order: tuple[tuple[tuple[int, int, int], ...], ...]
+    arcs: tuple[tuple[int, int, int], ...]
 
 
 class Graph:
@@ -124,12 +128,18 @@ class Graph:
     def plan(self) -> GraphPlan:
         """The compiled in-arc plan, built on first use."""
         if self._plan is None:
-            arcs = {n: (e.tail, e.head, self._rank[n]) for n, e in self.edges.items()}
-            order = tuple(
-                (v, tuple((n, arcs[n][0], arcs[n][2]) for n in self.priorities[v]))
-                for v in self.topo_order()
+            vertices = self.topo_order()
+            vertex_id = {v: i for i, v in enumerate(vertices)}
+            edge_id = {n: i for i, n in enumerate(self.edges)}
+            arcs = tuple(
+                (vertex_id[e.tail], vertex_id[e.head], self._rank[n]) for n, e in self.edges.items()
             )
-            self._plan = GraphPlan(order, {v: i for i, (v, _) in enumerate(order)}, arcs)
+            order = tuple(
+                tuple((edge_id[n], vertex_id[self.edges[n].tail], self._rank[n])
+                      for n in self.priorities[v])
+                for v in vertices
+            )
+            self._plan = GraphPlan(vertices, tuple(self.edges), vertex_id, edge_id, order, arcs)
         return self._plan
 
     def reachable_from(self, v: str) -> frozenset[str]:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from dqroute.analysis import OccupancyTrace, RatioVerdict
 from dqroute.bestresponse import (
     EarliestArrivalTable,
-    QueueCounters,
     earliest_arrival_table,
     fixed_counters,
 )
@@ -619,7 +619,7 @@ def reference_dominating_profile(
             SolveStage(
                 agent=chosen,
                 path=path,
-                tau=dict(tables[chosen].tau),
+                table=tables[chosen],
                 assigned_before=tuple(order[:-1]),
             )
         )
@@ -677,41 +677,79 @@ def reference_check_batches(graph, world, profile, trace, batches, menus, option
     )
 
 
-# -- occupancy index, earliest-arrival DP and bound monitors, read through the
-# graph's accessors one arc at a time: the oracles for the compiled-plan versions
+# -- occupancy index, earliest-arrival DP, entry-order router and bound
+# monitors on name-keyed dicts, read through the graph's accessors one arc at
+# a time: the oracles for the id-numbered, list-backed versions
 
 
-def reference_entered_no_higher(counters: QueueCounters, edge: str, t: int, ref_rank: int) -> int:
-    """Entrants of edge at t whose previous-edge rank is no higher than ref_rank."""
-    ranks = counters.entrant_ranks.get(edge, {}).get(t)
-    return len([r for r in ranks if 0 <= ref_rank <= r]) if ranks else 0
+class ReferenceQueueCounters:
+    """The dict-backed occupancy index: the oracle for `QueueCounters`."""
+
+    def __init__(self):
+        self.sizes: dict[str, dict[int, int]] = {}
+        self.entrant_ranks: dict[str, dict[int, list[int]]] = {}
+
+    @classmethod
+    def from_trace(cls, graph: Graph, trace: RoutingTrace) -> "ReferenceQueueCounters":
+        counters = cls()
+        for agent, path in trace.paths.items():
+            counters.commit(graph, path, trace.vertex_times[agent], -1)
+        return counters
+
+    def size(self, edge: str, t: int) -> int:
+        return self.sizes.get(edge, {}).get(t, 0)
+
+    def entered_no_higher(self, edge: str, t: int, ref_rank: int) -> int:
+        """Entrants of edge at t whose previous-edge rank is no higher than ref_rank."""
+        ranks = self.entrant_ranks.get(edge, {}).get(t)
+        return len([r for r in ranks if 0 <= ref_rank <= r]) if ranks else 0
+
+    def commit(
+        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+    ) -> None:
+        for e in path:
+            edge = graph.edge(e)
+            enter = times[edge.tail]
+            sizes = self.sizes.setdefault(e, {})
+            for t in range(enter, times[edge.head]):
+                sizes[t] = sizes.get(t, 0) + 1
+            self.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
+            rank = graph.rank(e)
+
+    def assert_displaces_none(
+        self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
+    ) -> None:
+        for e in path:
+            edge = graph.edge(e)
+            enter = times[edge.tail]
+            assert self.entered_no_higher(e, enter, rank + 1) == 0
+            while_queued = range(enter + 1, times[edge.head])
+            assert self.entrant_ranks.get(e, {}).keys().isdisjoint(while_queued)
+            rank = graph.rank(e)
 
 
-def reference_commit(
-    counters: QueueCounters, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
-) -> None:
-    """The oracle for `QueueCounters.commit`."""
-    for e in path:
-        edge = graph.edge(e)
-        enter = times[edge.tail]
-        sizes = counters.sizes.setdefault(e, {})
-        for t in range(enter, times[edge.head]):
-            sizes[t] = sizes.get(t, 0) + 1
-        counters.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
-        rank = graph.rank(e)
+@dataclass
+class ReferenceArrivalTable:
+    """The name-keyed earliest-arrival table: the oracle for the views of
+    `EarliestArrivalTable`."""
 
+    zeta: Agent
+    start_time: int
+    start_vertex: str
+    tau: dict[str, int]
+    estar: dict[str, str]
+    achieving: dict[str, tuple[str, ...]]
 
-def reference_assert_displaces_none(
-    counters: QueueCounters, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int
-) -> None:
-    """The oracle for `QueueCounters.assert_displaces_none`."""
-    for e in path:
-        edge = graph.edge(e)
-        enter = times[edge.tail]
-        assert reference_entered_no_higher(counters, e, enter, rank + 1) == 0
-        while_queued = range(enter + 1, times[edge.head])
-        assert counters.entrant_ranks.get(e, {}).keys().isdisjoint(while_queued)
-        rank = graph.rank(e)
+    def arrival(self, vertex: str) -> float:
+        return self.tau.get(vertex, math.inf)
+
+    def path_to(self, graph: Graph, vertex: str) -> tuple[str, ...]:
+        path: list[str] = []
+        while vertex != self.start_vertex:
+            e = self.estar[vertex]
+            path.append(e)
+            vertex = graph.edge(e).tail
+        return tuple(reversed(path))
 
 
 def reference_dp_from_vertex(
@@ -721,9 +759,9 @@ def reference_dp_from_vertex(
     start_time: int,
     start_edge: Optional[str],
     start_rank: int,
-    counters: QueueCounters,
-) -> EarliestArrivalTable:
-    """The oracle for `bestresponse.dp_from_vertex`."""
+    counters: ReferenceQueueCounters,
+) -> ReferenceArrivalTable:
+    """The oracle for `bestresponse.dp_from_vertex`, on names."""
     tau: dict[str, int] = {start_vertex: start_time}
     estar: dict[str, str] = {}
     ref_rank: dict[str, int] = {start_vertex: start_rank}
@@ -741,9 +779,7 @@ def reference_dp_from_vertex(
             tu = tau.get(u)
             if tu is None:
                 continue
-            ahead = counters.size(name, tu) - reference_entered_no_higher(
-                counters, name, tu, ref_rank[u]
-            )
+            ahead = counters.size(name, tu) - counters.entered_no_higher(name, tu, ref_rank[u])
             val = tu + 1 + ahead
             if val < best:
                 best = val
@@ -755,7 +791,7 @@ def reference_dp_from_vertex(
             estar[v] = winners[0]
             achieving[v] = tuple(winners)
             ref_rank[v] = graph.rank(winners[0])
-    return EarliestArrivalTable(
+    return ReferenceArrivalTable(
         zeta=zeta,
         start_time=start_time,
         start_vertex=start_vertex,
@@ -763,6 +799,88 @@ def reference_dp_from_vertex(
         estar=estar,
         achieving=achieving,
     )
+
+
+def reference_queued_agent_table(
+    graph: Graph, zeta: Agent, edge_name: str, time: int, idx: int,
+    counters: ReferenceQueueCounters,
+) -> ReferenceArrivalTable:
+    """The oracle for `bestresponse.queued_agent_table`."""
+    edge = graph.edge(edge_name)
+    table = reference_dp_from_vertex(graph, zeta, edge.head, time + idx + 1, edge_name,
+                                     graph.rank(edge_name), counters)
+    table.tau[edge.tail] = time
+    return table
+
+
+class ReferenceRoute(NamedTuple):
+    """The entry-order router's output, with the dict-backed index."""
+
+    paths: dict[Agent, tuple[str, ...]]
+    arrivals: dict[Agent, dict[str, int]]
+    exit_times: dict[Agent, int]
+    timelines: ReferenceQueueCounters
+
+
+def reference_route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> ReferenceRoute:
+    """The oracle for `analysis.route_entry_order`."""
+    timelines = ReferenceQueueCounters()
+    paths: dict[Agent, tuple[str, ...]] = {}
+    arrivals: dict[Agent, dict[str, int]] = {}
+    exits: dict[Agent, int] = {}
+    d = net.destination
+    for r, wave in schedule.waves:
+        for slot, agent in enumerate(wave, start=1):
+            table = reference_dp_from_vertex(net, agent, net.origin, r, None, slot - 1, timelines)
+            assert d in table.tau, "validated networks always reach the destination"
+            path = table.path_to(net, d)
+            times = {v: table.tau[v] for v in net.path_vertices(path)}
+            timelines.assert_displaces_none(net, path, times, slot - 1)
+            timelines.commit(net, path, times, slot - 1)
+            paths[agent] = path
+            arrivals[agent] = times
+            exits[agent] = times[d]
+    return ReferenceRoute(paths, arrivals, exits, timelines)
+
+
+def reference_occupancy_trace(net: UnitNetwork, result: ReferenceRoute) -> OccupancyTrace:
+    """The oracle for `analysis.occupancy_trace`, from the dict-backed index."""
+    horizon = max(result.exit_times.values(), default=0)
+    per_edge = {e: [0] * (horizon + 1) for e in result.timelines.sizes}
+    for e, counts in result.timelines.sizes.items():
+        series = per_edge[e]
+        for t, n in counts.items():
+            if t <= horizon:
+                series[t] = n
+    total = [sum(col) for col in zip(*per_edge.values())] if per_edge else [0] * (horizon + 1)
+    entrants = [0] * (horizon + 1)
+    exiters = [0] * (horizon + 1)
+    for agent, t in result.exit_times.items():
+        entrants[agent.entry] += 1
+        exiters[t] += 1
+    return OccupancyTrace(horizon, per_edge, total, entrants, exiters)
+
+
+def reference_arrival_counts(arrivals: Mapping[Agent, Mapping[str, int]]) -> Counter:
+    """Agents reaching each vertex at each time, (vertex, time) -> count."""
+    return Counter(cell for times in arrivals.values() for cell in times.items())
+
+
+def reference_check_simultaneous_arrivals(
+    counts: Counter, max_in_degree: int, origin: str
+) -> tuple[str, bool, str]:
+    """The oracle for `analysis._check_simultaneous_arrivals`: the earliest
+    violation, ties by vertex name."""
+    over = sorted((t, v, n) for (v, t), n in counts.items() if n > max_in_degree and v != origin)
+    detail = f"first violation {(over[0][1], over[0][0], over[0][2])}" if over else ""
+    return ("simultaneous_arrivals_within_max_in_degree", not over, detail)
+
+
+def by_ids(graph: Graph, path: Sequence[str], times: Mapping[str, int]):
+    """A named trajectory on the graph plan's ids, as `QueueCounters` takes it
+    (its times are index times when the index starts at time 0)."""
+    plan = graph.plan()
+    return [plan.edge_id[e] for e in path], {plan.vertex_id[v]: t for v, t in times.items()}
 
 
 def reference_degree_ratio_monitor(

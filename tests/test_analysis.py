@@ -1,18 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dqroute.analysis import (
     OccupancyTrace,
     _check_full_cut_drain,
+    _check_simultaneous_arrivals,
     degree_ratio_monitor,
     occupancy_trace,
     queue_bound_experiment,
     route_entry_order,
     spe_bound_experiment,
 )
+from dqroute.cli import _extended_schedule
 from dqroute.dynamics import run_paths
 from dqroute.equilibrium import iterative_dominating_profile
+from dqroute.fixtures import FIXTURES, load_fixture
 from dqroute.errors import DegreeConditionViolated, InflowExceedsCut, NotSeriesParallel
 from dqroute.netcore import (
     GraphStats,
@@ -30,8 +34,12 @@ from helpers import (
     random_net,
     random_schedule,
     random_sp_net,
+    reference_arrival_counts,
     reference_check_full_cut_drain,
+    reference_check_simultaneous_arrivals,
     reference_degree_ratio_monitor,
+    reference_occupancy_trace,
+    reference_route_entry_order,
     replay_queue_lengths,
     step_replay,
 )
@@ -106,6 +114,48 @@ class TestRouterEquivalence:
                         lengths.get(e, {}).get(t, 0)
             assert occ.conservation_holds()
             done += 1
+
+
+def assert_route_matches_reference(u, schedule):
+    """The id-numbered router and its index against the dict-backed oracle."""
+    result = route_entry_order(u, schedule)
+    expected = reference_route_entry_order(u, schedule)
+    assert list(result.paths.items()) == list(expected.paths.items())
+    assert result.arrivals == expected.arrivals
+    assert result.exit_times == expected.exit_times
+    assert result.timelines.sizes == expected.timelines.sizes
+    assert result.timelines.entrant_ranks == expected.timelines.entrant_ranks
+    assert occupancy_trace(u, result) == reference_occupancy_trace(u, expected)
+
+
+class TestRouterReference:
+    def test_random_sp_nets_at_long_horizons(self):
+        rng = random.Random(31)
+        for _ in range(3):
+            u = unit(random_sp_net(rng, rng.randint(4, 10)))
+            cut, _, _ = leftmost_min_cut(u)
+            width = rng.randint(1, len(cut))
+            assert_route_matches_reference(u, constant_schedule(width, rng.randint(1500, 1600)))
+
+    def test_random_nets_and_schedules(self):
+        rng = random.Random(32)
+        done = 0
+        while done < 30:
+            net = random_net(rng, max_v=7, max_e=10)
+            if net is None:
+                continue
+            assert_route_matches_reference(unit(net), random_schedule(rng, waves=4, width=3))
+            done += 1
+
+    def test_every_fixture_schedule(self):
+        routed = 0
+        for name in FIXTURES:
+            loaded = load_fixture(name)
+            if loaded.schedule is not None:
+                # as `dqroute queue-bound` extends it to the fixture's horizon
+                assert_route_matches_reference(loaded.unit, _extended_schedule(loaded, None))
+                routed += 1
+        assert routed == 4
 
 
 class TestQueueBound:
@@ -185,7 +235,7 @@ class TestBoundMonitors:
             # a jolted copy and a tight bound make the monitors fail too
             jolted = OccupancyTrace(
                 occ.horizon, {e: list(s) for e, s in occ.per_edge.items()}, occ.total,
-                occ.entrants, occ.exiters, occ.arrival_counts,
+                occ.entrants, occ.exiters,
             )
             for series in jolted.per_edge.values():
                 series[rng.randrange(len(series))] += rng.randint(1, 30)
@@ -209,7 +259,7 @@ class TestBoundMonitors:
         stats = validate_and_stats(u)  # m = 4: n_i <= 32 (8 + n_j)
         # the left side overflows at the last time step
         per_edge = {"e1": [0, 1, 300], "e2": [0, 0, 1], "e3": [0, 5, 0]}
-        trace = OccupancyTrace(2, per_edge, [0, 6, 301], [0] * 3, [0] * 3, {})
+        trace = OccupancyTrace(2, per_edge, [0, 6, 301], [0] * 3, [0] * 3)
         verdicts = degree_ratio_monitor(trace, decomp, stats)
         assert [(v.ok, v.worst_time, v.worst_pair) for v in verdicts] == [(False, 2, (301, 0))]
         assert verdicts == reference_degree_ratio_monitor(trace, decomp, stats)
@@ -220,7 +270,7 @@ class TestBoundMonitors:
         assert cut == {"e0"}
         # e0 is full at 0 and nobody enters, yet the left side keeps its agent
         trace = OccupancyTrace(2, {"e0": [1, 1, 0], "e1": [0, 0, 1]}, [1, 1, 1],
-                               [0, 0, 0], [0, 0, 0], {})
+                               [0, 0, 0], [0, 0, 0])
         drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
         assert drain == ("full_cut_drain", False,
                          "t=0: left occupancy 1->1 with inflow 0, cut 1")
@@ -271,9 +321,39 @@ class TestObservationBound:
             stats = validate_and_stats(u)
             schedule = random_schedule(rng, waves=3, width=min(3, stats.max_in_degree + 1))
             result = route_entry_order(u, schedule)
-            occ = occupancy_trace(u, result)
-            for (v, t), n in occ.arrival_counts.items():
+            for (v, t), n in reference_arrival_counts(result.arrivals).items():
                 if v == u.origin:
                     continue
                 assert n <= stats.max_in_degree
+            check = _check_simultaneous_arrivals(result.arrival_counts, stats.max_in_degree)
+            assert check == ("simultaneous_arrivals_within_max_in_degree", True, "")
             done += 1
+
+    def test_counts_match_the_counter_oracle_and_violations_are_reported(self):
+        rng = random.Random(78)
+        seen = set()
+        for _ in range(20):
+            u = unit(random_sp_net(rng, rng.randint(2, 7)))
+            cut, _, _ = leftmost_min_cut(u)
+            result = route_entry_order(u, constant_schedule(rng.randint(1, len(cut)), 30))
+            counter = reference_arrival_counts(result.arrivals)
+            counts = {(v, t): n for v, series in result.arrival_counts.items()
+                      for t, n in enumerate(series) if n}
+            assert counts == {cell: n for cell, n in counter.items() if cell[0] != u.origin}
+            # bounds at and below the busiest vertex make the check fail too
+            for bound in {validate_and_stats(u).max_in_degree, max(counts.values()) - 1}:
+                check = _check_simultaneous_arrivals(result.arrival_counts, bound)
+                assert check == reference_check_simultaneous_arrivals(counter, bound, u.origin)
+                seen.add(check[1])
+        assert seen == {True, False}
+
+    def test_hand_built_simultaneous_arrival_failure(self):
+        # two vertices see three arrivals; the earliest is reported
+        counts = {"o": [0, 0, 0, 0], "u": [0, 1, 0, 3], "w": [0, 0, 3, 1], "d": [0, 0, 1, 2]}
+        check = _check_simultaneous_arrivals(counts, 2)
+        assert check == ("simultaneous_arrivals_within_max_in_degree", False,
+                         "first violation ('w', 2, 3)")
+        counter = Counter({(v, t): n for v, series in counts.items()
+                           for t, n in enumerate(series) if n})
+        assert check == reference_check_simultaneous_arrivals(counter, 2, "o")
+        assert _check_simultaneous_arrivals(counts, 3)[1]

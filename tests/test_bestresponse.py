@@ -10,19 +10,23 @@ from dqroute.bestresponse import (
     dominates,
     dp_from_vertex,
     earliest_arrival_table,
+    queued_agent_table,
 )
 from dqroute.dynamics import Configuration, run_paths
-from dqroute.errors import TooManyPaths, VertexNotOnPath
-from dqroute.fixtures import load_fixture
-from dqroute.netcore import Agent, Network
+from dqroute.errors import DQRouteError, TooManyPaths, VertexNotOnPath
+from dqroute.equilibrium import iterative_dominating_profile
+from dqroute.fixtures import FIXTURES, load_fixture
+from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 
 from helpers import (
+    ReferenceQueueCounters,
+    by_ids,
     random_fixed_paths,
     random_interim_config,
     random_net,
-    reference_assert_displaces_none,
-    reference_commit,
+    random_schedule,
     reference_dp_from_vertex,
+    reference_queued_agent_table,
     replay_queue_lengths,
     step_replay,
 )
@@ -100,7 +104,7 @@ class TestQueueCounters:
         counters = QueueCounters.from_trace(net, trace)
         assert counters.sizes == {"od": {0: 1}}
         assert counters.entrant_ranks == {"od": {0: [-1]}}
-        counters.commit(net, ("od",), {"o": 0, "d": 3}, -1)
+        counters.commit(*by_ids(net, ("od",), {"o": 0, "d": 3}), -1)
         # a commit grows this index only, not the trace or a second index
         assert trace == run_paths(net, c, {A: ("od",)})
         assert QueueCounters.from_trace(net, trace).sizes == {"od": {0: 1}}
@@ -113,17 +117,17 @@ class TestQueueCounters:
              ("wd", "w", "d")],
             priorities={"w": ["vw", "uw"]},
         )
-        counters = QueueCounters()
-        counters.commit(net, ("ou", "uw", "wd"), {"o": 0, "u": 1, "w": 2, "d": 3}, -1)
+        counters = QueueCounters(net)
+        counters.commit(*by_ids(net, ("ou", "uw", "wd"), {"o": 0, "u": 1, "w": 2, "d": 3}), -1)
         # entering wd at 2 over vw outranks the committed entrant over uw
         with pytest.raises(AssertionError):
             counters.assert_displaces_none(
-                net, ("ov", "vw", "wd"), {"o": 0, "v": 1, "w": 2, "d": 4}, -1
+                *by_ids(net, ("ov", "vw", "wd"), {"o": 0, "v": 1, "w": 2, "d": 4}), -1
             )
         # queuing on wd from 1 to 4 puts the entrant at 2 behind it
         with pytest.raises(AssertionError):
-            counters.assert_displaces_none(net, ("wd",), {"w": 1, "d": 4}, -1)
-        counters.assert_displaces_none(net, ("wd",), {"w": 3, "d": 4}, 0)
+            counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 1, "d": 4}), -1)
+        counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 3, "d": 4}), 0)
 
 
 def random_trajectory(rng: random.Random, net: Network):
@@ -146,11 +150,11 @@ def random_nets_with_counters(rng: random.Random, count: int):
         net = random_net(rng, max_v=7, max_e=11)
         if net is None:
             continue
-        counters, reference = QueueCounters(), QueueCounters()
+        counters, reference = QueueCounters(net), ReferenceQueueCounters()
         for _ in range(rng.randint(0, 10)):
             path, times, rank = random_trajectory(rng, net)
-            counters.commit(net, path, times, rank)
-            reference_commit(reference, net, path, times, rank)
+            counters.commit(*by_ids(net, path, times), rank)
+            reference.commit(net, path, times, rank)
         out.append((net, counters, reference))
     return out
 
@@ -167,16 +171,16 @@ class TestCompiledPlan:
     def test_displacement_check_matches_the_reference(self):
         rng = random.Random(12)
         outcomes = set()
-        for net, counters, _ in random_nets_with_counters(rng, 40):
+        for net, counters, reference in random_nets_with_counters(rng, 40):
             for _ in range(10):
                 path, times, rank = random_trajectory(rng, net)
                 expected = refused = False
                 try:
-                    reference_assert_displaces_none(counters, net, path, times, rank)
+                    reference.assert_displaces_none(net, path, times, rank)
                 except AssertionError:
                     expected = True
                 try:
-                    counters.assert_displaces_none(net, path, times, rank)
+                    counters.assert_displaces_none(*by_ids(net, path, times), rank)
                 except AssertionError:
                     refused = True
                 assert refused == expected, (path, times, rank)
@@ -185,20 +189,167 @@ class TestCompiledPlan:
 
     def test_tables_match_the_reference_dp(self):
         rng = random.Random(13)
-        for net, counters, _ in random_nets_with_counters(rng, 30):
+        for net, counters, reference in random_nets_with_counters(rng, 30):
+            plan = net.plan()
             for v in net.vertices:
                 starts = [(None, r) for r in range(-1, 3)]
                 starts += [(e, net.rank(e)) for e in net.in_edges(v)]
                 for start_edge, start_rank in starts:
-                    args = (net, A, v, rng.randint(0, 6), start_edge, start_rank, counters)
-                    table = dp_from_vertex(*args)
-                    assert table == reference_dp_from_vertex(*args)
+                    t = rng.randint(0, 6)
+                    table = dp_from_vertex(
+                        net, A, plan.vertex_id[v], t,
+                        None if start_edge is None else plan.edge_id[start_edge], start_rank,
+                        counters,
+                    )
+                    expected = reference_dp_from_vertex(
+                        net, A, v, t, start_edge, start_rank, reference
+                    )
+                    assert (table.tau, table.estar, table.achieving) == \
+                        (expected.tau, expected.estar, expected.achieving)
                     for w in table.tau:
                         path, at = [], w
                         while at != v:
                             path.insert(0, table.estar[at])
                             at = net.edge(table.estar[at]).tail
                         assert table.path_to(net, w) == tuple(path)
+
+
+def assert_solver_index_matches_reference(graph, config):
+    """Replay a solve's commits on the list-backed index and on the dict
+    oracle: before each commit every unassigned agent's table, and after it
+    both indexes, must read alike through the name-keyed views."""
+    result = iterative_dominating_profile(graph, config)
+    counters, reference = QueueCounters(graph, config.time), ReferenceQueueCounters()
+    r = config.time
+    assigned: set = set()
+    for stage in result.stages:
+        for e, q in config.queues:
+            ahead = 0
+            for a in q:
+                if a in assigned:
+                    ahead += 1
+                    continue
+                table = queued_agent_table(graph, a, e, r, ahead, counters)
+                expected = reference_queued_agent_table(graph, a, e, r, ahead, reference)
+                assert (table.tau, table.estar, table.achieving) == \
+                    (expected.tau, expected.estar, expected.achieving)
+                if a == stage.agent:
+                    assert stage.tau == expected.tau
+        index_times = {v: t - r for v, t in stage.tau.items()}
+        counters.assert_displaces_none(*by_ids(graph, stage.path, index_times), -1)
+        reference.assert_displaces_none(graph, stage.path, stage.tau, -1)
+        counters.commit(*by_ids(graph, stage.path, index_times), -1)
+        reference.commit(graph, stage.path, stage.tau, -1)
+        assert counters.sizes == reference.sizes
+        assert counters.entrant_ranks == reference.entrant_ranks
+        assigned.add(stage.agent)
+    return result
+
+
+class TestIndexThroughTheSolver:
+    """The list-backed index and DP against the dict oracles on the states a
+    solve goes through."""
+
+    def test_interim_configurations(self):
+        rng = random.Random(41)
+        done = 0
+        while done < 25:
+            net = random_net(rng, max_v=7, max_e=10)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=7)
+            assert_solver_index_matches_reference(net, config)
+            # the index counts from the configuration's time, whatever it is
+            for time in (-3, 10**9):
+                moved = Configuration(time, config.queues)
+                shifted = assert_solver_index_matches_reference(net, moved)
+                assert shifted.paths == iterative_dominating_profile(net, config).paths
+            done += 1
+
+    def test_schedule_configurations(self):
+        rng = random.Random(42)
+        done = 0
+        while done < 15:
+            net = random_net(rng, max_v=6, max_e=9)
+            if net is None:
+                continue
+            ext, c0 = build_extended(normalize_to_unit(net), random_schedule(rng, waves=3, width=3))
+            assert_solver_index_matches_reference(ext.graph, c0)
+            done += 1
+
+    def test_every_fixture(self):
+        for name in FIXTURES:
+            loaded = load_fixture(name)
+            assert_solver_index_matches_reference(loaded.graph, loaded.config)
+
+    def test_simulated_indexes(self):
+        rng = random.Random(43)
+        done = 0
+        while done < 25:
+            net = random_net(rng, max_v=7, max_e=10)
+            if net is None:
+                continue
+            config, _ = random_interim_config(rng, net, max_agents=6)
+            trace = run_paths(net, config, random_fixed_paths(rng, net, config))
+            counters = QueueCounters.from_trace(net, trace)
+            reference = ReferenceQueueCounters.from_trace(net, trace)
+            assert counters.sizes == reference.sizes
+            assert counters.entrant_ranks == reference.entrant_ranks
+            for e, q in config.queues:
+                for idx, a in enumerate(q):
+                    table = queued_agent_table(net, a, e, config.time, idx + 1, counters)
+                    expected = reference_queued_agent_table(
+                        net, a, e, config.time, idx + 1, reference
+                    )
+                    assert (table.tau, table.estar, table.achieving) == \
+                        (expected.tau, expected.estar, expected.achieving)
+            done += 1
+
+
+class TestPadding:
+    def test_times_before_the_start_are_refused(self):
+        net = Network.build("o", "d", [("od", "o", "d")])
+        o = net.plan().vertex_id["o"]
+        for start in (0, 5, -3):
+            counters = QueueCounters(net, start)
+            # commits take index times, counted from the start
+            with pytest.raises(DQRouteError):
+                counters.commit(*by_ids(net, ("od",), {"o": -1, "d": 1}), -1)
+            with pytest.raises(DQRouteError):
+                dp_from_vertex(net, A, o, start - 1, None, 0, counters)
+            assert counters.committed == [] and counters.frontier == 0
+            counters.commit(*by_ids(net, ("od",), {"o": 0, "d": 2}), -1)
+            assert counters.sizes == {"od": {start: 1, start + 1: 1}}
+            assert dp_from_vertex(net, A, o, start, None, 0, counters).tau == {
+                "o": start, "d": start + 2
+            }
+
+    def test_tables_stay_inside_the_padding_behind_a_queue_up_to_the_frontier(self):
+        # on a path of n vertices, q agents queue on the first edge from 0 and
+        # leave it at 1..q, the frontier; a DP from the origin at t0 waits
+        # behind them when t0 < q and then takes one step per hop, reaching
+        # the destination at max(frontier, t0) + n - 1: the last padded cell
+        n, q = 10, 3
+        vs = ["o"] + [f"v{i}" for i in range(1, n - 1)] + ["d"]
+        net = Network.build("o", "d", [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+        plan = net.plan()
+        o, d = plan.vertex_id["o"], plan.vertex_id["d"]
+        for t0 in range(q + 3):
+            counters = QueueCounters(net)
+            for i in range(1, q + 1):
+                counters.commit(*by_ids(net, ("e0",), {"o": 0, "v1": i}), -1)
+            assert counters.frontier == q and counters.committed == [plan.edge_id["e0"]]
+            # the edges nothing commits to share one list, as long as the others
+            assert len({id(cells) for cells in counters.lengths}) == 2
+            table = dp_from_vertex(net, A, o, t0, None, 0, counters)
+            assert table.time_at[d] == max(q, t0) + n - 1
+            assert all(len(cells) == counters.length
+                       for cells in counters.lengths + counters.entered)
+            assert max(table.tau.values()) < counters.length
+            reference = ReferenceQueueCounters()
+            for i in range(1, q + 1):
+                reference.commit(net, ("e0",), {"o": 0, "v1": i}, -1)
+            assert table.tau == reference_dp_from_vertex(net, A, "o", t0, None, 0, reference).tau
 
 
 class TestBruteForce:
