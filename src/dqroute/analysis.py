@@ -3,6 +3,7 @@ parallel-composition ratio monitor, and the two boundedness checks."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,15 +23,13 @@ from .netcore import (
 
 @dataclass
 class RouterResult:
-    """Equilibrium routing of a whole schedule, agent by agent in entry order.
-    `timelines` counts from time 0, and arrival_counts[v][t] is the number of
-    agents reaching vertex v at t."""
+    """Equilibrium routing of a whole schedule, agent by agent in entry order:
+    each agent's path and exit time, and the occupancy index of all their
+    trajectories, counting from time 0."""
 
     paths: dict[Agent, tuple[str, ...]]
-    arrivals: dict[Agent, dict[str, int]]
     exit_times: dict[Agent, int]
     timelines: QueueCounters
-    arrival_counts: dict[str, list[int]]
 
 
 def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResult:
@@ -42,38 +41,23 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     edge with rank slot - 1, after the solver's no-displacement check.
     """
     plan = net.plan()
-    names, edge_names, arcs = plan.vertices, plan.edges, plan.arcs
+    edge_names = plan.edges
     timelines = QueueCounters(net)
-    # arrivals per vertex and time, as long as the index's lists, which every
-    # time a DP produces indexes (see QueueCounters)
-    counts: list[list[int]] = [[] for _ in names]
     paths: dict[Agent, tuple[str, ...]] = {}
-    arrivals: dict[Agent, dict[str, int]] = {}
     exits: dict[Agent, int] = {}
     o, d = plan.vertex_id[net.origin], plan.vertex_id[net.destination]
     for r, wave in schedule.waves:
         for slot, agent in enumerate(wave, start=1):
-            table = dp_from_vertex(net, agent, start_vertex=o, start_time=r,
-                                   start_edge=None, start_rank=slot - 1, counters=timelines)
+            table = dp_from_vertex(start_vertex=o, start_time=r, start_edge=None,
+                                   start_rank=slot - 1, counters=timelines)
             tau = table.time_at
             assert tau[d] != UNREACHED, "validated networks always reach the destination"
             path = table.edge_path(d)
             timelines.assert_displaces_none(path, tau, slot - 1)
             timelines.commit(path, tau, slot - 1)
-            if len(counts[o]) < timelines.length:
-                for series in counts:
-                    series.extend([0] * (timelines.length - len(series)))
-            times = {names[o]: r}
-            for e in path:
-                v = arcs[e][1]
-                t = tau[v]
-                times[names[v]] = t
-                counts[v][t] += 1
             paths[agent] = tuple([edge_names[e] for e in path])
-            arrivals[agent] = times
             exits[agent] = tau[d]
-    return RouterResult(paths=paths, arrivals=arrivals, exit_times=exits, timelines=timelines,
-                        arrival_counts=dict(zip(names, counts)))
+    return RouterResult(paths=paths, exit_times=exits, timelines=timelines)
 
 
 # -- occupancy bookkeeping ---------------------------------------------------------
@@ -123,16 +107,23 @@ def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
 
 
 def _check_simultaneous_arrivals(
-    arrival_counts: dict[str, list[int]], max_in_degree: int
+    net: UnitNetwork, result: RouterResult, max_in_degree: int
 ) -> tuple[str, bool, str]:
-    """No vertex sees more simultaneous arrivals than the maximum in-degree
-    (the router counts no arrival at the origin); the detail names the
-    earliest violation."""
-    over = []
-    for v, counts in arrival_counts.items():
-        if max(counts, default=0) > max_in_degree:
-            t = next(t for t, n in enumerate(counts) if n > max_in_degree)
-            over.append((t, v, counts[t]))
+    """No vertex but the origin sees more simultaneous arrivals than the
+    maximum in-degree; the detail names the earliest violation. Read off the
+    index: the arrivals at an inner vertex at t are the entrants of its
+    out-edges at t, and those at the destination are the exits at t."""
+    entered, edge_id = result.timelines.entered, result.timelines.plan.edge_id
+    exits = Counter(result.exit_times.values())
+    over = [(t, net.destination, n) for t, n in exits.items() if n > max_in_degree]
+    for v in net.vertices:
+        if v in (net.origin, net.destination):
+            continue
+        cells = [entered[edge_id[e]] for e in net.out_edges(v)]
+        for t, n in enumerate(map(sum, zip(*(map(len, c) for c in cells)))):
+            if n > max_in_degree:
+                over.append((t, v, n))
+                break
     if not over:
         return ("simultaneous_arrivals_within_max_in_degree", True, "")
     t, v, n = min(over)
@@ -235,7 +226,7 @@ def _experiment_report(
 
     checks = [
         ("occupancy_conservation", trace.conservation_holds(), ""),
-        _check_simultaneous_arrivals(result.arrival_counts, stats.max_in_degree),
+        _check_simultaneous_arrivals(net, result, stats.max_in_degree),
     ]
     report = BoundReport(
         horizon=trace.horizon,

@@ -25,17 +25,20 @@ class QueueCounters:
     `entrant_ranks`, built on read, and `size` use absolute times.
 
     It is written only by `commit`, one trajectory at a time: all of a
-    simulation's trajectories (`from_trace`) or each chosen path of a solver.
+    simulation's trajectories (`from_trace`), each chosen path of a solver,
+    or each agent the entry-order router routes, whose arrivals at an inner
+    vertex are then the entrants of the vertex's out-edges.
     Initial queue members rank -1, strictly ahead of any entrant. Edges that
     nothing commits to share one list of zeros and one of empty cells.
 
     Padding, in index times: a DP starting at s0 first pads every list to
     max(frontier, s0) + |V| cells, `frontier` being the latest committed
     leave time, and it produces no time, and so reads no cell, past that.
-    Under unit capacity at most one agent leaves an edge per step, so a queue
-    at t holds at most frontier - t agents and a hop from it arrives by
-    frontier + 1; past the frontier every hop costs exactly one step, and a
-    path has < |V| hops.
+    Under unit capacity, which `commit` holds by refusing a trajectory that
+    leaves an edge in the same step as an indexed agent, at most one agent
+    leaves an edge per step, so a queue at t holds at most frontier - t
+    agents and a hop from it arrives by frontier + 1; past the frontier
+    every hop costs exactly one step, and a path has < |V| hops.
     """
 
     def __init__(self, graph: Graph, start_time: int = 0):
@@ -100,17 +103,27 @@ class QueueCounters:
         queues on each path edge (u, v) during [times[u], times[v]) and enters it
         with the rank of its previous edge, or with the given rank on its first
         edge. Times rise strictly along the path, so every entrant of an edge
-        at t is queued there at t."""
+        at t is queued there at t. Under unit capacity no indexed agent leaves
+        a path edge at the same time: the departures at L, the agents queued at
+        L - 1 less those still queued at L, are 0 or the trajectory is refused."""
         arcs = self.plan.arcs
         enter = times[arcs[path[0]][0]]
         if enter < 0:
             raise DQRouteError(f"a trajectory enters before its index's start {self.start_time}")
         last = times[arcs[path[-1]][1]]
+        if last >= self.length:
+            self.pad(last + 1)  # the departure check reads the cell at the last leave time
+        lengths, entered, zeros = self.lengths, self.entered, self._zeros
+        for e in path:
+            leave = times[arcs[e][1]]
+            sizes = lengths[e]
+            if sizes[leave - 1] - sizes[leave] + len(entered[e][leave]):
+                raise DQRouteError(
+                    f"a trajectory leaves edge {self.plan.edges[e]!r} at index time {leave} "
+                    "with an indexed agent"
+                )
         if last > self.frontier:
             self.frontier = last
-            if last > self.length:
-                self.pad(last)
-        lengths, entered, zeros = self.lengths, self.entered, self._zeros
         for e in path:  # consecutive edges: each one's head is the next one's tail
             _, head, next_rank = arcs[e]
             leave = times[head]
@@ -151,17 +164,14 @@ class QueueCounters:
 class EarliestArrivalTable:
     """On the plan's ids: the deviator reaches v at base + time_at[v] at the
     earliest (time_at[v] is an index time of the DP's `QueueCounters`, or
-    UNREACHED), estar_at[v] is the highest-priority entering edge achieving
-    it and achieving_at[v] all of them in priority order. `tau`, `estar` and
+    UNREACHED), and achieving_at[v] lists the entering edges achieving it in
+    priority order, so e*(v) is achieving_at[v][0]. `tau`, `estar` and
     `achieving` are the name-keyed views, built on read, in absolute times."""
 
-    zeta: Agent
-    start_time: int
     start_vertex: int
     plan: GraphPlan
     base: int
     time_at: list[int]
-    estar_at: list[Optional[int]]
     achieving_at: list[Optional[list[int]]]
 
     @property
@@ -172,7 +182,7 @@ class EarliestArrivalTable:
     @property
     def estar(self) -> dict[str, str]:
         names, edges = self.plan.vertices, self.plan.edges
-        return {names[v]: edges[e] for v, e in enumerate(self.estar_at) if e is not None}
+        return {names[v]: edges[es[0]] for v, es in enumerate(self.achieving_at) if es is not None}
 
     @property
     def achieving(self) -> dict[str, tuple[str, ...]]:
@@ -189,38 +199,36 @@ class EarliestArrivalTable:
 
     def edge_path(self, v: int) -> list[int]:
         """The edge ids e*(.) from the start vertex to vertex id v, traced back from it."""
-        estar_at, arcs = self.estar_at, self.plan.arcs
+        achieving_at, arcs = self.achieving_at, self.plan.arcs
         path: list[int] = []
         while v != self.start_vertex:
-            e = estar_at[v]
+            e = achieving_at[v][0]
             path.append(e)
             v = arcs[e][0]
         path.reverse()
         return path
 
-    def path_to(self, graph: Graph, vertex: str) -> tuple[str, ...]:
+    def path_to(self, vertex: str) -> tuple[str, ...]:
         """The edges e*(.) from the start vertex to the vertex."""
         edges = self.plan.edges
         return tuple(edges[e] for e in self.edge_path(self.plan.vertex_id[vertex]))
 
 
 def dp_from_vertex(
-    graph: Graph,
-    zeta: Agent,
     start_vertex: int,
     start_time: int,
     start_edge: Optional[int],
     start_rank: int,
     counters: QueueCounters,
 ) -> EarliestArrivalTable:
-    """Run the earliest-arrival recursion from a seeded vertex id in
-    topological order, reading the index's lists (padded first, see
-    `QueueCounters`).
+    """Run the earliest-arrival recursion on the index's plan from a seeded
+    vertex id in topological order, reading the index's lists (padded first,
+    see `QueueCounters`).
 
     start_edge/start_rank describe how the deviator shows up at start_vertex for
     same-time priority comparisons on the first hop.
     """
-    plan = graph.plan()
+    plan = counters.plan
     n = len(plan.vertices)
     base = counters.start_time  # the recursion runs on the index's times
     s0 = start_time - base
@@ -232,11 +240,9 @@ def dp_from_vertex(
     if need + n > counters.length:
         counters.pad(need + n)
     tau = [UNREACHED] * n
-    estar: list[Optional[int]] = [None] * n
     achieving: list[Optional[list[int]]] = [None] * n
     tau[start_vertex] = s0
     if start_edge is not None:
-        estar[start_vertex] = start_edge
         achieving[start_vertex] = [start_edge]
     lengths, entered, order, arcs = counters.lengths, counters.entered, plan.order, plan.arcs
     # vertices before start_vertex in topological order cannot be reached
@@ -252,7 +258,7 @@ def dp_from_vertex(
             queued = lengths[e][tu]
             if queued:
                 val += queued
-                ref = start_rank if u == start_vertex else arcs[estar[u]][2]
+                ref = start_rank if u == start_vertex else arcs[achieving[u][0]][2]
                 if ref >= 0:
                     for r in entered[e][tu]:
                         if r >= ref:
@@ -264,29 +270,23 @@ def dp_from_vertex(
                 winners.append(e)
         if best < unreached:
             tau[v] = best
-            estar[v] = winners[0]
             achieving[v] = winners
-    return EarliestArrivalTable(zeta, start_time, start_vertex, plan, base, tau, estar, achieving)
+    return EarliestArrivalTable(start_vertex, plan, base, tau, achieving)
 
 
 def fixed_counters(
     graph: Graph,
     config: Configuration,
-    fixed: Mapping[Agent, Sequence[str]],
-    zeta: Agent,
+    paths: Mapping[Agent, Sequence[str]],
 ) -> QueueCounters:
-    """Simulate the fixed agents with the deviator removed and index the queues."""
-    others = [a for a in config.agents() if a in fixed and a != zeta]
-    if not others:
+    """Simulate the given agents on their paths and index the queues."""
+    if not paths:
         return QueueCounters(graph, config.time)
-    sub = config.restrict(others)
-    trace = run_paths(graph, sub, {a: fixed[a] for a in others})
+    trace = run_paths(graph, config.restrict(paths), paths)
     return QueueCounters.from_trace(graph, trace)
 
 
 def queued_agent_table(
-    graph: Graph,
-    zeta: Agent,
     edge_name: str,
     time: int,
     idx: int,
@@ -294,10 +294,10 @@ def queued_agent_table(
 ) -> EarliestArrivalTable:
     """Earliest-arrival table of an agent with idx agents ahead of it in the
     queue of edge_name at the given time."""
-    plan = graph.plan()
+    plan = counters.plan
     e = plan.edge_id[edge_name]
     tail, head, rank = plan.arcs[e]
-    table = dp_from_vertex(graph, zeta, start_vertex=head, start_time=time + idx + 1,
+    table = dp_from_vertex(start_vertex=head, start_time=time + idx + 1,
                            start_edge=e, start_rank=rank, counters=counters)
     # the agent counts as reaching its current tail at the configuration time
     table.time_at[tail] = time - counters.start_time
@@ -315,12 +315,14 @@ def earliest_arrival_table(
 
     The deviator's queue position on its current edge seeds the recursion; the
     interim set is the fixed agents plus the deviator, everyone else vanishes.
+    A path of the deviator's own in `fixed` is left out of the index.
     """
     world = config.restrict([a for a in config.agents() if a in fixed or a == zeta])
     edge_name, idx = world.locate(zeta)
     if counters is None:
-        counters = fixed_counters(graph, world, fixed, zeta)
-    return queued_agent_table(graph, zeta, edge_name, config.time, idx, counters)
+        others = {a: fixed[a] for a in world.agents() if a != zeta}
+        counters = fixed_counters(graph, world, others)
+    return queued_agent_table(edge_name, config.time, idx, counters)
 
 
 def best_response_path(
@@ -337,7 +339,7 @@ def best_response_path(
     if math.isinf(table.arrival(d)):
         raise Unreachable(f"{zeta} cannot reach {d!r}")
     edge_name, _ = config.locate(zeta)
-    return (edge_name,) + table.path_to(graph, d)
+    return (edge_name,) + table.path_to(d)
 
 
 def brute_force_best_response(

@@ -27,25 +27,14 @@ PathProfile = Mapping[Agent, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
-class SolveStage:
-    """Snapshot of one solver iteration, kept for the domination checks: the
-    chosen agent's earliest-arrival table, read through its `tau` view."""
-
-    agent: Agent
-    path: tuple[str, ...]
-    table: EarliestArrivalTable
-    assigned_before: tuple[Agent, ...]
-
-    @property
-    def tau(self) -> dict[str, int]:
-        return self.table.tau
-
-
-@dataclass(frozen=True)
 class SolveResult:
+    """The solve order, every agent's path, and the earliest-arrival table each
+    ordered agent was chosen on: tables[i] belongs to order[i], computed
+    against the paths of order[:i] (and of the base, if any)."""
+
     order: tuple[Agent, ...]
     paths: dict[Agent, tuple[str, ...]]
-    stages: tuple[SolveStage, ...]
+    tables: tuple[EarliestArrivalTable, ...]
 
 
 def _check_base_invariance(
@@ -91,7 +80,8 @@ def iterative_dominating_profile(
     Each iteration walks back from the destination over the unassigned agents'
     earliest-arrival tables, keeping the minimal-time candidates and the
     highest-priority last edges, and hands the resulting path to the
-    front-most queuer on its first edge.
+    front-most queuer on its first edge. The result keeps, for each agent in
+    solve order, the table it was chosen on.
 
     The assigned routing lives in one QueueCounters index (seeded by one
     simulation of the base, if any). The chosen agent's trajectory is
@@ -111,13 +101,13 @@ def iterative_dominating_profile(
         )
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
-    stages: list[SolveStage] = []
+    chosen_tables: list[EarliestArrivalTable] = []
     r = config.time  # index time 0 of the index and the tables
     plan = graph.plan()
     arcs = plan.arcs
     counters = QueueCounters(graph, r)
     if assigned and remaining:
-        counters = fixed_counters(graph, config, assigned, zeta=Agent("~none"))
+        counters = fixed_counters(graph, config, assigned)
     start_edge: dict[Agent, str] = {}
     ahead: dict[Agent, int] = {}  # assigned agents ahead in the start queue
     for e, q in config.queues:
@@ -132,7 +122,7 @@ def iterative_dominating_profile(
     while remaining:
         for j in remaining:
             if j not in tables:
-                tables[j] = queued_agent_table(graph, j, start_edge[j], r, ahead[j], counters)
+                tables[j] = queued_agent_table(start_edge[j], r, ahead[j], counters)
         w = plan.vertex_id[graph.destination]
         pool = list(remaining)
         path_rev: list[int] = []
@@ -162,14 +152,7 @@ def iterative_dominating_profile(
         assert not any(a in assigned for a in behind), "an assigned agent queues behind"
         table = tables.pop(chosen)
         order.append(chosen)
-        stages.append(
-            SolveStage(
-                agent=chosen,
-                path=path,
-                table=table,
-                assigned_before=tuple(order[:-1]),
-            )
-        )
+        chosen_tables.append(table)
         assigned[chosen] = path
         remaining.remove(chosen)
 
@@ -186,7 +169,7 @@ def iterative_dominating_profile(
             if any(lo <= at[u] < hi for u, lo, hi in touched):
                 del tables[j]
     paths = {a: assigned[a] for a in config.agents()}
-    return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))
+    return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
 
 
 # -- NE verification -----------------------------------------------------------
@@ -295,7 +278,7 @@ def build_exit_table(graph: Graph, config: Configuration, guard: int = 1_000_000
     exits: dict[tuple[int, ...], tuple[int, ...]] = {}
     for combo in itertools.product(*(range(len(sets[a])) for a in agents)):
         profile = {a: sets[a][combo[i]] for i, a in enumerate(agents)}
-        trace = run_paths(graph, config, profile)
+        trace = _simulate(graph, config, profile)
         exits[combo] = tuple(trace.exit_times[a] for a in agents)
     return ExitTable(agents=agents, sets=sets, exits=exits, config=config)
 
@@ -572,7 +555,7 @@ def _check_strong_ne(graph, world, profile, trace, options, menus, exit_table) -
                 movers = [a for a in coalition if joint[a] != current[a]]
                 if not movers:
                     continue
-                sub = run_paths(graph, world, joint)
+                sub = _simulate(graph, world, joint)
                 if all(sub.exit_times[a] < trace.exit_times[a] for a in movers):
                     return CheckResult(
                         "strong_ne",

@@ -29,7 +29,6 @@ from dqroute.equilibrium import (
     ExitTable,
     PathProfile,
     SolveResult,
-    SolveStage,
     _check_base_invariance,
     build_exit_table,
     iterative_dominating_profile,
@@ -583,10 +582,10 @@ def reference_dominating_profile(
         )
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
-    stages: list[SolveStage] = []
+    chosen_tables: list[EarliestArrivalTable] = []
     r = config.time
     while remaining:
-        counters = fixed_counters(graph, config, assigned, zeta=Agent("~none"))
+        counters = fixed_counters(graph, config, assigned)
         tables: dict[Agent, EarliestArrivalTable] = {
             j: earliest_arrival_table(graph, config, assigned, j, counters=counters)
             for j in remaining
@@ -615,18 +614,11 @@ def reference_dominating_profile(
         assert in_line, "backward walk must stop at a candidate's current edge"
         chosen = in_line[0]
         order.append(chosen)
-        stages.append(
-            SolveStage(
-                agent=chosen,
-                path=path,
-                table=tables[chosen],
-                assigned_before=tuple(order[:-1]),
-            )
-        )
+        chosen_tables.append(tables[chosen])
         assigned[chosen] = path
         remaining.remove(chosen)
     paths = {a: assigned[a] for a in config.agents()}
-    return SolveResult(order=tuple(order), paths=paths, stages=tuple(stages))
+    return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
 
 
 def reference_check_batches(graph, world, profile, trace, batches, menus, options):
@@ -688,6 +680,7 @@ class ReferenceQueueCounters:
     def __init__(self):
         self.sizes: dict[str, dict[int, int]] = {}
         self.entrant_ranks: dict[str, dict[int, list[int]]] = {}
+        self.departures: set[tuple[str, int]] = set()  # (edge, time an agent leaves it)
 
     @classmethod
     def from_trace(cls, graph: Graph, trace: RoutingTrace) -> "ReferenceQueueCounters":
@@ -714,7 +707,14 @@ class ReferenceQueueCounters:
             for t in range(enter, times[edge.head]):
                 sizes[t] = sizes.get(t, 0) + 1
             self.entrant_ranks.setdefault(e, {}).setdefault(enter, []).append(rank)
+            self.departures.add((e, times[edge.head]))
             rank = graph.rank(e)
+
+    def breaks_unit_capacity(
+        self, graph: Graph, path: Sequence[str], times: Mapping[str, int]
+    ) -> bool:
+        """Does the trajectory leave a path edge when an indexed agent leaves it?"""
+        return any((e, times[graph.edge(e).head]) in self.departures for e in path)
 
     def assert_displaces_none(
         self, graph: Graph, path: Sequence[str], times: Mapping[str, int], rank: int

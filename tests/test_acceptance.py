@@ -146,27 +146,28 @@ def test_criterion_06_solver_soundness(instance_corpus):
         result = iterative_dominating_profile(net, config)
         assert verify_ne(net, config, result.paths).passed
         cache = {}
-        for stage in result.stages:
-            later = [a for a in agents if a not in stage.assigned_before and a != stage.agent]
-            pre = {a: result.paths[a] for a in stage.assigned_before}
-            own = net.path_vertices(result.paths[stage.agent])
+        for i, agent in enumerate(result.order):
+            before, tau = result.order[:i], result.tables[i].tau
+            later = [a for a in agents if a not in before and a != agent]
+            pre = {a: result.paths[a] for a in before}
+            own = net.path_vertices(result.paths[agent])
             for _ in range(20):
                 sample = {}
                 for a in later:
                     e, _ = config.locate(a)
                     opts = cache.setdefault((a.name, e), net.paths(e, "d", guard=5_000))
                     sample[a] = rng.choice(opts)
-                world = {**pre, stage.agent: result.paths[stage.agent], **sample}
+                world = {**pre, agent: result.paths[agent], **sample}
                 trace = run_paths(net, config.restrict(world), world)
                 for v in own[1:]:
-                    assert trace.arrival(stage.agent, v) == stage.tau.get(v, math.inf)
+                    assert trace.arrival(agent, v) == tau.get(v, math.inf)
                 for j in later:
                     e_j, _ = config.locate(j)
                     tail_j = net.edge(e_j).tail
                     for v in own:
                         if v == tail_j:
                             continue  # conventional start-tail time, not a routed arrival
-                        bound = stage.tau.get(v, math.inf)
+                        bound = tau.get(v, math.inf)
                         if math.isinf(bound):
                             continue
                         arr = trace.arrival(j, v)

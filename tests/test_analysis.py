@@ -1,10 +1,10 @@
 import random
-from collections import Counter
 
 import pytest
 
 from dqroute.analysis import (
     OccupancyTrace,
+    RouterResult,
     _check_full_cut_drain,
     _check_simultaneous_arrivals,
     degree_ratio_monitor,
@@ -13,12 +13,14 @@ from dqroute.analysis import (
     route_entry_order,
     spe_bound_experiment,
 )
+from dqroute.bestresponse import QueueCounters
 from dqroute.cli import _extended_schedule
 from dqroute.dynamics import run_paths
 from dqroute.equilibrium import iterative_dominating_profile
 from dqroute.fixtures import FIXTURES, load_fixture
 from dqroute.errors import DegreeConditionViolated, InflowExceedsCut, NotSeriesParallel
 from dqroute.netcore import (
+    Agent,
     GraphStats,
     InflowSchedule,
     Network,
@@ -31,6 +33,7 @@ from dqroute.netcore import (
 from dqroute.spe import induced_paths, root_history, sigma_star
 
 from helpers import (
+    by_ids,
     random_net,
     random_schedule,
     random_sp_net,
@@ -121,11 +124,25 @@ def assert_route_matches_reference(u, schedule):
     result = route_entry_order(u, schedule)
     expected = reference_route_entry_order(u, schedule)
     assert list(result.paths.items()) == list(expected.paths.items())
-    assert result.arrivals == expected.arrivals
     assert result.exit_times == expected.exit_times
     assert result.timelines.sizes == expected.timelines.sizes
     assert result.timelines.entrant_ranks == expected.timelines.entrant_ranks
     assert occupancy_trace(u, result) == reference_occupancy_trace(u, expected)
+    assert_arrival_check_matches_the_counter(u, result, expected)
+
+
+def assert_arrival_check_matches_the_counter(u, result, expected):
+    """The index-read simultaneous-arrival check against the Counter of the
+    oracle's arrivals, at the maximum in-degree and at and below the busiest
+    vertex's count, so failing verdicts are compared too. Returns the verdicts."""
+    counter = reference_arrival_counts(expected.arrivals)
+    busiest = max(n for (v, _), n in counter.items() if v != u.origin)
+    verdicts = set()
+    for bound in {validate_and_stats(u).max_in_degree, busiest, busiest - 1}:
+        check = _check_simultaneous_arrivals(u, result, bound)
+        assert check == reference_check_simultaneous_arrivals(counter, bound, u.origin)
+        verdicts.add(check[1])
+    return verdicts
 
 
 class TestRouterReference:
@@ -321,11 +338,12 @@ class TestObservationBound:
             stats = validate_and_stats(u)
             schedule = random_schedule(rng, waves=3, width=min(3, stats.max_in_degree + 1))
             result = route_entry_order(u, schedule)
-            for (v, t), n in reference_arrival_counts(result.arrivals).items():
+            arrivals = reference_route_entry_order(u, schedule).arrivals
+            for (v, t), n in reference_arrival_counts(arrivals).items():
                 if v == u.origin:
                     continue
                 assert n <= stats.max_in_degree
-            check = _check_simultaneous_arrivals(result.arrival_counts, stats.max_in_degree)
+            check = _check_simultaneous_arrivals(u, result, stats.max_in_degree)
             assert check == ("simultaneous_arrivals_within_max_in_degree", True, "")
             done += 1
 
@@ -335,25 +353,44 @@ class TestObservationBound:
         for _ in range(20):
             u = unit(random_sp_net(rng, rng.randint(2, 7)))
             cut, _, _ = leftmost_min_cut(u)
-            result = route_entry_order(u, constant_schedule(rng.randint(1, len(cut)), 30))
-            counter = reference_arrival_counts(result.arrivals)
-            counts = {(v, t): n for v, series in result.arrival_counts.items()
-                      for t, n in enumerate(series) if n}
-            assert counts == {cell: n for cell, n in counter.items() if cell[0] != u.origin}
-            # bounds at and below the busiest vertex make the check fail too
-            for bound in {validate_and_stats(u).max_in_degree, max(counts.values()) - 1}:
-                check = _check_simultaneous_arrivals(result.arrival_counts, bound)
-                assert check == reference_check_simultaneous_arrivals(counter, bound, u.origin)
-                seen.add(check[1])
+            schedule = constant_schedule(rng.randint(1, len(cut)), 30)
+            result = route_entry_order(u, schedule)
+            seen |= assert_arrival_check_matches_the_counter(
+                u, result, reference_route_entry_order(u, schedule)
+            )
         assert seen == {True, False}
 
     def test_hand_built_simultaneous_arrival_failure(self):
-        # two vertices see three arrivals; the earliest is reported
-        counts = {"o": [0, 0, 0, 0], "u": [0, 1, 0, 3], "w": [0, 0, 3, 1], "d": [0, 0, 1, 2]}
-        check = _check_simultaneous_arrivals(counts, 2)
+        # three parallel edges on each hop: w sees three arrivals at 2, u at
+        # 4 and the destination at 3; the earliest is reported
+        hops = {"a": ("o", "w"), "f": ("w", "d"), "b": ("o", "u"), "c": ("u", "d"),
+                "g": ("o", "d")}
+        net = Network.build("o", "d", [(f"{h}{i}", *ends) for h, ends in hops.items()
+                                       for i in (1, 2, 3)])
+        trajectories = {}
+        for i in (1, 2, 3):
+            trajectories[f"x{i}"] = ((f"a{i}", f"f{i}"), {"o": 1, "w": 2, "d": 3 + i})
+            trajectories[f"y{i}"] = ((f"b{i}", f"c{i}"), {"o": 0, "u": 4, "d": 6 + i})
+            trajectories[f"z{i}"] = ((f"g{i}",), {"o": 0, "d": 3})
+
+        def routed(names):
+            timelines = QueueCounters(net)
+            for name in names:
+                timelines.commit(*by_ids(net, *trajectories[name]), -1)
+            paths = {Agent(n): trajectories[n][0] for n in names}
+            exits = {Agent(n): trajectories[n][1]["d"] for n in names}
+            counter = reference_arrival_counts({n: trajectories[n][1] for n in names})
+            return RouterResult(paths, exits, timelines), counter
+
+        result, counter = routed(trajectories)
+        check = _check_simultaneous_arrivals(net, result, 2)
         assert check == ("simultaneous_arrivals_within_max_in_degree", False,
                          "first violation ('w', 2, 3)")
-        counter = Counter({(v, t): n for v, series in counts.items()
-                           for t, n in enumerate(series) if n})
         assert check == reference_check_simultaneous_arrivals(counter, 2, "o")
-        assert _check_simultaneous_arrivals(counts, 3)[1]
+        assert _check_simultaneous_arrivals(net, result, 3)[1]
+        # without the x agents the destination's three exits at 3 come first
+        result, counter = routed([n for n in trajectories if n[0] != "x"])
+        check = _check_simultaneous_arrivals(net, result, 2)
+        assert check == ("simultaneous_arrivals_within_max_in_degree", False,
+                         "first violation ('d', 3, 3)")
+        assert check == reference_check_simultaneous_arrivals(counter, 2, "o")

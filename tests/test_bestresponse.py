@@ -4,12 +4,14 @@ import random
 import pytest
 
 from dqroute.bestresponse import (
+    UNREACHED,
     QueueCounters,
     best_response_path,
     brute_force_best_response,
     dominates,
     dp_from_vertex,
     earliest_arrival_table,
+    fixed_counters,
     queued_agent_table,
 )
 from dqroute.dynamics import Configuration, run_paths
@@ -66,6 +68,26 @@ class TestEarliestArrivalTable:
         trace = run_paths(loaded.graph, world, {**fixed, p2: path})
         for v in loaded.graph.path_vertices(path)[1:]:
             assert trace.arrival(p2, v) == table.arrival(v)
+
+    def test_the_deviators_own_fixed_path_is_left_out(self):
+        rng = random.Random(9)
+        done = 0
+        while done < 20:
+            net = random_net(rng, max_v=6, max_e=9)
+            if net is None:
+                continue
+            config, agents = random_interim_config(rng, net, max_agents=4)
+            zeta = rng.choice(agents)
+            profile = random_fixed_paths(rng, net, config)
+            fixed = {a: p for a, p in profile.items() if a != zeta}
+            assert earliest_arrival_table(net, config, profile, zeta) == \
+                earliest_arrival_table(net, config, fixed, zeta)
+            # fixed_counters itself indexes every agent it is given
+            own = fixed_counters(net, config, {zeta: profile[zeta]})
+            assert own.sizes == QueueCounters.from_trace(
+                net, run_paths(net, config.restrict([zeta]), {zeta: profile[zeta]})
+            ).sizes != {}
+            done += 1
 
 
 class TestQueueCounters:
@@ -129,6 +151,24 @@ class TestQueueCounters:
             counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 1, "d": 4}), -1)
         counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 3, "d": 4}), 0)
 
+    def test_two_departures_in_one_step_are_refused(self):
+        net = Network.build("o", "d", [("ov", "o", "v"), ("vd", "v", "d"), ("od", "o", "d")])
+        counters = QueueCounters(net)
+        counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 2, "d": 3}), -1)
+        before = (counters.sizes, counters.entrant_ranks, counters.frontier)
+        # a second agent on ov leaving it at 2 too, entering at 0 or at 1
+        for enter in (0, 1):
+            with pytest.raises(DQRouteError):
+                counters.commit(*by_ids(net, ("ov", "vd"), {"o": enter, "v": 2, "d": 4}), -1)
+        # leaving vd at 3 with the indexed agent, after ov at another time
+        with pytest.raises(DQRouteError):
+            counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 1, "d": 3}), -1)
+        assert (counters.sizes, counters.entrant_ranks, counters.frontier) == before
+        # one step apart on each edge, or on another edge at the same time
+        counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 3, "d": 4}), -1)
+        counters.commit(*by_ids(net, ("od",), {"o": 1, "d": 3}), -1)
+        assert counters.sizes == {"ov": {0: 2, 1: 2, 2: 1}, "vd": {2: 1, 3: 1}, "od": {1: 1, 2: 1}}
+
 
 def random_trajectory(rng: random.Random, net: Network):
     """A path from a random edge to the destination, strictly increasing
@@ -142,9 +182,12 @@ def random_trajectory(rng: random.Random, net: Network):
     return path, times, rng.randint(-1, 2)
 
 
-def random_nets_with_counters(rng: random.Random, count: int):
+def random_nets_with_counters(rng: random.Random, count: int, refusals: list | None = None):
     """(net, counters, reference counters): random nets whose two indexes are
-    grown by the same random commits, one by `commit`, one by the oracle."""
+    grown by the same random commits, one by `commit`, one by the oracle.
+    `commit` must refuse exactly the trajectories that leave an edge when an
+    indexed agent leaves it; the oracle skips those. Each commit's verdict
+    is appended to `refusals`."""
     out = []
     while len(out) < count:
         net = random_net(rng, max_v=7, max_e=11)
@@ -153,8 +196,20 @@ def random_nets_with_counters(rng: random.Random, count: int):
         counters, reference = QueueCounters(net), ReferenceQueueCounters()
         for _ in range(rng.randint(0, 10)):
             path, times, rank = random_trajectory(rng, net)
-            counters.commit(*by_ids(net, path, times), rank)
-            reference.commit(net, path, times, rank)
+            expected = reference.breaks_unit_capacity(net, path, times)
+            before = (counters.sizes, counters.entrant_ranks, counters.frontier)
+            try:
+                counters.commit(*by_ids(net, path, times), rank)
+            except DQRouteError:
+                assert expected, (path, times)
+                assert (counters.sizes, counters.entrant_ranks, counters.frontier) == before
+                refused = True
+            else:
+                assert not expected, (path, times)
+                reference.commit(net, path, times, rank)
+                refused = False
+            if refusals is not None:
+                refusals.append(refused)
         out.append((net, counters, reference))
     return out
 
@@ -164,9 +219,12 @@ class TestCompiledPlan:
     accessor-reading versions."""
 
     def test_commits_build_the_reference_index(self):
-        for net, counters, reference in random_nets_with_counters(random.Random(11), 40):
+        refusals: list[bool] = []
+        for net, counters, reference in random_nets_with_counters(random.Random(11), 40, refusals):
             assert counters.sizes == reference.sizes
             assert counters.entrant_ranks == reference.entrant_ranks
+        # the random trajectories break unit capacity often: both verdicts occur
+        assert set(refusals) == {True, False}
 
     def test_displacement_check_matches_the_reference(self):
         rng = random.Random(12)
@@ -197,7 +255,7 @@ class TestCompiledPlan:
                 for start_edge, start_rank in starts:
                     t = rng.randint(0, 6)
                     table = dp_from_vertex(
-                        net, A, plan.vertex_id[v], t,
+                        plan.vertex_id[v], t,
                         None if start_edge is None else plan.edge_id[start_edge], start_rank,
                         counters,
                     )
@@ -206,12 +264,15 @@ class TestCompiledPlan:
                     )
                     assert (table.tau, table.estar, table.achieving) == \
                         (expected.tau, expected.estar, expected.achieving)
+                    # the padding bound: no time past max(frontier, start) + |V| - 1
+                    reached = [s for s in table.time_at if s != UNREACHED]
+                    assert max(reached) < max(counters.frontier, t) + len(plan.vertices)
                     for w in table.tau:
                         path, at = [], w
                         while at != v:
                             path.insert(0, table.estar[at])
                             at = net.edge(table.estar[at]).tail
-                        assert table.path_to(net, w) == tuple(path)
+                        assert table.path_to(w) == tuple(path)
 
 
 def assert_solver_index_matches_reference(graph, config):
@@ -221,28 +282,27 @@ def assert_solver_index_matches_reference(graph, config):
     result = iterative_dominating_profile(graph, config)
     counters, reference = QueueCounters(graph, config.time), ReferenceQueueCounters()
     r = config.time
-    assigned: set = set()
-    for stage in result.stages:
+    for i, (agent, chosen) in enumerate(zip(result.order, result.tables)):
+        assigned, path, tau = result.order[:i], result.paths[agent], chosen.tau
         for e, q in config.queues:
             ahead = 0
             for a in q:
                 if a in assigned:
                     ahead += 1
                     continue
-                table = queued_agent_table(graph, a, e, r, ahead, counters)
+                table = queued_agent_table(e, r, ahead, counters)
                 expected = reference_queued_agent_table(graph, a, e, r, ahead, reference)
                 assert (table.tau, table.estar, table.achieving) == \
                     (expected.tau, expected.estar, expected.achieving)
-                if a == stage.agent:
-                    assert stage.tau == expected.tau
-        index_times = {v: t - r for v, t in stage.tau.items()}
-        counters.assert_displaces_none(*by_ids(graph, stage.path, index_times), -1)
-        reference.assert_displaces_none(graph, stage.path, stage.tau, -1)
-        counters.commit(*by_ids(graph, stage.path, index_times), -1)
-        reference.commit(graph, stage.path, stage.tau, -1)
+                if a == agent:
+                    assert tau == expected.tau
+        index_times = {v: t - r for v, t in tau.items()}
+        counters.assert_displaces_none(*by_ids(graph, path, index_times), -1)
+        reference.assert_displaces_none(graph, path, tau, -1)
+        counters.commit(*by_ids(graph, path, index_times), -1)
+        reference.commit(graph, path, tau, -1)
         assert counters.sizes == reference.sizes
         assert counters.entrant_ranks == reference.entrant_ranks
-        assigned.add(stage.agent)
     return result
 
 
@@ -297,7 +357,7 @@ class TestIndexThroughTheSolver:
             assert counters.entrant_ranks == reference.entrant_ranks
             for e, q in config.queues:
                 for idx, a in enumerate(q):
-                    table = queued_agent_table(net, a, e, config.time, idx + 1, counters)
+                    table = queued_agent_table(e, config.time, idx + 1, counters)
                     expected = reference_queued_agent_table(
                         net, a, e, config.time, idx + 1, reference
                     )
@@ -316,11 +376,11 @@ class TestPadding:
             with pytest.raises(DQRouteError):
                 counters.commit(*by_ids(net, ("od",), {"o": -1, "d": 1}), -1)
             with pytest.raises(DQRouteError):
-                dp_from_vertex(net, A, o, start - 1, None, 0, counters)
+                dp_from_vertex(o, start - 1, None, 0, counters)
             assert counters.committed == [] and counters.frontier == 0
             counters.commit(*by_ids(net, ("od",), {"o": 0, "d": 2}), -1)
             assert counters.sizes == {"od": {start: 1, start + 1: 1}}
-            assert dp_from_vertex(net, A, o, start, None, 0, counters).tau == {
+            assert dp_from_vertex(o, start, None, 0, counters).tau == {
                 "o": start, "d": start + 2
             }
 
@@ -341,7 +401,7 @@ class TestPadding:
             assert counters.frontier == q and counters.committed == [plan.edge_id["e0"]]
             # the edges nothing commits to share one list, as long as the others
             assert len({id(cells) for cells in counters.lengths}) == 2
-            table = dp_from_vertex(net, A, o, t0, None, 0, counters)
+            table = dp_from_vertex(o, t0, None, 0, counters)
             assert table.time_at[d] == max(q, t0) + n - 1
             assert all(len(cells) == counters.length
                        for cells in counters.lengths + counters.entered)

@@ -81,27 +81,28 @@ class TestIterativeDominatingProfile:
             config, agents = random_interim_config(rng, net, max_agents=4)
             result = iterative_dominating_profile(net, config)
             cache = {}
-            for stage in result.stages:
-                later = [a for a in agents if a not in stage.assigned_before and a != stage.agent]
-                pre = {a: result.paths[a] for a in stage.assigned_before}
-                own = net.path_vertices(result.paths[stage.agent])
+            for i, agent in enumerate(result.order):
+                before, tau = result.order[:i], result.tables[i].tau
+                later = [a for a in agents if a not in before and a != agent]
+                pre = {a: result.paths[a] for a in before}
+                own = net.path_vertices(result.paths[agent])
                 for _ in range(10):
                     sample = {}
                     for a in later:
                         e, _ = config.locate(a)
                         opts = cache.setdefault((a.name, e), net.paths(e, "d", guard=2_000))
                         sample[a] = rng.choice(opts)
-                    world = {**pre, stage.agent: result.paths[stage.agent], **sample}
+                    world = {**pre, agent: result.paths[agent], **sample}
                     trace = run_paths(net, config.restrict(world), world)
                     for v in own[1:]:
-                        assert trace.arrival(stage.agent, v) == stage.tau.get(v, math.inf)
+                        assert trace.arrival(agent, v) == tau.get(v, math.inf)
                     for j in later:
                         e_j, _ = config.locate(j)
                         tail_j = net.edge(e_j).tail
                         for v in own:
                             if v == tail_j:
                                 continue  # conventional start-tail time
-                            bound = stage.tau.get(v, math.inf)
+                            bound = tau.get(v, math.inf)
                             if math.isinf(bound):
                                 continue
                             arr = trace.arrival(j, v)
@@ -161,7 +162,7 @@ class TestBaseVariant:
 
 class TestIncrementalSolverMatchesReference:
     """The incremental solver against the from-scratch one: same order, same
-    paths, and every stage's tau and assigned_before."""
+    paths, and every chosen agent's table."""
 
     @staticmethod
     def corpus(rng, count):
