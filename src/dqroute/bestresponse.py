@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .dynamics import Configuration, RoutingTrace, run_paths
 from .errors import DQRouteError, Unreachable, VertexNotOnPath
@@ -22,7 +22,7 @@ class QueueCounters:
     t = start_time + s and `entered[e][s]` the tuple of previous-edge ranks of
     the agents entering e at t. `commit`, `assert_displaces_none` and the DP's
     `time_at` lists use index times; the name-keyed views `sizes` and
-    `entrant_ranks`, built on read, and `size` use absolute times.
+    `entrant_ranks`, built on read, use absolute times.
 
     It is written only by `commit`, one trajectory at a time: all of a
     simulation's trajectories (`from_trace`), each chosen path of a solver,
@@ -79,10 +79,6 @@ class QueueCounters:
             names[e]: {start + t: list(ranks) for t, ranks in enumerate(self.entered[e]) if ranks}
             for e in self.committed
         }
-
-    def size(self, edge: str, t: int) -> int:
-        t -= self.start_time
-        return self.lengths[self.plan.edge_id[edge]][t] if 0 <= t < self.length else 0
 
     def pad(self, need: int) -> None:
         """Grow every list to at least `need` cells, at least doubling it."""
@@ -309,7 +305,6 @@ def earliest_arrival_table(
     config: Configuration,
     fixed: Mapping[Agent, Sequence[str]],
     zeta: Agent,
-    counters: Optional[QueueCounters] = None,
 ) -> EarliestArrivalTable:
     """Earliest times the deviator can reach every vertex given the others' paths.
 
@@ -319,10 +314,8 @@ def earliest_arrival_table(
     """
     world = config.restrict([a for a in config.agents() if a in fixed or a == zeta])
     edge_name, idx = world.locate(zeta)
-    if counters is None:
-        others = {a: fixed[a] for a in world.agents() if a != zeta}
-        counters = fixed_counters(graph, world, others)
-    return queued_agent_table(edge_name, config.time, idx, counters)
+    others = {a: fixed[a] for a in world.agents() if a != zeta}
+    return queued_agent_table(edge_name, config.time, idx, fixed_counters(graph, world, others))
 
 
 def best_response_path(
@@ -342,6 +335,21 @@ def best_response_path(
     return (edge_name,) + table.path_to(d)
 
 
+def _deviations(
+    graph: Graph,
+    config: Configuration,
+    others: Mapping[Agent, Sequence[str]],
+    zeta: Agent,
+    guard: int,
+) -> Iterator[tuple[tuple[str, ...], RoutingTrace]]:
+    """Each path of the deviator's strategy set, with the simulation of the
+    world of the others on their paths and the deviator on it."""
+    world = config.restrict([*others, zeta])
+    edge_name, _ = world.locate(zeta)
+    for path in graph.paths(edge_name, graph.destination, guard=guard):
+        yield path, run_paths(graph, world, {**others, zeta: path})
+
+
 def brute_force_best_response(
     graph: Graph,
     config: Configuration,
@@ -354,14 +362,10 @@ def brute_force_best_response(
     Returns the minimum destination arrival and all paths attaining it; this is
     the independent oracle for the dynamic program.
     """
-    world = config.restrict([a for a in config.agents() if a in fixed or a == zeta])
-    edge_name, _ = world.locate(zeta)
-    candidates = graph.paths(edge_name, graph.destination, guard=guard)
     fixed_only = {a: tuple(p) for a, p in fixed.items() if a != zeta}
     best = math.inf
     argmin: list[tuple[str, ...]] = []
-    for path in candidates:
-        trace = run_paths(graph, world, {**fixed_only, zeta: path})
+    for path, trace in _deviations(graph, config, fixed_only, zeta, guard):
         t = trace.exit_times[zeta]
         if t < best:
             best = t
@@ -371,27 +375,6 @@ def brute_force_best_response(
     if not argmin:
         raise Unreachable(f"{zeta} has no path to {graph.destination!r}")
     return int(best), tuple(argmin)
-
-
-def rival_earliest_arrival(
-    graph: Graph,
-    config: Configuration,
-    alpha: Mapping[Agent, Sequence[str]],
-    zeta: Agent,
-    rival: Agent,
-    vertex: str,
-    guard: int = 100_000,
-) -> float:
-    """Earliest the rival (keeping its own path) reaches the vertex over all of
-    the deviator's path choices, by guarded enumeration."""
-    world = config.restrict(alpha)
-    edge_name, _ = world.locate(zeta)
-    best = math.inf
-    others = {a: tuple(p) for a, p in alpha.items() if a != zeta}
-    for path in graph.paths(edge_name, graph.destination, guard=guard):
-        trace = run_paths(graph, world, {**others, zeta: path})
-        best = min(best, trace.arrival(rival, vertex))
-    return best
 
 
 def dominates(
@@ -419,7 +402,9 @@ def dominates(
     tau_v = table.arrival(vertex)
     if math.isinf(tau_v):
         return False
-    tau_rival = rival_earliest_arrival(graph, config, alpha, zeta, rival, vertex, guard)
+    # the rival keeps its path; the deviator takes any of its own
+    deviations = _deviations(graph, config, fixed, zeta, guard)
+    tau_rival = min((trace.arrival(rival, vertex) for _, trace in deviations), default=math.inf)
     if tau_v < tau_rival:
         return True
     if tau_v > tau_rival:

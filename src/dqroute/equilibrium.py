@@ -72,16 +72,17 @@ def iterative_dominating_profile(
     base: Optional[PathProfile] = None,
     *,
     base_check_samples: int = 4,
-    rng: Optional[random.Random] = None,
 ) -> SolveResult:
     """Assign dominating paths one agent at a time (the base variant seeds the
     assigned set with fixed paths whose arrival times are already invariant).
 
-    Each iteration walks back from the destination over the unassigned agents'
-    earliest-arrival tables, keeping the minimal-time candidates and the
-    highest-priority last edges, and hands the resulting path to the
-    front-most queuer on its first edge. The result keeps, for each agent in
-    solve order, the table it was chosen on.
+    Each unassigned agent's earliest-arrival table is kept with its path (its
+    start edge, then e*(.) to the destination) and its backward key: the
+    pairs (time, rank of e*) at the path's vertices, read from the destination
+    back to the head of the start edge, so earlier arrivals, then
+    higher-priority last edges, then shorter walks sort first. Each iteration
+    hands the least key's path to the front-most agent holding it. The result
+    keeps, for each agent in solve order, the table it was chosen on.
 
     The assigned routing lives in one QueueCounters index (seeded by one
     simulation of the base, if any). The chosen agent's trajectory is
@@ -96,9 +97,7 @@ def iterative_dominating_profile(
     """
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
-        _check_base_invariance(
-            graph, config, assigned, base_check_samples, rng or random.Random(0)
-        )
+        _check_base_invariance(graph, config, assigned, base_check_samples, random.Random(0))
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
     chosen_tables: list[EarliestArrivalTable] = []
@@ -118,53 +117,44 @@ def iterative_dominating_profile(
             else:
                 start_edge[a] = e
                 ahead[a] = n
-    tables: dict[Agent, EarliestArrivalTable] = {}
+    d = plan.vertex_id[graph.destination]
+    # agent -> (backward key, path on edge ids, table), dropped together
+    tables: dict[Agent, tuple[tuple[int, ...], list[int], EarliestArrivalTable]] = {}
     while remaining:
         for j in remaining:
             if j not in tables:
-                tables[j] = queued_agent_table(start_edge[j], r, ahead[j], counters)
-        w = plan.vertex_id[graph.destination]
-        pool = list(remaining)
-        path_rev: list[int] = []
-        while True:
-            taus = {j: tables[j].time_at[w] for j in pool}
-            tau = min(taus.values())
-            if tau == UNREACHED:
-                raise Unreachable(f"no remaining agent reaches {plan.vertices[w]!r}")
-            if tau < 1:  # a start tail, reached at r
-                break
-            pool = [j for j in pool if taus[j] == tau]
-            cands = set()
-            for j in pool:
-                cands.update(tables[j].achieving_at[w])
-            uw = min(cands, key=lambda e: arcs[e][2])
-            # survivors must share the chosen ending edge (tie-break on last edges)
-            pool = [j for j in pool if uw in tables[j].achieving_at[w]]
-            path_rev.append(uw)
-            w = arcs[uw][0]
-        path_rev.reverse()
-        path = tuple(plan.edges[e] for e in path_rev)
-        line = config.queue(path[0])
-        in_line = [a for a in line if a in pool]
-        assert in_line, "backward walk must stop at a candidate's current edge"
-        chosen = in_line[0]
+                table = queued_agent_table(start_edge[j], r, ahead[j], counters)
+                at = table.time_at
+                if at[d] == UNREACHED:
+                    tables[j] = (UNREACHED,), [], table
+                    continue
+                path_ids = [plan.edge_id[start_edge[j]], *table.edge_path(d)]
+                key = tuple(x for e in reversed(path_ids) for x in (at[arcs[e][1]], arcs[e][2]))
+                tables[j] = key, path_ids, table
+        key = min(entry[0] for entry in tables.values())
+        if key[0] == UNREACHED:
+            raise Unreachable(f"no remaining agent reaches {graph.destination!r}")
+        # equal keys are equal paths, so the least key's agents share one start
+        # queue, and `remaining` lists each queue front to back
+        chosen = next(j for j in remaining if tables[j][0] == key)
+        line = config.queue(start_edge[chosen])
         behind = line[line.index(chosen) + 1 :]
         assert not any(a in assigned for a in behind), "an assigned agent queues behind"
-        table = tables.pop(chosen)
+        _, path_ids, table = tables.pop(chosen)
         order.append(chosen)
         chosen_tables.append(table)
-        assigned[chosen] = path
+        assigned[chosen] = tuple(plan.edges[e] for e in path_ids)
         remaining.remove(chosen)
 
         times = table.time_at
-        counters.assert_displaces_none(path_rev, times, -1)
-        counters.commit(path_rev, times, -1)
+        counters.assert_displaces_none(path_ids, times, -1)
+        counters.commit(path_ids, times, -1)
         # tables reach vertices after r, so cells at r are never read
-        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_rev)]
+        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_ids)]
         for a in behind:
             ahead[a] += 1
             tables.pop(a, None)
-        for j, table in list(tables.items()):
+        for j, (_, _, table) in list(tables.items()):
             at = table.time_at
             if any(lo <= at[u] < hi for u, lo, hi in touched):
                 del tables[j]

@@ -169,13 +169,15 @@ class NEBasedOracle(StrategyOracle):
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
         maximal k; the whole population when nothing deviated), from one
-        simulation of the parent NE, shared by all of the parent's children."""
+        simulation of the parent NE, shared by the children of every parent in
+        its state (its queue content and the profile in force)."""
         parent = node.parent
-        if parent.key not in self._parents:
+        state = self.state(parent)
+        if state not in self._parents:
             rho = self.profile_at(parent)
             trace = run_paths(self.graph, parent.config.restrict(rho), rho)
-            self._parents[parent.key] = self.profile(parent), batch_decompose(trace)
-        prescribed, batches = self._parents[parent.key]
+            self._parents[state] = self.profile(parent), batch_decompose(trace)
+        prescribed, batches = self._parents[state]
         for k, batch in enumerate(batches.batches):
             if any(node.actions.get(a, EXIT) != prescribed[a] for a in batch):
                 return k
@@ -187,7 +189,7 @@ class NEBasedOracle(StrategyOracle):
         assert node.parent is not None, "root profile must be seeded"
         matched = self.matched_prefix_size(node)
         rho = self.profile_at(node.parent)
-        keep = set(self._parents[node.parent.key][1].prefix(matched))
+        keep = set(self._parents[self.state(node.parent)][1].prefix(matched))
         live = set(node.config.agents())
         base: dict[Agent, tuple[str, ...]] = {}
         for agent in sorted(keep & live, key=lambda a: a.name):

@@ -12,8 +12,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from dqroute.analysis import OccupancyTrace, RatioVerdict
 from dqroute.bestresponse import (
     EarliestArrivalTable,
-    earliest_arrival_table,
     fixed_counters,
+    queued_agent_table,
 )
 from dqroute.dynamics import (
     EXIT,
@@ -570,26 +570,24 @@ def reference_dominating_profile(
     base: Optional[PathProfile] = None,
     *,
     base_check_samples: int = 4,
-    rng: Optional[random.Random] = None,
 ) -> SolveResult:
     """The from-scratch iterative dominating profile: every iteration
     re-simulates the assigned agents and recomputes every unassigned agent's
-    earliest-arrival table. The oracle for the incremental solver."""
+    earliest-arrival table, then walks back from the destination over them.
+    The oracle for the incremental solver."""
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
-        _check_base_invariance(
-            graph, config, assigned, base_check_samples, rng or random.Random(0)
-        )
+        _check_base_invariance(graph, config, assigned, base_check_samples, random.Random(0))
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
     chosen_tables: list[EarliestArrivalTable] = []
     r = config.time
     while remaining:
         counters = fixed_counters(graph, config, assigned)
-        tables: dict[Agent, EarliestArrivalTable] = {
-            j: earliest_arrival_table(graph, config, assigned, j, counters=counters)
-            for j in remaining
-        }
+        tables: dict[Agent, EarliestArrivalTable] = {}
+        for j in remaining:
+            edge_name, idx = config.restrict([*assigned, j]).locate(j)
+            tables[j] = queued_agent_table(edge_name, r, idx, counters)
         w = graph.destination
         pool = list(remaining)
         path_rev: list[str] = []

@@ -130,7 +130,8 @@ class TestQueueCounters:
         # a commit grows this index only, not the trace or a second index
         assert trace == run_paths(net, c, {A: ("od",)})
         assert QueueCounters.from_trace(net, trace).sizes == {"od": {0: 1}}
-        assert counters.size("od", 0) == 2 and counters.size("od", 2) == 1
+        sizes = counters.sizes["od"]
+        assert sizes[0] == 2 and sizes[2] == 1
 
     def test_displacing_trajectories_are_refused(self):
         net = Network.build(

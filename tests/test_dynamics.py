@@ -230,10 +230,10 @@ class TestInvariants:
         for _ in range(20):
             net, config, paths = self._random_case(rng)
             trace = run_paths(net, config, paths)
-            counters = QueueCounters.from_trace(net, trace)
+            sizes = QueueCounters.from_trace(net, trace).sizes
             n = len(config.agents())
             for t in range(config.time, trace.horizon):
-                in_system = sum(counters.size(e, t) for e in net.edges)
+                in_system = sum(sizes.get(e, {}).get(t, 0) for e in net.edges)
                 exited = sum(1 for x in trace.exit_times.values() if x <= t)
                 assert in_system + exited == n
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,8 +21,10 @@ from dqroute.equilibrium import (
 from dqroute.errors import BaseInvarianceViolated, DQRouteError, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit, validate_and_stats
+from dqroute.spe import exhaustive_histories
 
 from helpers import (
+    fanout_config,
     random_interim_config,
     random_net,
     random_schedule,
@@ -138,9 +141,7 @@ class TestBaseVariant:
             full = iterative_dominating_profile(net, config)
             k = rng.randint(1, len(full.order) - 1)
             base = {a: full.paths[a] for a in full.order[:k]}
-            seeded = iterative_dominating_profile(
-                net, config, base=base, base_check_samples=5, rng=random.Random(0)
-            )
+            seeded = iterative_dominating_profile(net, config, base=base, base_check_samples=5)
             assert seeded.order == full.order[k:]
             assert seeded.paths == full.paths
             done += 1
@@ -182,14 +183,28 @@ class TestIncrementalSolverMatchesReference:
             yield ext.graph, c0
             done += 1
 
+    @staticmethod
+    def fan_corpus():
+        """Every nonempty configuration of the full history trees of the fanout
+        fixture and of fanout with waves (3, 1), (3, 2) and (2, 2, 1): there,
+        co-queued agents part onto different routes, which random nets rarely
+        give."""
+        loaded = load_fixture("fanout")
+        fans = [(loaded.graph, loaded.config)]
+        fans += [fanout_config(widths) for widths in ((3, 1), (3, 2), (2, 2, 1))]
+        for graph, config in fans:
+            for c in exhaustive_histories(graph, config).multiplicity:
+                if not c.is_empty():
+                    yield graph, c
+
     def test_full_solve_equals_reference(self):
-        for graph, config in self.corpus(random.Random(5), 60):
+        for graph, config in itertools.chain(self.corpus(random.Random(5), 60), self.fan_corpus()):
             assert iterative_dominating_profile(graph, config) == \
                 reference_dominating_profile(graph, config)
 
     def test_base_variant_equals_reference(self):
         rng = random.Random(23)
-        for graph, config in self.corpus(rng, 30):
+        for graph, config in itertools.chain(self.corpus(rng, 30), self.fan_corpus()):
             full = reference_dominating_profile(graph, config)
             if len(full.order) < 2:
                 continue
@@ -205,6 +220,52 @@ class TestIncrementalSolverMatchesReference:
         result = iterative_dominating_profile(loaded.graph, loaded.config)
         assert result == reference_dominating_profile(loaded.graph, loaded.config)
         assert tuple(result.paths[a] for a in result.order) == FIG2_EXPECTED
+
+
+class TestLeastKeySelection:
+    """The solver picks the least backward key: (time, rank of e*) pairs from
+    the destination back to the start edge's head, a prefix sorting first."""
+
+    def test_equal_keys_in_one_queue_choose_the_front_most(self):
+        # a and b wait on od with no assigned agent ahead: equal tables and keys
+        net = Network.build("o", "d", [("od", "o", "d")])
+        a, b = Agent("a"), Agent("b")
+        c = Configuration.from_mapping(0, {"od": [a, b]})
+        result = iterative_dominating_profile(net, c)
+        assert result.order == (a, b)
+        assert result.paths == {a: ("od",), b: ("od",)}
+        assert result == reference_dominating_profile(net, c)
+
+    def test_a_walk_that_is_a_prefix_of_another_wins(self):
+        # once x is assigned, j (behind x on ud) and k (on ou) both reach d at 2
+        # via ud; j's walk ends at u, where k's goes on to o, so j goes first
+        net = Network.build("o", "d", [("ou", "o", "u"), ("ud", "u", "d")])
+        x, j, k = Agent("x"), Agent("j"), Agent("k")
+        c = Configuration.from_mapping(0, {"ou": [k], "ud": [x, j]})
+        result = iterative_dominating_profile(net, c)
+        assert result.order == (x, j, k)
+        assert [table.tau["d"] for table in result.tables] == [1, 2, 3]
+        assert result == reference_dominating_profile(net, c)
+        seeded = iterative_dominating_profile(net, c, base={x: ("ud",)})
+        assert seeded.order == (j, k)
+        assert seeded == reference_dominating_profile(net, c, base={x: ("ud",)})
+
+    def test_equal_times_are_broken_by_the_rank_of_e_star(self):
+        # p and q reach m at 2 and d at 3 alike; bm outranks am at m, so q goes
+        # first although p's queue is listed first
+        net = Network.build(
+            "o", "d",
+            [("oa", "o", "a"), ("ob", "o", "b"), ("am", "a", "m"), ("bm", "b", "m"),
+             ("md", "m", "d")],
+            priorities={"m": ["bm", "am"]},
+        )
+        p, q = Agent("p"), Agent("q")
+        c = Configuration.from_mapping(0, {"oa": [p], "ob": [q]})
+        result = iterative_dominating_profile(net, c)
+        assert result.order == (q, p)
+        assert [table.tau["m"] for table in result.tables] == [2, 2]
+        assert run_paths(net, c, result.paths).exit_times == {q: 3, p: 4}
+        assert result == reference_dominating_profile(net, c)
 
 
 class TestVerifyNE:
