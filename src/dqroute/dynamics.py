@@ -67,21 +67,17 @@ def action_set(graph: Graph, config: Configuration, agent: Agent) -> frozenset[s
 
 def _allowed(graph: Graph, edge_name: str, idx: int) -> frozenset[str]:
     """Actions of the agent at index idx of the queue on edge_name."""
-    if idx > 0:
-        return frozenset([edge_name])
-    head = graph.edge(edge_name).head
-    if head == graph.destination:
-        return frozenset()
-    return frozenset(graph.out_edges(head))
+    return frozenset([edge_name] if idx > 0 else graph.plan().menus[edge_name])
 
 
 def _advance(
     graph: Graph, queues: dict[str, list[Agent]], actions: Mapping[Agent, Optional[str]]
 ) -> list[tuple[Agent, str, Optional[str]]]:
-    """One round of the queuing rule, in place: the head of every queue leaves
-    its edge, in edge order, for its action (the next edge or EXIT). Entrants
-    of an edge queue behind its agents, stably sorted by the priority at its
-    tail over their previous edges. Returns the (agent, edge left, action) moves."""
+    """The one queuing round, in place: the head of every queue leaves its
+    edge, in edge order, for its action (the next edge or EXIT). Entrants of
+    an edge queue behind its agents, sorted by the ranks of their previous
+    edges, distinct in-edges of its tail. Returns the (agent, edge, action) moves."""
+    ranks = graph.plan().ranks
     moves = []
     entrants: dict[str, list[tuple[int, Agent]]] = {}
     for e in sorted(queues):
@@ -92,11 +88,18 @@ def _advance(
         act = actions[agent]
         moves.append((agent, e, act))
         if act is not EXIT:
-            entrants.setdefault(act, []).append((graph.rank(e), agent))
+            entrants.setdefault(act, []).append((ranks[e], agent))
     for e, incoming in entrants.items():
-        incoming.sort(key=lambda item: item[0])
-        queues.setdefault(e, []).extend(agent for _, agent in incoming)
+        incoming.sort()
+        queues.setdefault(e, []).extend([agent for _, agent in incoming])
     return moves
+
+
+def _successor(graph: Graph, config: Configuration, actions: Mapping) -> Configuration:
+    """One `_advance` round from the configuration, on actions from its action sets."""
+    queues = {e: list(q) for e, q in config.queues}
+    _advance(graph, queues, actions)
+    return Configuration.from_mapping(config.time + 1, queues)
 
 
 def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]) -> Configuration:
@@ -108,18 +111,13 @@ def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[s
             if agent not in actions:
                 raise InvalidAction(agent, "missing from action profile")
             act = actions[agent]
-            if idx > 0 and act == e:
-                continue
-            head = graph.edge(e).head
-            allowed = [e] if idx > 0 else () if head == graph.destination else graph.out_edges(head)
+            allowed = _allowed(graph, e, idx)
             if act is EXIT:
                 if allowed:
                     raise InvalidAction(agent, "exit is only available at the destination head")
             elif act not in allowed:
                 raise InvalidAction(agent, f"{act!r} not in action set {sorted(allowed)}")
-    queues = {e: list(q) for e, q in config.queues}
-    _advance(graph, queues, actions)
-    return Configuration.from_mapping(config.time + 1, queues)
+    return _successor(graph, config, actions)
 
 
 @dataclass
@@ -156,7 +154,7 @@ class RoutingTrace:
 
 
 def default_horizon(graph: Graph, config: Configuration) -> int:
-    n = len(config.agents())
+    n = sum(len(q) for _, q in config.queues)
     m = len(graph.edges)
     return config.time + n * m + m + 2
 
@@ -204,14 +202,14 @@ def _simulate(graph: Graph, config: Configuration, paths: Mapping[Agent, Sequenc
     queues = {e: list(q) for e, q in config.queues}
     ahead = {a: iter(p[1:]) for a, p in paths.items()}
     actions = {a: next(rest, EXIT) for a, rest in ahead.items()}
-    vertex_times = {a: {graph.edge(e).tail: t} for e, q in config.queues for a in q}
+    vertex_times = {a: {graph.edges[e].tail: t} for e, q in config.queues for a in q}
     exit_times: dict[Agent, int] = {}
     while queues:
         if t > limit:
             raise HorizonExceeded(f"simulation passed time {limit}")
         t += 1
         for agent, e, act in _advance(graph, queues, actions):
-            vertex_times[agent][graph.edge(e).head] = t
+            vertex_times[agent][graph.edges[e].head] = t
             if act is EXIT:
                 exit_times[agent] = t
             else:

@@ -76,12 +76,14 @@ def iterative_dominating_profile(
     """Assign dominating paths one agent at a time (the base variant seeds the
     assigned set with fixed paths whose arrival times are already invariant).
 
-    Each unassigned agent's earliest-arrival table is kept with its path (its
-    start edge, then e*(.) to the destination) and its backward key: the
-    pairs (time, rank of e*) at the path's vertices, read from the destination
-    back to the head of the start edge, so earlier arrivals, then
+    Each unassigned agent's earliest-arrival table is kept with its backward
+    key: the times at its path's vertices (its start edge, then e*(.) to the
+    destination) and the ranks of the edges between, read from the
+    destination back to the start edge's tail, so earlier arrivals, then
     higher-priority last edges, then shorter walks sort first. Each iteration
-    hands the least key's path to the front-most agent holding it. The result
+    is one pass over the unassigned agents, each queue front to back, that
+    fills the missing tables and keeps the first least key: equal keys are
+    equal paths, so the front-most agent of one start queue wins. The result
     keeps, for each agent in solve order, the table it was chosen on.
 
     The assigned routing lives in one QueueCounters index (seeded by one
@@ -107,57 +109,59 @@ def iterative_dominating_profile(
     counters = QueueCounters(graph, r)
     if assigned and remaining:
         counters = fixed_counters(graph, config, assigned)
-    start_edge: dict[Agent, str] = {}
+    spot: dict[Agent, tuple[str, int, tuple[Agent, ...]]] = {}  # start edge, its id, behind
     ahead: dict[Agent, int] = {}  # assigned agents ahead in the start queue
     for e, q in config.queues:
         n = 0
-        for a in q:
+        for i, a in enumerate(q):
             if a in assigned:
                 n += 1
             else:
-                start_edge[a] = e
+                spot[a] = e, plan.edge_id[e], q[i + 1:]
                 ahead[a] = n
     d = plan.vertex_id[graph.destination]
-    # agent -> (backward key, path on edge ids, table), dropped together
-    tables: dict[Agent, tuple[tuple[int, ...], list[int], EarliestArrivalTable]] = {}
+    tables: dict[Agent, tuple[tuple[int, ...], list[int], EarliestArrivalTable]] = {}  # key, time_at
     while remaining:
-        for j in remaining:
-            if j not in tables:
-                table = queued_agent_table(start_edge[j], r, ahead[j], counters)
-                at = table.time_at
-                if at[d] == UNREACHED:
-                    tables[j] = (UNREACHED,), [], table
-                    continue
-                path_ids = [plan.edge_id[start_edge[j]], *table.edge_path(d)]
-                key = tuple(x for e in reversed(path_ids) for x in (at[arcs[e][1]], arcs[e][2]))
-                tables[j] = key, path_ids, table
-        key = min(entry[0] for entry in tables.values())
-        if key[0] == UNREACHED:
+        pick = -1
+        for i, j in enumerate(remaining):
+            entry = tables.get(j)
+            if entry is None:
+                edge_name, e, _ = spot[j]
+                table = queued_agent_table(edge_name, r, ahead[j], counters)
+                at, achieving = table.time_at, table.achieving_at
+                key, v, x = [at[d]], d, e if at[d] == UNREACHED else -1
+                while x != e:  # e*(.) back to the start edge, unless d is unreached
+                    x = achieving[v][0]
+                    v = arcs[x][0]
+                    key.append(arcs[x][2])
+                    key.append(at[v])
+                entry = tables[j] = tuple(key), at, table
+            if pick < 0 or entry[0] < least[0]:
+                least, pick = entry, i
+        if least[0][0] == UNREACHED:
             raise Unreachable(f"no remaining agent reaches {graph.destination!r}")
-        # equal keys are equal paths, so the least key's agents share one start
-        # queue, and `remaining` lists each queue front to back
-        chosen = next(j for j in remaining if tables[j][0] == key)
-        line = config.queue(start_edge[chosen])
-        behind = line[line.index(chosen) + 1 :]
-        assert not any(a in assigned for a in behind), "an assigned agent queues behind"
-        _, path_ids, table = tables.pop(chosen)
+        chosen, (_, times, table) = remaining.pop(pick), least
+        del tables[chosen]
+        path_ids = [spot[chosen][1], *table.edge_path(d)]
         order.append(chosen)
         chosen_tables.append(table)
         assigned[chosen] = tuple(plan.edges[e] for e in path_ids)
-        remaining.remove(chosen)
-
-        times = table.time_at
         counters.assert_displaces_none(path_ids, times, -1)
         counters.commit(path_ids, times, -1)
-        # tables reach vertices after r, so cells at r are never read
-        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_ids)]
-        for a in behind:
+        for a in spot[chosen][2]:
+            assert a not in assigned, "an assigned agent queues behind"
             ahead[a] += 1
             tables.pop(a, None)
-        for j, (_, _, table) in list(tables.items()):
-            at = table.time_at
-            if any(lo <= at[u] < hi for u, lo, hi in touched):
-                del tables[j]
+        # tables reach vertices after r, so cells at r are never read
+        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_ids)]
+        stale = []
+        for j, (_, at, _) in tables.items():
+            for u, lo, hi in touched:
+                if lo <= at[u] < hi:
+                    stale.append(j)
+                    break
+        for j in stale:
+            del tables[j]
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
 
@@ -255,6 +259,22 @@ class ExitTable:
     def combo_of(self, profile: PathProfile) -> tuple[int, ...]:
         return tuple(self.sets[a].index(tuple(profile[a])) for a in self.agents)
 
+    def is_ne(self, combo: tuple[int, ...]) -> bool:
+        """No agent exits strictly earlier by switching alone to another path."""
+        exits, values = self.exits, self.exits[combo]
+        for i, agent in enumerate(self.agents):
+            for alt in range(len(self.sets[agent])):
+                if alt != combo[i] and exits[combo[:i] + (alt,) + combo[i + 1:]][i] < values[i]:
+                    return False
+        return True
+
+    def ne_trace(self, graph: Graph, profile: PathProfile) -> Optional[RoutingTrace]:
+        """The profile's trace if it is one of the table's NEs, else None."""
+        paths = {a: tuple(p) for a, p in profile.items()}
+        if paths.keys() != set(self.agents) or any(paths[a] not in self.sets[a] for a in paths):
+            return None
+        return self.trace(graph, paths) if self.is_ne(self.combo_of(paths)) else None
+
     def trace(self, graph: Graph, profile: PathProfile) -> RoutingTrace:
         key = tuple(profile[a] for a in self.agents)
         if key not in self.traces:
@@ -281,23 +301,8 @@ def enumerate_all_ne(
 ) -> list[dict[Agent, tuple[str, ...]]]:
     """Simulate every joint profile and keep those surviving all unilateral checks."""
     table = table or build_exit_table(graph, config, guard)
-    agents, sets, exits = table.agents, table.sets, table.exits
-    nes = []
-    for combo, values in exits.items():
-        is_ne = True
-        for i, agent in enumerate(agents):
-            for alt in range(len(sets[agent])):
-                if alt == combo[i]:
-                    continue
-                deviated = combo[:i] + (alt,) + combo[i + 1:]
-                if exits[deviated][i] < values[i]:
-                    is_ne = False
-                    break
-            if not is_ne:
-                break
-        if is_ne:
-            nes.append({a: sets[a][combo[i]] for i, a in enumerate(agents)})
-    return nes
+    return [{a: table.sets[a][i] for a, i in zip(table.agents, combo)}
+            for combo in table.exits if table.is_ne(combo)]
 
 
 # -- property suite ------------------------------------------------------------
@@ -392,16 +397,19 @@ def check_properties(
 
     The checks share one restricted world and one path menu per agent: every
     path from its current edge, read from the exit table when one is given and
-    otherwise enumerated once per call. Without a table, one is built when the
-    world has at most `_EXHAUSTIVE_GUARD` joint profiles; the checks share it."""
+    otherwise enumerated once per call. A given table's NE test stands in for
+    `verify_ne` on its NEs; without a table, one is built when the world has
+    at most `_EXHAUSTIVE_GUARD` joint profiles, and the checks share it."""
     options = options or CheckOptions()
     world = config.restrict(profile)
     if exit_table is not None and exit_table.config != world:
         raise DQRouteError("the exit table was built on another configuration than the profile's")
-    ne = verify_ne(graph, config, profile)
-    if not ne.passed:
-        raise NotAnNE(f"profile fails verify_ne: {ne.witnesses[0]}")
-    trace = ne.trace
+    trace = exit_table.ne_trace(graph, profile) if exit_table is not None else None
+    if trace is None:
+        ne = verify_ne(graph, config, profile)
+        if not ne.passed:
+            raise NotAnNE(f"profile fails verify_ne: {ne.witnesses[0]}")
+        trace = ne.trace
     batches = batch_decompose(trace)
     menus = exit_table.sets if exit_table is not None else {}
     if exit_table is None:
@@ -419,7 +427,7 @@ def check_properties(
         optimality,
         _check_strong_ne(graph, world, profile, trace, options, menus, exit_table),
         _check_consecutive_exiting(batches, order),
-        _check_temporal_overtaking(graph, trace, order),
+        _check_temporal_overtaking(graph, profile, trace, order),
     ]
     return PropertyReport(results=results, seed=options.seed, samples=options.samples)
 
@@ -572,11 +580,11 @@ def _check_consecutive_exiting(batches, order) -> CheckResult:
     return CheckResult("consecutive_exiting", "pass")
 
 
-def _check_temporal_overtaking(graph, trace, order) -> CheckResult:
+def _check_temporal_overtaking(graph, profile, trace, order) -> CheckResult:
     if order is None:
         return CheckResult("temporal_overtaking", "skip", "no original priority metadata")
     index = {a: i for i, a in enumerate(order)}
-    agents = [a for a in trace.paths if a in index]
+    agents = [a for a in profile if a in index]
     for i, j in itertools.permutations(agents, 2):
         if index[i] <= index[j]:
             continue  # i must have the lower original priority

@@ -35,7 +35,8 @@ class GraphPlan:
     the topological order and edge ids the declaration order. `order[v]`
     lists vertex v's in-arcs (edge, tail, rank) in priority order and
     `arcs[e]` is edge e's (tail, head, rank). `vertices` and `edges` name
-    the ids, and `vertex_id` and `edge_id` number the names."""
+    the ids, `vertex_id` and `edge_id` number the names, and `ranks` and
+    `menus` map an edge name to its rank and its head's sorted out-edges."""
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
@@ -43,6 +44,8 @@ class GraphPlan:
     edge_id: dict[str, int]
     order: tuple[tuple[tuple[int, int, int], ...], ...]
     arcs: tuple[tuple[int, int, int], ...]
+    ranks: dict[str, int]
+    menus: dict[str, tuple[str, ...]]
 
 
 class Graph:
@@ -139,7 +142,10 @@ class Graph:
                       for n in self.priorities[v])
                 for v in vertices
             )
-            self._plan = GraphPlan(vertices, tuple(self.edges), vertex_id, edge_id, order, arcs)
+            menus = {n: () if e.head == self.destination else tuple(sorted(self._out[e.head]))
+                     for n, e in self.edges.items()}  # none for the exit at the destination
+            self._plan = GraphPlan(vertices, tuple(self.edges), vertex_id, edge_id, order, arcs,
+                                   self._rank, menus)
         return self._plan
 
     def reachable_from(self, v: str) -> frozenset[str]:

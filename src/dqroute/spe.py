@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, default_horizon, run_paths, step
+from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, _successor, default_horizon
+from .dynamics import run_paths, step
 from .equilibrium import (
     BatchDecomposition,
     batch_decompose,
@@ -432,17 +433,19 @@ def exhaustive_histories(
     # configurations are layered by time, so each one's multiplicity is
     # final once every configuration discovered before it is expanded
     order = [config]
+    head_menus = graph.plan().menus
     for c in order:
         if c.is_empty() or c.time - config.time >= limit:
             continue
-        menus = [sorted(_allowed(graph, e, idx)) or [EXIT] for e, q in c.queues for idx in range(len(q))]
+        menus = [(head_menus[e] or (EXIT,)) if idx == 0 else (e,)
+                 for e, q in c.queues for idx in range(len(q))]
         n = multiplicity[c]
         size += n * math.prod(len(m) for m in menus)
         if size > guard:
             raise HorizonExceeded(f"history tree exceeds {guard} nodes")
         agents = c.agents()
         profiles = [dict(zip(agents, combo)) for combo in itertools.product(*menus)]
-        children[c] = {_canonical(acts): (step(graph, c, acts), acts) for acts in profiles}
+        children[c] = {_canonical(acts): (_successor(graph, c, acts), acts) for acts in profiles}
         for kid, _ in children[c].values():
             seen = multiplicity.get(kid)
             if seen is None:

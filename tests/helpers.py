@@ -19,7 +19,6 @@ from dqroute.dynamics import (
     EXIT,
     Configuration,
     RoutingTrace,
-    _allowed,
     default_horizon,
     run_paths,
     validate_paths,
@@ -88,6 +87,29 @@ def random_net(rng: random.Random, max_v: int = 8, max_e: int = 12,
         rng.shuffle(ins)
         prios[v] = ins
     return Network.build("o", "d", edges, priorities=prios)
+
+
+def random_chain_dag(rng: random.Random, vertices: int = 7, edges: int = 12, fat: float = 0.0):
+    """The chain o, v1, ..., d plus random forward edges up to `edges`, so every
+    edge lies on an o-d path, with a random priority order at every vertex; a
+    `fat` share of the edges gets capacity 2 or transit 2."""
+    names = ["o"] + [f"v{i}" for i in range(1, vertices - 1)] + ["d"]
+    pairs = [(i, i + 1) for i in range(vertices - 1)]
+    while len(pairs) < edges:
+        i = rng.randrange(vertices - 1)
+        pairs.append((i, rng.randrange(i + 1, vertices)))
+    out = []
+    for n, (i, j) in enumerate(pairs):
+        cap, transit = 1, 1
+        if rng.random() < fat:
+            cap, transit = (2, 1) if rng.random() < 0.5 else (1, 2)
+        out.append((f"e{n}", names[i], names[j], cap, transit))
+    prios = {}
+    for v in names:
+        ins = [e[0] for e in out if e[2] == v]
+        rng.shuffle(ins)
+        prios[v] = ins
+    return Network.build("o", "d", out, priorities=prios)
 
 
 def random_interim_config(rng: random.Random, net: Network, max_agents: int = 6):
@@ -192,6 +214,16 @@ def random_fixed_paths(rng: random.Random, net: Network, config: Configuration, 
     return fixed
 
 
+def reference_allowed(graph: Graph, edge_name: str, idx: int) -> frozenset[str]:
+    """The action set read off the graph, apart from the plan's menus: the own
+    edge behind the head, the out-edges of the edge's head for the head, and
+    none (the exit) at the destination."""
+    if idx > 0:
+        return frozenset([edge_name])
+    head = graph.edge(edge_name).head
+    return frozenset() if head == graph.destination else frozenset(graph.out_edges(head))
+
+
 def reference_step(
     graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]
 ) -> Configuration:
@@ -209,7 +241,7 @@ def reference_step(
             if agent not in actions:
                 raise InvalidAction(agent, "missing from action profile")
             act = actions[agent]
-            allowed = _allowed(graph, e, idx)
+            allowed = reference_allowed(graph, e, idx)
             if act is EXIT:
                 if allowed:
                     raise InvalidAction(agent, "exit is only available at the destination head")
@@ -363,7 +395,7 @@ def reference_exhaustive_histories(
             continue
         agents = node.config.agents()
         menus = [
-            sorted(_allowed(graph, e, idx)) or [EXIT]
+            sorted(reference_allowed(graph, e, idx)) or [EXIT]
             for e, q in node.config.queues
             for idx in range(len(q))
         ]
@@ -401,7 +433,7 @@ def reference_one_deviation_audit(
         prof = oracle.profile(node)
         for e, q in node.config.queues:
             for idx, agent in enumerate(q):
-                for alt in sorted(_allowed(graph, e, idx) - {prof[agent]}):
+                for alt in sorted(reference_allowed(graph, e, idx) - {prof[agent]}):
                     report.audited_deviations += 1
                     deviated = child_history(graph, node, {**prof, agent: alt})
                     t_dev = exits_from(deviated)[agent]

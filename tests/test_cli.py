@@ -206,6 +206,15 @@ class TestCommands:
         for name in ("trace.tsv", "queues.tsv"):
             assert (tmp_path / name).read_text() == (golden / name).read_text()
 
+    @pytest.mark.parametrize("case", ["fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond"])
+    def test_solve_matches_golden_reports(self, capsys, tmp_path, case):
+        golden = GOLDEN / "solve" / case
+        code, out = run(capsys, "solve", case, "--out", str(tmp_path))
+        assert code == 0
+        assert out == (golden / "stdout.txt").read_text()
+        for name in ("report.txt", "profile.json"):
+            assert (tmp_path / name).read_text() == (golden / name).read_text()
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("network\n  bogus directive\n")

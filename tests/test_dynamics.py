@@ -22,6 +22,7 @@ from dqroute.fixtures import load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 
 from helpers import (
+    random_fan,
     random_fixed_paths,
     random_interim_config,
     random_net,
@@ -301,7 +302,12 @@ class TestReferenceEquivalence:
 
     def _assert_runs_match(self, net, config, paths):
         trace = run_paths(net, config, paths)
-        assert trace == reference_run_paths(net, config, paths)
+        expected = reference_run_paths(net, config, paths)
+        assert trace == expected
+        # the insertion orders too: agents exit, and reach vertices, alike
+        assert list(trace.exit_times.items()) == list(expected.exit_times.items())
+        assert [(a, list(row.items())) for a, row in trace.vertex_times.items()] == [
+            (a, list(row.items())) for a, row in expected.vertex_times.items()]
         # the horizon guard trips at the same round
         cut = trace.horizon - 2
         if cut >= config.time:
@@ -356,6 +362,27 @@ class TestReferenceEquivalence:
                 nxt = step(net, config, acts)
                 assert nxt == reference_step(net, config, acts)
                 config = nxt
+
+    def test_run_paths_and_step_on_fan_instances(self):
+        # co-queued agents part at the fan heads and merge with other fans'
+        # agents further on, so most rounds sort several entrants
+        rng = random.Random(46)
+        done = 0
+        while done < 30:
+            drawn = random_fan(rng, fan=rng.randint(2, 3))
+            if drawn is None:
+                continue
+            graph, config = drawn
+            self._assert_runs_match(graph, config, random_fixed_paths(rng, graph, config))
+            while not config.is_empty():
+                acts = {}
+                for a in config.agents():
+                    options = sorted(action_set(graph, config, a))
+                    acts[a] = rng.choice(options) if options else EXIT
+                nxt = step(graph, config, acts)
+                assert nxt == reference_step(graph, config, acts)
+                config = nxt
+            done += 1
 
     def test_step_rejects_invalid_profiles_like_the_reference(self):
         rng = random.Random(45)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+import dqroute.bestresponse
 import dqroute.equilibrium
 import helpers
-from dqroute.bestresponse import dominates
+from dqroute.bestresponse import QueueCounters, dominates, queued_agent_table
 from dqroute.dynamics import Configuration, run_paths
 from dqroute.equilibrium import (
     CheckOptions,
@@ -20,11 +21,19 @@ from dqroute.equilibrium import (
 )
 from dqroute.errors import BaseInvarianceViolated, DQRouteError, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, load_fixture
-from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit, validate_and_stats
+from dqroute.netcore import (
+    Agent,
+    InflowSchedule,
+    Network,
+    build_extended,
+    normalize_to_unit,
+    validate_and_stats,
+)
 from dqroute.spe import exhaustive_histories
 
 from helpers import (
     fanout_config,
+    random_chain_dag,
     random_interim_config,
     random_net,
     random_schedule,
@@ -215,6 +224,27 @@ class TestIncrementalSolverMatchesReference:
                 graph, config, base=base, base_check_samples=0
             )
 
+    def test_solve_workload_sizes_equal_reference(self):
+        # 50 agents queued on random edges and 48 entering in waves of up to 3,
+        # on 7-vertex 12-edge chain DAGs, as the solve benchmark draws them
+        rng = random.Random(15)
+        for _ in range(2):
+            net = random_chain_dag(rng)
+            queues: dict[str, list[Agent]] = {}
+            for i in range(50):
+                queues.setdefault(rng.choice(sorted(net.edges)), []).append(Agent(f"a{i}"))
+            config = Configuration.from_mapping(0, queues)
+            unit = normalize_to_unit(random_chain_dag(rng, fat=0.2))
+            waves, t = [], 0
+            for w in (3, 1, 2) * 8:
+                t += rng.randint(1, 2)
+                waves.append((t, [f"a{t}.{k}" for k in range(w)]))
+            ext, entry = build_extended(unit, InflowSchedule.build(waves))
+            for graph, c in ((net, config), (ext.graph, entry)):
+                result = iterative_dominating_profile(graph, c)
+                assert len(result.order) in (48, 50)
+                assert result == reference_dominating_profile(graph, c)
+
     def test_fig2_equals_reference(self):
         loaded = load_fixture("fig2")
         result = iterative_dominating_profile(loaded.graph, loaded.config)
@@ -235,6 +265,40 @@ class TestLeastKeySelection:
         assert result.order == (a, b)
         assert result.paths == {a: ("od",), b: ("od",)}
         assert result == reference_dominating_profile(net, c)
+
+    def test_equal_keys_behind_a_worse_queue_choose_the_front_most(self):
+        # k's queue is listed first but reaches d later; b and a tie on ud, and
+        # b, the front one, goes first although a sorts first by name
+        net = Network.build("o", "d", [("ou", "o", "u"), ("ud", "u", "d")])
+        a, b, k = Agent("a"), Agent("b"), Agent("k")
+        c = Configuration.from_mapping(0, {"ou": [k], "ud": [b, a]})
+        counters = QueueCounters(net, 0)
+        ties = [queued_agent_table("ud", 0, 0, counters) for _ in (b, a)]
+        assert ties[0] == ties[1] and ties[0].tau["d"] == 1
+        result = iterative_dominating_profile(net, c)
+        assert result.order == (b, a, k)
+        assert result.tables[0] == ties[0]
+        assert result == reference_dominating_profile(net, c)
+
+    def test_dp_calls_per_solve_are_pinned(self, monkeypatch):
+        # a fixed 30-agent interim instance: 30 tables in the first iteration,
+        # then one per table a commit invalidates, against 465 from scratch
+        rng = random.Random(3)
+        net = random_chain_dag(rng)
+        queues: dict[str, list[Agent]] = {}
+        for i in range(30):
+            queues.setdefault(rng.choice(sorted(net.edges)), []).append(Agent(f"a{i}"))
+        calls = []
+        original = dqroute.bestresponse.dp_from_vertex
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.bestresponse, "dp_from_vertex", counting)
+        result = iterative_dominating_profile(net, Configuration.from_mapping(0, queues))
+        assert len(result.order) == 30
+        assert len(calls) == 257
 
     def test_a_walk_that_is_a_prefix_of_another_wins(self):
         # once x is assigned, j (behind x on ud) and k (on ou) both reach d at 2
@@ -409,12 +473,14 @@ class TestProperties:
             drawn = set(worlds)
             del worlds[:]
             assert check_properties(net, c, pi, options, exit_table=table).passed
-            # one for verify_ne, then one per drawn world no earlier NE simulated
-            new = worlds[1:]
-            assert len(new) == len(set(new))
-            assert set(new) == drawn - simulated
-            simulated |= drawn
-        assert len(new) < len(drawn)  # the second NE re-reads the first one's worlds
+            # the table's NE test stands in for verify_ne: the NE's own world and
+            # each drawn world are simulated once, through the table, unless an
+            # earlier NE's check did it
+            own = frozenset((a, tuple(p)) for a, p in pi.items())
+            assert len(worlds) == len(set(worlds))
+            assert set(worlds) == (drawn | {own}) - simulated
+            simulated |= drawn | {own}
+        assert len(worlds) < len(drawn)  # the second NE re-reads the first one's worlds
 
     def test_exit_table_of_another_configuration_is_refused(self):
         net = Network.build("o", "d", [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "d")])
@@ -551,8 +617,13 @@ class TestProperties:
 
     def test_non_ne_is_rejected(self):
         loaded = load_fixture("fig1_vicious")
-        with pytest.raises(NotAnNE):
+        with pytest.raises(NotAnNE) as plain:
             check_properties(loaded.graph, loaded.config, loaded.paths)
+        # with a table, verify_ne still names the failure, in the same words
+        table = build_exit_table(loaded.graph, loaded.config.restrict(loaded.paths))
+        with pytest.raises(NotAnNE) as tabled:
+            check_properties(loaded.graph, loaded.config, loaded.paths, exit_table=table)
+        assert str(tabled.value) == str(plain.value)
 
     def test_interim_configs_skip_original_priority_checks(self):
         loaded = load_fixture("fig3")

@@ -611,6 +611,35 @@ class TestHistoryTreeReference:
             checked += 1
         assert checked == 12 + 2 * len(FIXTURES)
 
+    def test_children_match_the_reference_in_order(self):
+        # each configuration's successors, in the reference's product order,
+        # on fan instances (co-queued agents part) and random nets
+        rng = random.Random(62)
+        cases = []
+        while len(cases) < 4:
+            drawn = random_fan(rng, fan=2, max_mid=2, max_e=7)
+            if drawn is not None:
+                cases.append((*drawn, 3))
+        cases += itertools.islice(self._random_cases(63), 6)
+        expanded = 0
+        for graph, config, depth in cases:
+            try:
+                expected = reference_exhaustive_histories(graph, config, depth, guard=self.CAP)
+            except HorizonExceeded:
+                continue
+            tree = exhaustive_histories(graph, config, depth, guard=self.CAP)
+            kids: dict[tuple, list[HistoryNode]] = {}
+            for node in expected[1:]:
+                kids.setdefault(node.parent.key, []).append(node)
+            for node in expected:
+                if node.key not in kids:
+                    assert node.config not in tree.children
+                    continue
+                got = [(canon, child, acts) for canon, (child, acts) in tree.children[node.config].items()]
+                assert got == [(n.key[-1], n.config, n.actions) for n in kids[node.key]]
+                expanded += 1
+        assert expanded > 1000
+
     def test_iterating_builds_the_histories_once_without_stepping(self, monkeypatch):
         loaded = load_fixture("fanout")
         tree = exhaustive_histories(loaded.graph, loaded.config)
