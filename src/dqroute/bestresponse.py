@@ -20,23 +20,23 @@ class QueueCounters:
     plan's edge ids, as lists over index time s, the time since
     `start_time`, before which no agent queues: `lengths[e][s]` is |Q_e^t| at
     t = start_time + s and `entered[e][s]` the tuple of previous-edge ranks of
-    the agents entering e at t. `commit`, `assert_displaces_none` and the DP's
-    `time_at` lists use index times; the name-keyed views `sizes` and
-    `entrant_ranks`, built on read, use absolute times.
+    the agents entering e at t. `commit`, `commit_table` and the DP's
+    `time_at` lists use index times; the name-keyed view `sizes`, built on
+    read, uses absolute times.
 
-    It is written only by `commit`, one trajectory at a time: all of a
-    simulation's trajectories (`from_trace`), each chosen path of a solver,
-    or each agent the entry-order router routes, whose arrivals at an inner
-    vertex are then the entrants of the vertex's out-edges.
-    Initial queue members rank -1, strictly ahead of any entrant. Edges that
-    nothing commits to share one list of zeros and one of empty cells.
+    It is written one trajectory at a time: by `commit`, each of a
+    simulation's (`from_trace`), and by `commit_table`, each chosen path of a
+    solver or each agent the entry-order router routes, whose arrivals at an
+    inner vertex are then the entrants of the vertex's out-edges. Initial
+    queue members rank -1, strictly ahead of any entrant. Edges that nothing
+    commits to share one list of zeros and one of empty cells.
 
     Padding, in index times: a DP starting at s0 first pads every list to
     max(frontier, s0) + |V| cells, `frontier` being the latest committed
     leave time, and it produces no time, and so reads no cell, past that.
-    Under unit capacity, which `commit` holds by refusing a trajectory that
-    leaves an edge in the same step as an indexed agent, at most one agent
-    leaves an edge per step, so a queue at t holds at most frontier - t
+    Under unit capacity, which both commits hold by refusing a trajectory
+    that leaves an edge in the same step as an indexed agent, at most one
+    agent leaves an edge per step, so a queue at t holds at most frontier - t
     agents and a hop from it arrives by frontier + 1; past the frontier
     every hop costs exactly one step, and a path has < |V| hops.
     """
@@ -72,14 +72,6 @@ class QueueCounters:
             for e in self.committed
         }
 
-    @property
-    def entrant_ranks(self) -> dict[str, dict[int, list[int]]]:
-        names, start = self.plan.edges, self.start_time
-        return {
-            names[e]: {start + t: list(ranks) for t, ranks in enumerate(self.entered[e]) if ranks}
-            for e in self.committed
-        }
-
     def pad(self, need: int) -> None:
         """Grow every list to at least `need` cells, at least doubling it."""
         if need <= self.length:
@@ -92,6 +84,15 @@ class QueueCounters:
         self._nobody.extend([()] * more)
         self.length += more
 
+    def _refuse(self, enter: int, broken: int, leave: int) -> None:
+        """Refuse a trajectory that enters at `enter` < 0, before the index's start,
+        or leaves edge id `broken` (-1 for none) at `leave` with an indexed agent."""
+        if enter < 0:
+            raise DQRouteError(f"a trajectory enters before its index's start {self.start_time}")
+        if broken >= 0:
+            raise DQRouteError(f"a trajectory leaves edge {self.plan.edges[broken]!r} at index "
+                               f"time {leave} with an indexed agent")
+
     def commit(
         self, path: Sequence[int], times: Mapping[int, int] | Sequence[int], rank: int
     ) -> None:
@@ -103,21 +104,62 @@ class QueueCounters:
         a path edge at the same time: the departures at L, the agents queued at
         L - 1 less those still queued at L, are 0 or the trajectory is refused."""
         arcs = self.plan.arcs
-        enter = times[arcs[path[0]][0]]
-        if enter < 0:
-            raise DQRouteError(f"a trajectory enters before its index's start {self.start_time}")
         last = times[arcs[path[-1]][1]]
         if last >= self.length:
             self.pad(last + 1)  # the departure check reads the cell at the last leave time
-        lengths, entered, zeros = self.lengths, self.entered, self._zeros
+        lengths, entered = self.lengths, self.entered
+        broken = leave = -1
         for e in path:
             leave = times[arcs[e][1]]
             sizes = lengths[e]
             if sizes[leave - 1] - sizes[leave] + len(entered[e][leave]):
-                raise DQRouteError(
-                    f"a trajectory leaves edge {self.plan.edges[e]!r} at index time {leave} "
-                    "with an indexed agent"
-                )
+                broken = e
+                break
+        self._refuse(times[arcs[path[0]][0]], broken, leave)
+        self._add(path, times, rank)
+
+    def commit_table(self, table: EarliestArrivalTable, v: int, rank: int) -> list[int]:
+        """Commit the e*(.) path traced back from vertex id v until the table has
+        none (so a queued agent's table yields its start edge), at the table's
+        times, each edge entered with the rank of the previous e* or the given
+        rank, and return its edge ids. One walk back checks every edge first:
+        the assertion that no indexed agent ends up behind the trajectory (no
+        lower-priority entrant at its entry, no entrant while it queues), which
+        iterative domination promises a dominating-profile solver's paths, then
+        `commit`'s refusals."""
+        at, estar, arcs = table.time_at, table.estar_at, self.plan.arcs
+        lengths, entered = self.lengths, self.entered
+        leave = at[v]
+        if leave >= self.length:
+            self.pad(leave + 1)
+        path: list[int] = []
+        broken = broken_at = -1
+        e = estar[v]
+        while e >= 0:
+            u = arcs[e][0]
+            f = estar[u]
+            r = rank if f < 0 else arcs[f][2]
+            enter = at[u]
+            cells = entered[e]
+            for x in cells[enter]:
+                assert x <= r
+            if leave > enter + 1:
+                assert not any(cells[enter + 1 : leave])
+            sizes = lengths[e]
+            if sizes[leave - 1] - sizes[leave] + len(cells[leave]):
+                broken, broken_at = e, leave  # the first such edge on the path
+            path.append(e)
+            e, leave = f, enter
+        self._refuse(leave, broken, broken_at)
+        path.reverse()
+        self._add(path, at, rank)
+        return path
+
+    def _add(self, path: Sequence[int], times: Mapping[int, int] | Sequence[int], rank: int) -> None:
+        """The increments of a checked trajectory, as `commit` describes them."""
+        arcs, lengths, entered, zeros = self.plan.arcs, self.lengths, self.entered, self._zeros
+        enter = times[arcs[path[0]][0]]
+        last = times[arcs[path[-1]][1]]
         if last > self.frontier:
             self.frontier = last
         for e in path:  # consecutive edges: each one's head is the next one's tail
@@ -128,31 +170,11 @@ class QueueCounters:
                 sizes = lengths[e] = [0] * self.length
                 entered[e] = [()] * self.length
                 self.committed.append(e)
-            for t in range(enter, leave):
-                sizes[t] += 1
-            entered[e][enter] += (rank,)
-            enter, rank = leave, next_rank
-
-    def assert_displaces_none(
-        self, path: Sequence[int], times: Mapping[int, int] | Sequence[int], rank: int
-    ) -> None:
-        """Assert that committing the trajectory puts no indexed agent behind it:
-        on no path edge does an agent of lower priority enter at the same time,
-        or any agent enter while it queues. Iterative domination promises this
-        to every trajectory a dominating-profile solver commits."""
-        arcs, entered = self.plan.arcs, self.entered
-        last = times[arcs[path[-1]][1]]
-        if last > self.length:
-            self.pad(last)
-        enter = times[arcs[path[0]][0]]
-        for e in path:  # consecutive edges, as in commit
-            _, head, next_rank = arcs[e]
-            leave = times[head]
-            cells = entered[e]
-            for r in cells[enter]:
-                assert r <= rank
+            sizes[enter] += 1
             if leave > enter + 1:
-                assert not any(cells[enter + 1 : leave])
+                for t in range(enter + 1, leave):
+                    sizes[t] += 1
+            entered[e][enter] += (rank,)
             enter, rank = leave, next_rank
 
 
@@ -160,15 +182,16 @@ class QueueCounters:
 class EarliestArrivalTable:
     """On the plan's ids: the deviator reaches v at base + time_at[v] at the
     earliest (time_at[v] is an index time of the DP's `QueueCounters`, or
-    UNREACHED), and achieving_at[v] lists the entering edges achieving it in
-    priority order, so e*(v) is achieving_at[v][0]. `tau`, `estar` and
-    `achieving` are the name-keyed views, built on read, in absolute times."""
+    UNREACHED) over the entering edge estar_at[v], e*(v), the first achieving
+    edge in priority order (-1 where v is unreached or the recursion starts
+    without one). `tau` and `estar` are the name-keyed views, built on read,
+    in absolute times."""
 
     start_vertex: int
     plan: GraphPlan
     base: int
     time_at: list[int]
-    achieving_at: list[Optional[list[int]]]
+    estar_at: list[int]
 
     @property
     def tau(self) -> dict[str, int]:
@@ -178,16 +201,7 @@ class EarliestArrivalTable:
     @property
     def estar(self) -> dict[str, str]:
         names, edges = self.plan.vertices, self.plan.edges
-        return {names[v]: edges[es[0]] for v, es in enumerate(self.achieving_at) if es is not None}
-
-    @property
-    def achieving(self) -> dict[str, tuple[str, ...]]:
-        names, edges = self.plan.vertices, self.plan.edges
-        return {
-            names[v]: tuple(edges[e] for e in es)
-            for v, es in enumerate(self.achieving_at)
-            if es is not None
-        }
+        return {names[v]: edges[e] for v, e in enumerate(self.estar_at) if e >= 0}
 
     def arrival(self, vertex: str) -> float:
         t = self.time_at[self.plan.vertex_id[vertex]]
@@ -195,10 +209,10 @@ class EarliestArrivalTable:
 
     def edge_path(self, v: int) -> list[int]:
         """The edge ids e*(.) from the start vertex to vertex id v, traced back from it."""
-        achieving_at, arcs = self.achieving_at, self.plan.arcs
+        estar, arcs = self.estar_at, self.plan.arcs
         path: list[int] = []
         while v != self.start_vertex:
-            e = achieving_at[v][0]
+            e = estar[v]
             path.append(e)
             v = arcs[e][0]
         path.reverse()
@@ -219,10 +233,10 @@ def dp_from_vertex(
 ) -> EarliestArrivalTable:
     """Run the earliest-arrival recursion on the index's plan from a seeded
     vertex id in topological order, reading the index's lists (padded first,
-    see `QueueCounters`).
+    see `QueueCounters`), keeping one e*, the first winner in priority order.
 
     start_edge/start_rank describe how the deviator shows up at start_vertex for
-    same-time priority comparisons on the first hop.
+    same-time priority comparisons on the first hop; start_edge is its e*.
     """
     plan = counters.plan
     n = len(plan.vertices)
@@ -236,15 +250,16 @@ def dp_from_vertex(
     if need + n > counters.length:
         counters.pad(need + n)
     tau = [UNREACHED] * n
-    achieving: list[Optional[list[int]]] = [None] * n
+    estar = [-1] * n
+    inrank = [start_rank] * n  # the rank of e*(v), read only at reached vertices
     tau[start_vertex] = s0
     if start_edge is not None:
-        achieving[start_vertex] = [start_edge]
-    lengths, entered, order, arcs = counters.lengths, counters.entered, plan.order, plan.arcs
+        estar[start_vertex] = start_edge
+    lengths, entered, order = counters.lengths, counters.entered, plan.order
     # vertices before start_vertex in topological order cannot be reached
     for v in range(start_vertex + 1, n):
         best = unreached = UNREACHED
-        for e, u, _ in order[v]:  # priority order: first winner is e*(v)
+        for e, u, rank in order[v]:  # priority order: first winner is e*(v)
             tu = tau[u]
             if tu == unreached:
                 continue
@@ -254,20 +269,18 @@ def dp_from_vertex(
             queued = lengths[e][tu]
             if queued:
                 val += queued
-                ref = start_rank if u == start_vertex else arcs[achieving[u][0]][2]
+                ref = inrank[u]
                 if ref >= 0:
                     for r in entered[e][tu]:
                         if r >= ref:
                             val -= 1
             if val < best:
-                best = val
-                winners = [e]
-            elif val == best:
-                winners.append(e)
+                best, win, winrank = val, e, rank
         if best < unreached:
             tau[v] = best
-            achieving[v] = winners
-    return EarliestArrivalTable(start_vertex, plan, base, tau, achieving)
+            estar[v] = win
+            inrank[v] = winrank
+    return EarliestArrivalTable(start_vertex, plan, base, tau, estar)
 
 
 def fixed_counters(

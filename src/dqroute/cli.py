@@ -166,10 +166,7 @@ def cmd_solve(args, rep: Reporter, loaded: LoadedScenario) -> int:
         rep.line(
             f"{k}\t{agent.name}\t{trace.exit_times[agent]}\t{_render(loaded, result.paths[agent])}"
         )
-    rep.save_json(
-        "profile.json",
-        {a.name: list(p) for a, p in result.paths.items()},
-    )
+    rep.save_json("profile.json", {a.name: list(p) for a, p in result.paths.items()})
     return 0
 
 
@@ -313,21 +310,10 @@ def cmd_queue_bound(args, rep: Reporter, loaded: LoadedScenario) -> int:
     rep.line(report.to_text())
     for v in verdicts:
         rep.line(f"  ratio {v.node}: {'PASS' if v.ok else f'FAIL at t={v.worst_time} {v.worst_pair}'}")
-    rep.tsv(
-        "occupancy.tsv",
-        ["time", "total"],
-        [(t, n) for t, n in enumerate(trace.total)],
-    )
-    rep.tsv(
-        "queues.tsv",
-        ["edge", "time", "length"],
-        [
-            (e, t, n)
-            for e, series in sorted(trace.per_edge.items())
-            for t, n in enumerate(series)
-            if n
-        ],
-    )
+    rep.tsv("occupancy.tsv", ["time", "total"], enumerate(trace.total))
+    rep.tsv("queues.tsv", ["edge", "time", "length"], (
+        (e, t, n) for e, series in sorted(trace.per_edge.items()) for t, n in enumerate(series) if n
+    ))
     return 0 if report.passed else 1
 
 
@@ -335,11 +321,7 @@ def cmd_spe_bound(args, rep: Reporter, loaded: LoadedScenario) -> int:
     schedule = _extended_schedule(loaded, args.horizon)
     report, trace = spe_bound_experiment(loaded.unit, schedule)
     rep.line(report.to_text())
-    rep.tsv(
-        "occupancy.tsv",
-        ["time", "total"],
-        [(t, n) for t, n in enumerate(trace.total)],
-    )
+    rep.tsv("occupancy.tsv", ["time", "total"], enumerate(trace.total))
     return 0 if report.passed else 1
 
 

@@ -91,7 +91,7 @@ def iterative_dominating_profile(
     committed once, at the times of its own table: it holds each path edge
     (u, v) during [tau(u), tau(v)) and enters it with the rank of its previous
     edge, -1 on its starting edge. Iterative domination says this displaces no
-    assigned agent, and `QueueCounters.assert_displaces_none` checks it. An
+    assigned agent, and `QueueCounters.commit_table` checks it. An
     unassigned agent keeps its table until the count of assigned agents ahead
     of it in its start queue changes, or a commit on an edge (u, v) covers the
     time its table reaches u: those are the only cells its recursion reads
@@ -128,10 +128,10 @@ def iterative_dominating_profile(
             if entry is None:
                 edge_name, e, _ = spot[j]
                 table = queued_agent_table(edge_name, r, ahead[j], counters)
-                at, achieving = table.time_at, table.achieving_at
+                at, estar = table.time_at, table.estar_at
                 key, v, x = [at[d]], d, e if at[d] == UNREACHED else -1
                 while x != e:  # e*(.) back to the start edge, unless d is unreached
-                    x = achieving[v][0]
+                    x = estar[v]
                     v = arcs[x][0]
                     key.append(arcs[x][2])
                     key.append(at[v])
@@ -142,12 +142,10 @@ def iterative_dominating_profile(
             raise Unreachable(f"no remaining agent reaches {graph.destination!r}")
         chosen, (_, times, table) = remaining.pop(pick), least
         del tables[chosen]
-        path_ids = [spot[chosen][1], *table.edge_path(d)]
+        path_ids = counters.commit_table(table, d, -1)  # from the start edge on
         order.append(chosen)
         chosen_tables.append(table)
         assigned[chosen] = tuple(plan.edges[e] for e in path_ids)
-        counters.assert_displaces_none(path_ids, times, -1)
-        counters.commit(path_ids, times, -1)
         for a in spot[chosen][2]:
             assert a not in assigned, "an assigned agent queues behind"
             ahead[a] += 1

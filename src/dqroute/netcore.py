@@ -367,10 +367,10 @@ class InflowSchedule:
 
     @classmethod
     def build(cls, waves: Sequence[tuple[int, Sequence[str]]]) -> "InflowSchedule":
-        out = []
-        for r, names in waves:
-            out.append((r, tuple(Agent(n, entry=r, slot=f + 1) for f, n in enumerate(names))))
-        return cls(tuple(out))
+        return cls(tuple(
+            (r, tuple(map(Agent, names, itertools.repeat(r), itertools.count(1))))
+            for r, names in waves
+        ))
 
     def __post_init__(self):
         last = 0

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from dqroute.analysis import OccupancyTrace, RatioVerdict
-from dqroute.bestresponse import (
-    EarliestArrivalTable,
-    fixed_counters,
-    queued_agent_table,
-)
+from dqroute.bestresponse import UNREACHED, EarliestArrivalTable, QueueCounters
 from dqroute.dynamics import (
     EXIT,
     Configuration,
@@ -604,22 +600,27 @@ def reference_dominating_profile(
     base_check_samples: int = 4,
 ) -> SolveResult:
     """The from-scratch iterative dominating profile: every iteration
-    re-simulates the assigned agents and recomputes every unassigned agent's
-    earliest-arrival table, then walks back from the destination over them.
-    The oracle for the incremental solver."""
+    re-simulates the assigned agents into the dict-backed index, recomputes
+    every unassigned agent's table with the name-keyed DP and walks back from
+    the destination over their tie lists. The oracle for the incremental
+    solver; its tables are `ReferenceArrivalTable`s, so compare results with
+    `solve_views`."""
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
         _check_base_invariance(graph, config, assigned, base_check_samples, random.Random(0))
     remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
-    chosen_tables: list[EarliestArrivalTable] = []
+    chosen_tables: list[ReferenceArrivalTable] = []
     r = config.time
     while remaining:
-        counters = fixed_counters(graph, config, assigned)
-        tables: dict[Agent, EarliestArrivalTable] = {}
+        counters = ReferenceQueueCounters()
+        if assigned:
+            world = config.restrict(assigned)
+            counters = ReferenceQueueCounters.from_trace(graph, run_paths(graph, world, assigned))
+        tables: dict[Agent, ReferenceArrivalTable] = {}
         for j in remaining:
             edge_name, idx = config.restrict([*assigned, j]).locate(j)
-            tables[j] = queued_agent_table(edge_name, r, idx, counters)
+            tables[j] = reference_queued_agent_table(graph, j, edge_name, r, idx, counters)
         w = graph.destination
         pool = list(remaining)
         path_rev: list[str] = []
@@ -649,6 +650,12 @@ def reference_dominating_profile(
         remaining.remove(chosen)
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
+
+
+def solve_views(result: SolveResult):
+    """A solve's order, paths and chosen tables' (tau, estar) views: what a
+    production solve and `reference_dominating_profile` share."""
+    return result.order, result.paths, [(t.tau, t.estar) for t in result.tables]
 
 
 def reference_check_batches(graph, world, profile, trace, batches, menus, options):
@@ -911,6 +918,30 @@ def by_ids(graph: Graph, path: Sequence[str], times: Mapping[str, int]):
     (its times are index times when the index starts at time 0)."""
     plan = graph.plan()
     return [plan.edge_id[e] for e in path], {plan.vertex_id[v]: t for v, t in times.items()}
+
+
+def entrant_ranks(counters: QueueCounters) -> dict[str, dict[int, list[int]]]:
+    """The name-keyed view of an index's entrant-rank cells, in absolute
+    times, as `ReferenceQueueCounters.entrant_ranks` holds them."""
+    names, start = counters.plan.edges, counters.start_time
+    return {
+        names[e]: {start + t: list(ranks) for t, ranks in enumerate(counters.entered[e]) if ranks}
+        for e in counters.committed
+    }
+
+
+def trajectory_table(graph: Graph, path: Sequence[str], times: Mapping[str, int]):
+    """(table, vertex id) of a named trajectory: an `EarliestArrivalTable` at
+    the given index times whose e*(.) from the path's last head back to its
+    first tail is the path, the arguments `QueueCounters.commit_table` takes."""
+    plan = graph.plan()
+    at, estar = [UNREACHED] * len(plan.vertices), [-1] * len(plan.vertices)
+    for v, t in times.items():
+        at[plan.vertex_id[v]] = t
+    for e in path:
+        estar[plan.vertex_id[graph.edge(e).head]] = plan.edge_id[e]
+    start = plan.vertex_id[graph.edge(path[0]).tail]
+    return EarliestArrivalTable(start, plan, 0, at, estar), plan.vertex_id[graph.edge(path[-1]).head]
 
 
 def reference_degree_ratio_monitor(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dqroute.analysis
 from dqroute.analysis import (
     OccupancyTrace,
     RouterResult,
@@ -34,6 +35,7 @@ from dqroute.spe import induced_paths, root_history, sigma_star
 
 from helpers import (
     by_ids,
+    entrant_ranks,
     random_net,
     random_schedule,
     random_sp_net,
@@ -126,7 +128,7 @@ def assert_route_matches_reference(u, schedule):
     assert list(result.paths.items()) == list(expected.paths.items())
     assert result.exit_times == expected.exit_times
     assert result.timelines.sizes == expected.timelines.sizes
-    assert result.timelines.entrant_ranks == expected.timelines.entrant_ranks
+    assert entrant_ranks(result.timelines) == expected.timelines.entrant_ranks
     assert occupancy_trace(u, result) == reference_occupancy_trace(u, expected)
     assert_arrival_check_matches_the_counter(u, result, expected)
 
@@ -173,6 +175,22 @@ class TestRouterReference:
                 assert_route_matches_reference(loaded.unit, _extended_schedule(loaded, None))
                 routed += 1
         assert routed == 4
+
+
+    def test_one_dp_per_routed_agent(self, monkeypatch):
+        calls = []
+        original = dqroute.analysis.dp_from_vertex
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dqroute.analysis, "dp_from_vertex", counting)
+        schedule = constant_schedule(2, 300)
+        result = route_entry_order(unit(diamond_net()), schedule)
+        assert len(calls) == len(schedule.agents()) == len(result.paths) == 600
+        # agents on the same edges share one tuple of names
+        assert len({id(p) for p in result.paths.values()}) == len(set(result.paths.values()))
 
 
 class TestQueueBound:
@@ -359,6 +377,28 @@ class TestObservationBound:
                 u, result, reference_route_entry_order(u, schedule)
             )
         assert seen == {True, False}
+
+    def test_large_cells_at_distinct_times_are_summed_time_by_time(self):
+        # u's three out-edges get one entrant each, at 2, 3 and 4: their
+        # largest cells sum to 3, over the bounds 2 and 0, so u's cells are
+        # summed time by time, and no time has more than one arrival
+        net = Network.build("o", "d", [(f"{h}{i}", *ends) for h, ends in
+                                       (("a", ("o", "u")), ("c", ("u", "d"))) for i in (1, 2, 3)])
+        timelines = QueueCounters(net)
+        arrivals = {}
+        for i in (1, 2, 3):
+            times = {"o": 0, "u": 1 + i, "d": 5 + i}
+            timelines.commit(*by_ids(net, (f"a{i}", f"c{i}"), times), -1)
+            arrivals[Agent(f"x{i}")] = times
+        result = RouterResult({a: (f"a{i}", f"c{i}") for i, a in enumerate(arrivals, 1)},
+                              {a: t["d"] for a, t in arrivals.items()}, timelines)
+        counter = reference_arrival_counts(arrivals)
+        assert _check_simultaneous_arrivals(net, result, 2) == \
+            ("simultaneous_arrivals_within_max_in_degree", True, "") == \
+            reference_check_simultaneous_arrivals(counter, 2, "o")
+        assert _check_simultaneous_arrivals(net, result, 0) == \
+            ("simultaneous_arrivals_within_max_in_degree", False, "first violation ('u', 2, 1)") == \
+            reference_check_simultaneous_arrivals(counter, 0, "o")
 
     def test_hand_built_simultaneous_arrival_failure(self):
         # three parallel edges on each hop: w sees three arrivals at 2, u at

@@ -23,6 +23,7 @@ from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 from helpers import (
     ReferenceQueueCounters,
     by_ids,
+    entrant_ranks,
     random_fixed_paths,
     random_interim_config,
     random_net,
@@ -31,6 +32,7 @@ from helpers import (
     reference_queued_agent_table,
     replay_queue_lengths,
     step_replay,
+    trajectory_table,
 )
 
 A, B = Agent("A"), Agent("B")
@@ -116,7 +118,7 @@ class TestQueueCounters:
                         ranks.setdefault(e, {})[nxt.time] = new
             assert counters.sizes == replay_queue_lengths(configs)
             assert {e: {t: sorted(r) for t, r in per_t.items()}
-                    for e, per_t in counters.entrant_ranks.items()} == ranks
+                    for e, per_t in entrant_ranks(counters).items()} == ranks
             done += 1
 
     def test_from_trace_copies_the_queue_sizes(self):
@@ -125,7 +127,7 @@ class TestQueueCounters:
         trace = run_paths(net, c, {A: ("od",)})
         counters = QueueCounters.from_trace(net, trace)
         assert counters.sizes == {"od": {0: 1}}
-        assert counters.entrant_ranks == {"od": {0: [-1]}}
+        assert entrant_ranks(counters) == {"od": {0: [-1]}}
         counters.commit(*by_ids(net, ("od",), {"o": 0, "d": 3}), -1)
         # a commit grows this index only, not the trace or a second index
         assert trace == run_paths(net, c, {A: ("od",)})
@@ -142,21 +144,25 @@ class TestQueueCounters:
         )
         counters = QueueCounters(net)
         counters.commit(*by_ids(net, ("ou", "uw", "wd"), {"o": 0, "u": 1, "w": 2, "d": 3}), -1)
+        before = (counters.sizes, entrant_ranks(counters), counters.frontier)
         # entering wd at 2 over vw outranks the committed entrant over uw
         with pytest.raises(AssertionError):
-            counters.assert_displaces_none(
-                *by_ids(net, ("ov", "vw", "wd"), {"o": 0, "v": 1, "w": 2, "d": 4}), -1
+            counters.commit_table(
+                *trajectory_table(net, ("ov", "vw", "wd"), {"o": 0, "v": 1, "w": 2, "d": 4}), -1
             )
         # queuing on wd from 1 to 4 puts the entrant at 2 behind it
         with pytest.raises(AssertionError):
-            counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 1, "d": 4}), -1)
-        counters.assert_displaces_none(*by_ids(net, ("wd",), {"w": 3, "d": 4}), 0)
+            counters.commit_table(*trajectory_table(net, ("wd",), {"w": 1, "d": 4}), -1)
+        assert (counters.sizes, entrant_ranks(counters), counters.frontier) == before
+        assert counters.commit_table(*trajectory_table(net, ("wd",), {"w": 3, "d": 4}), 0) == \
+            [net.plan().edge_id["wd"]]
+        assert entrant_ranks(counters)["wd"] == {2: [net.rank("uw")], 3: [0]}
 
     def test_two_departures_in_one_step_are_refused(self):
         net = Network.build("o", "d", [("ov", "o", "v"), ("vd", "v", "d"), ("od", "o", "d")])
         counters = QueueCounters(net)
         counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 2, "d": 3}), -1)
-        before = (counters.sizes, counters.entrant_ranks, counters.frontier)
+        before = (counters.sizes, entrant_ranks(counters), counters.frontier)
         # a second agent on ov leaving it at 2 too, entering at 0 or at 1
         for enter in (0, 1):
             with pytest.raises(DQRouteError):
@@ -164,7 +170,7 @@ class TestQueueCounters:
         # leaving vd at 3 with the indexed agent, after ov at another time
         with pytest.raises(DQRouteError):
             counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 1, "d": 3}), -1)
-        assert (counters.sizes, counters.entrant_ranks, counters.frontier) == before
+        assert (counters.sizes, entrant_ranks(counters), counters.frontier) == before
         # one step apart on each edge, or on another edge at the same time
         counters.commit(*by_ids(net, ("ov", "vd"), {"o": 0, "v": 3, "d": 4}), -1)
         counters.commit(*by_ids(net, ("od",), {"o": 1, "d": 3}), -1)
@@ -198,12 +204,12 @@ def random_nets_with_counters(rng: random.Random, count: int, refusals: list | N
         for _ in range(rng.randint(0, 10)):
             path, times, rank = random_trajectory(rng, net)
             expected = reference.breaks_unit_capacity(net, path, times)
-            before = (counters.sizes, counters.entrant_ranks, counters.frontier)
+            before = (counters.sizes, entrant_ranks(counters), counters.frontier)
             try:
                 counters.commit(*by_ids(net, path, times), rank)
             except DQRouteError:
                 assert expected, (path, times)
-                assert (counters.sizes, counters.entrant_ranks, counters.frontier) == before
+                assert (counters.sizes, entrant_ranks(counters), counters.frontier) == before
                 refused = True
             else:
                 assert not expected, (path, times)
@@ -215,6 +221,15 @@ def random_nets_with_counters(rng: random.Random, count: int, refusals: list | N
     return out
 
 
+def estar_chain(net: Network, table, vertex: str) -> tuple[str, ...]:
+    """The edges e*(.) back from the vertex while the table's name view has one."""
+    path: list[str] = []
+    while vertex in table.estar:
+        path.insert(0, table.estar[vertex])
+        vertex = net.edge(path[0]).tail
+    return tuple(path)
+
+
 class TestCompiledPlan:
     """The plan-reading DP and occupancy index against the parent's
     accessor-reading versions."""
@@ -223,28 +238,60 @@ class TestCompiledPlan:
         refusals: list[bool] = []
         for net, counters, reference in random_nets_with_counters(random.Random(11), 40, refusals):
             assert counters.sizes == reference.sizes
-            assert counters.entrant_ranks == reference.entrant_ranks
+            assert entrant_ranks(counters) == reference.entrant_ranks
         # the random trajectories break unit capacity often: both verdicts occur
         assert set(refusals) == {True, False}
 
     def test_displacement_check_matches_the_reference(self):
+        # the traced commit against the oracle's displacement assertion, then
+        # its unit-capacity test, then its commit, on random trajectories
+        # through hand-built tables and on the e* paths of DP tables, from a
+        # vertex or queued on an edge
         rng = random.Random(12)
         outcomes = set()
         for net, counters, reference in random_nets_with_counters(rng, 40):
-            for _ in range(10):
-                path, times, rank = random_trajectory(rng, net)
-                expected = refused = False
+            plan = net.plan()
+            for _ in range(12):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    path, times, rank = random_trajectory(rng, net)
+                    table, v = trajectory_table(net, path, times)
+                else:
+                    if kind == 1:
+                        start, rank = rng.choice(net.vertices), rng.randint(-1, 2)
+                        t = rng.randint(0, 6)
+                        table = dp_from_vertex(plan.vertex_id[start], t, None, rank, counters)
+                    else:
+                        start, rank = rng.choice(sorted(net.edges)), -1
+                        t, idx = rng.randint(0, 4), rng.randint(0, 2)
+                        table = queued_agent_table(start, t, idx, counters)
+                    ends = sorted(table.estar)
+                    if not ends:
+                        continue
+                    v = plan.vertex_id[rng.choice(ends)]
+                    path = estar_chain(net, table, plan.vertices[v])
+                    times = {w: table.tau[w] for w in net.path_vertices(path)}
                 try:
                     reference.assert_displaces_none(net, path, times, rank)
                 except AssertionError:
-                    expected = True
+                    expected = AssertionError
+                else:
+                    expected = DQRouteError if reference.breaks_unit_capacity(net, path, times) \
+                        else None
+                before = (counters.sizes, entrant_ranks(counters), counters.frontier)
                 try:
-                    counters.assert_displaces_none(*by_ids(net, path, times), rank)
-                except AssertionError:
-                    refused = True
-                assert refused == expected, (path, times, rank)
-                outcomes.add(refused)
-        assert outcomes == {True, False}
+                    ids = counters.commit_table(table, v, rank)
+                except (AssertionError, DQRouteError) as exc:
+                    assert type(exc) is expected, (path, times, rank)
+                    assert (counters.sizes, entrant_ranks(counters), counters.frontier) == before
+                else:
+                    assert expected is None, (path, times, rank)
+                    assert ids == by_ids(net, path, times)[0]
+                    reference.commit(net, path, times, rank)
+                    assert counters.sizes == reference.sizes
+                    assert entrant_ranks(counters) == reference.entrant_ranks
+                outcomes.add(expected)
+        assert outcomes == {AssertionError, DQRouteError, None}
 
     def test_tables_match_the_reference_dp(self):
         rng = random.Random(13)
@@ -263,8 +310,7 @@ class TestCompiledPlan:
                     expected = reference_dp_from_vertex(
                         net, A, v, t, start_edge, start_rank, reference
                     )
-                    assert (table.tau, table.estar, table.achieving) == \
-                        (expected.tau, expected.estar, expected.achieving)
+                    assert (table.tau, table.estar) == (expected.tau, expected.estar)
                     # the padding bound: no time past max(frontier, start) + |V| - 1
                     reached = [s for s in table.time_at if s != UNREACHED]
                     assert max(reached) < max(counters.frontier, t) + len(plan.vertices)
@@ -293,17 +339,15 @@ def assert_solver_index_matches_reference(graph, config):
                     continue
                 table = queued_agent_table(e, r, ahead, counters)
                 expected = reference_queued_agent_table(graph, a, e, r, ahead, reference)
-                assert (table.tau, table.estar, table.achieving) == \
-                    (expected.tau, expected.estar, expected.achieving)
+                assert (table.tau, table.estar) == (expected.tau, expected.estar)
                 if a == agent:
                     assert tau == expected.tau
-        index_times = {v: t - r for v, t in tau.items()}
-        counters.assert_displaces_none(*by_ids(graph, path, index_times), -1)
+        d = graph.plan().vertex_id[graph.destination]
+        assert counters.commit_table(chosen, d, -1) == by_ids(graph, path, {})[0]
         reference.assert_displaces_none(graph, path, tau, -1)
-        counters.commit(*by_ids(graph, path, index_times), -1)
         reference.commit(graph, path, tau, -1)
         assert counters.sizes == reference.sizes
-        assert counters.entrant_ranks == reference.entrant_ranks
+        assert entrant_ranks(counters) == reference.entrant_ranks
     return result
 
 
@@ -355,15 +399,14 @@ class TestIndexThroughTheSolver:
             counters = QueueCounters.from_trace(net, trace)
             reference = ReferenceQueueCounters.from_trace(net, trace)
             assert counters.sizes == reference.sizes
-            assert counters.entrant_ranks == reference.entrant_ranks
+            assert entrant_ranks(counters) == reference.entrant_ranks
             for e, q in config.queues:
                 for idx, a in enumerate(q):
                     table = queued_agent_table(e, config.time, idx + 1, counters)
                     expected = reference_queued_agent_table(
                         net, a, e, config.time, idx + 1, reference
                     )
-                    assert (table.tau, table.estar, table.achieving) == \
-                        (expected.tau, expected.estar, expected.achieving)
+                    assert (table.tau, table.estar) == (expected.tau, expected.estar)
             done += 1
 
 

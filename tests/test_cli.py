@@ -215,6 +215,23 @@ class TestCommands:
         for name in ("report.txt", "profile.json"):
             assert (tmp_path / name).read_text() == (golden / name).read_text()
 
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            ("sp_diamond", ["sp_diamond"]),
+            # a width-2 cut with queues of up to 3, at a short horizon
+            ("sp_queueing", [str(GOLDEN / "queue-bound" / "sp_queueing" / "sp_queueing.scn"),
+                             "--horizon", "250"]),
+        ],
+    )
+    def test_queue_bound_matches_golden_reports(self, capsys, tmp_path, case, argv):
+        golden = GOLDEN / "queue-bound" / case
+        code, out = run(capsys, "queue-bound", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert out == (golden / "stdout.txt").read_text()
+        for name in ("occupancy.tsv", "queues.tsv"):
+            assert (tmp_path / name).read_text() == (golden / name).read_text()
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("network\n  bogus directive\n")

@@ -39,6 +39,7 @@ from helpers import (
     random_schedule,
     reference_check_batches,
     reference_dominating_profile,
+    solve_views,
     tiny_schedule_tables,
 )
 
@@ -208,8 +209,8 @@ class TestIncrementalSolverMatchesReference:
 
     def test_full_solve_equals_reference(self):
         for graph, config in itertools.chain(self.corpus(random.Random(5), 60), self.fan_corpus()):
-            assert iterative_dominating_profile(graph, config) == \
-                reference_dominating_profile(graph, config)
+            assert solve_views(iterative_dominating_profile(graph, config)) == \
+                solve_views(reference_dominating_profile(graph, config))
 
     def test_base_variant_equals_reference(self):
         rng = random.Random(23)
@@ -220,9 +221,9 @@ class TestIncrementalSolverMatchesReference:
             k = rng.randint(1, len(full.order) - 1)
             base = {a: full.paths[a] for a in full.order[:k]}
             seeded = iterative_dominating_profile(graph, config, base=base, base_check_samples=0)
-            assert seeded == reference_dominating_profile(
+            assert solve_views(seeded) == solve_views(reference_dominating_profile(
                 graph, config, base=base, base_check_samples=0
-            )
+            ))
 
     def test_solve_workload_sizes_equal_reference(self):
         # 50 agents queued on random edges and 48 entering in waves of up to 3,
@@ -243,12 +244,13 @@ class TestIncrementalSolverMatchesReference:
             for graph, c in ((net, config), (ext.graph, entry)):
                 result = iterative_dominating_profile(graph, c)
                 assert len(result.order) in (48, 50)
-                assert result == reference_dominating_profile(graph, c)
+                assert solve_views(result) == solve_views(reference_dominating_profile(graph, c))
 
     def test_fig2_equals_reference(self):
         loaded = load_fixture("fig2")
         result = iterative_dominating_profile(loaded.graph, loaded.config)
-        assert result == reference_dominating_profile(loaded.graph, loaded.config)
+        expected = reference_dominating_profile(loaded.graph, loaded.config)
+        assert solve_views(result) == solve_views(expected)
         assert tuple(result.paths[a] for a in result.order) == FIG2_EXPECTED
 
 
@@ -264,7 +266,7 @@ class TestLeastKeySelection:
         result = iterative_dominating_profile(net, c)
         assert result.order == (a, b)
         assert result.paths == {a: ("od",), b: ("od",)}
-        assert result == reference_dominating_profile(net, c)
+        assert solve_views(result) == solve_views(reference_dominating_profile(net, c))
 
     def test_equal_keys_behind_a_worse_queue_choose_the_front_most(self):
         # k's queue is listed first but reaches d later; b and a tie on ud, and
@@ -278,7 +280,7 @@ class TestLeastKeySelection:
         result = iterative_dominating_profile(net, c)
         assert result.order == (b, a, k)
         assert result.tables[0] == ties[0]
-        assert result == reference_dominating_profile(net, c)
+        assert solve_views(result) == solve_views(reference_dominating_profile(net, c))
 
     def test_dp_calls_per_solve_are_pinned(self, monkeypatch):
         # a fixed 30-agent interim instance: 30 tables in the first iteration,
@@ -309,10 +311,11 @@ class TestLeastKeySelection:
         result = iterative_dominating_profile(net, c)
         assert result.order == (x, j, k)
         assert [table.tau["d"] for table in result.tables] == [1, 2, 3]
-        assert result == reference_dominating_profile(net, c)
+        assert solve_views(result) == solve_views(reference_dominating_profile(net, c))
         seeded = iterative_dominating_profile(net, c, base={x: ("ud",)})
         assert seeded.order == (j, k)
-        assert seeded == reference_dominating_profile(net, c, base={x: ("ud",)})
+        expected = reference_dominating_profile(net, c, base={x: ("ud",)})
+        assert solve_views(seeded) == solve_views(expected)
 
     def test_equal_times_are_broken_by_the_rank_of_e_star(self):
         # p and q reach m at 2 and d at 3 alike; bm outranks am at m, so q goes
@@ -329,7 +332,7 @@ class TestLeastKeySelection:
         assert result.order == (q, p)
         assert [table.tau["m"] for table in result.tables] == [2, 2]
         assert run_paths(net, c, result.paths).exit_times == {q: 3, p: 4}
-        assert result == reference_dominating_profile(net, c)
+        assert solve_views(result) == solve_views(reference_dominating_profile(net, c))
 
 
 class TestVerifyNE:
