@@ -216,11 +216,10 @@ def _experiment_report(
         edge_stab = max(edge_stab, s)
     stabilization = max(occ_stab, edge_stab)
 
-    latency_by_entry: dict[int, int] = {}
-    for agent, t in result.exit_times.items():
-        latency_by_entry[agent.entry] = max(latency_by_entry.get(agent.entry, 0), t - agent.entry)
-    entries = sorted(latency_by_entry)
-    lat_series = [latency_by_entry[r] for r in entries]
+    # each wave's latest exit after its entry time (waves are never empty)
+    exit_of = result.exit_times.__getitem__
+    entries = [r for r, _ in schedule.waves]
+    lat_series = [max(map(exit_of, wave)) - r for r, wave in schedule.waves]
     lat_stab_idx, max_latency = _stabilization(lat_series)
     lat_stab_entry = entries[lat_stab_idx] if entries else 0
     max_latency = max(max_latency, 0)

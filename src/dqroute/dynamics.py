@@ -54,9 +54,7 @@ class Configuration:
     def restrict(self, agents: Iterable[Agent]) -> "Configuration":
         """Keep only the given agents, preserving queue order."""
         keep = set(agents)
-        items = tuple(
-            (e, tuple(a for a in q if a in keep)) for e, q in self.queues
-        )
+        items = ((e, tuple(a for a in q if a in keep)) for e, q in self.queues)
         return Configuration(self.time, tuple((e, q) for e, q in items if q))
 
 
@@ -70,40 +68,39 @@ def _allowed(graph: Graph, edge_name: str, idx: int) -> frozenset[str]:
     return frozenset([edge_name] if idx > 0 else graph.plan().menus[edge_name])
 
 
-def _advance(
-    graph: Graph, queues: dict[str, list[Agent]], actions: Mapping[Agent, Optional[str]]
-) -> list[tuple[Agent, str, Optional[str]]]:
-    """The one queuing round, in place: the head of every queue leaves its
-    edge, in edge order, for its action (the next edge or EXIT). Entrants of
-    an edge queue behind its agents, sorted by the ranks of their previous
-    edges, distinct in-edges of its tail. Returns the (agent, edge, action) moves."""
-    ranks = graph.plan().ranks
-    moves = []
-    entrants: dict[str, list[tuple[int, Agent]]] = {}
-    for e in sorted(queues):
-        q = queues[e]
-        agent = q.pop(0)
-        if not q:
-            del queues[e]
-        act = actions[agent]
-        moves.append((agent, e, act))
-        if act is not EXIT:
-            entrants.setdefault(act, []).append((ranks[e], agent))
-    for e, incoming in entrants.items():
-        incoming.sort()
-        queues.setdefault(e, []).extend([agent for _, agent in incoming])
-    return moves
+def _round(ranks: Mapping[str, int], queues: Sequence[tuple[str, tuple[Agent, ...]]]):
+    """The one queuing round from the (edge, queue) pairs, compiled once: a
+    function from the heads' actions, in queue order, to the successor's
+    pairs. Each head leaves its edge for its action (the next edge or EXIT)
+    and the agents behind it stay. Entrants of an edge queue behind its
+    agents, sorted by the ranks of their previous edges, distinct in-edges of
+    its tail, so the heads join in the ranks' order."""
+    rest, ranked = {}, []
+    for i, (e, q) in enumerate(queues):
+        if len(q) > 1:
+            rest[e] = q[1:]
+        ranked.append((ranks[e], i, q[0]))
+    ranked.sort()  # ranks, then distinct indices: agents are never compared
+
+    def successor(heads: Sequence[Optional[str]]) -> tuple[tuple[str, tuple[Agent, ...]], ...]:
+        out = rest.copy()
+        for _, i, agent in ranked:
+            act = heads[i]
+            if act is not EXIT:
+                out[act] = out[act] + (agent,) if act in out else (agent,)
+        return tuple(sorted(out.items()))
+
+    return successor
 
 
-def _successor(graph: Graph, config: Configuration, actions: Mapping) -> Configuration:
-    """One `_advance` round from the configuration, on actions from its action sets."""
-    queues = {e: list(q) for e, q in config.queues}
-    _advance(graph, queues, actions)
-    return Configuration.from_mapping(config.time + 1, queues)
+def profile_of(config: Configuration, heads: Sequence[Optional[str]]) -> dict[Agent, Optional[str]]:
+    """The action profile whose queue heads, in queue order, take `heads`:
+    every agent behind a head stays on its edge."""
+    return {a: e if i else h for (e, q), h in zip(config.queues, heads) for i, a in enumerate(q)}
 
 
 def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[str]]) -> Configuration:
-    """Apply one round of simultaneous actions (`_advance`) after checking
+    """Apply one round of simultaneous actions (`_round`) after checking
     each agent's action against its action set: its own edge behind the
     head, the out-edges of the edge's head for the head."""
     for e, q in config.queues:
@@ -117,7 +114,8 @@ def step(graph: Graph, config: Configuration, actions: Mapping[Agent, Optional[s
                     raise InvalidAction(agent, "exit is only available at the destination head")
             elif act not in allowed:
                 raise InvalidAction(agent, f"{act!r} not in action set {sorted(allowed)}")
-    return _successor(graph, config, actions)
+    successor = _round(graph.plan().ranks, config.queues)
+    return Configuration(config.time + 1, successor(tuple(actions[q[0]] for _, q in config.queues)))
 
 
 @dataclass
@@ -146,10 +144,7 @@ class RoutingTrace:
 
     def rows(self) -> list[tuple[str, str, int]]:
         """Tabular (agent, vertex, time) report rows, sorted by time then agent."""
-        out = []
-        for agent, times in self.vertex_times.items():
-            for v, t in times.items():
-                out.append((agent.name, v, t))
+        out = [(agent.name, v, t) for agent, times in self.vertex_times.items() for v, t in times.items()]
         return sorted(out, key=lambda row: (row[2], row[0], row[1]))
 
 
@@ -184,7 +179,7 @@ def run_paths(
     horizon: Optional[int] = None,
 ) -> RoutingTrace:
     """Simulate all agents along fixed paths until everyone has exited, one
-    `_advance` round per time step.
+    `_round` per time step.
 
     The trace holds each agent's vertex times and exit time; queue lengths
     and entrants follow from them (`bestresponse.QueueCounters.from_trace`).
@@ -199,21 +194,25 @@ def _simulate(graph: Graph, config: Configuration, paths: Mapping[Agent, Sequenc
     """`run_paths` without validation, for paths drawn from the configuration's menus."""
     limit = horizon if horizon is not None else default_horizon(graph, config)
     t = config.time
-    queues = {e: list(q) for e, q in config.queues}
+    queues, edges, ranks = config.queues, graph.edges, graph.plan().ranks
     ahead = {a: iter(p[1:]) for a, p in paths.items()}
     actions = {a: next(rest, EXIT) for a, rest in ahead.items()}
-    vertex_times = {a: {graph.edges[e].tail: t} for e, q in config.queues for a in q}
+    vertex_times = {a: {edges[e].tail: t} for e, q in queues for a in q}
     exit_times: dict[Agent, int] = {}
     while queues:
         if t > limit:
             raise HorizonExceeded(f"simulation passed time {limit}")
         t += 1
-        for agent, e, act in _advance(graph, queues, actions):
-            vertex_times[agent][graph.edges[e].head] = t
+        heads = []
+        for e, q in queues:
+            agent = q[0]
+            heads.append(act := actions[agent])
+            vertex_times[agent][edges[e].head] = t
             if act is EXIT:
                 exit_times[agent] = t
             else:
                 actions[agent] = next(ahead[agent], EXIT)
+        queues = _round(ranks, queues)(heads)
     return RoutingTrace(
         start_time=config.time,
         paths={a: tuple(p) for a, p in paths.items()},

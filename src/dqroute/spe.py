@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, _successor, default_horizon
+from .dynamics import EXIT, Configuration, RoutingTrace, _allowed, _round, default_horizon, profile_of
 from .dynamics import run_paths, step
 from .equilibrium import (
     BatchDecomposition,
@@ -24,21 +24,24 @@ from .netcore import Agent, Graph
 Action = Optional[str]
 
 
-def _canonical(actions: Mapping[Agent, Action]) -> tuple:
-    return tuple(sorted([(a.name, act if act is not None else "") for a, act in actions.items()]))
-
-
 class HistoryNode(NamedTuple):
-    """A realized history: the root configuration plus the action profiles taken."""
+    """A realized history: the root configuration plus the action profiles
+    taken. The key holds one entry per profile, the actions of its queue
+    heads in queue order: the agents behind a head can only stay, so these
+    fix the profile. `history_name` spells a key out by agent name."""
 
     config: Configuration
     key: tuple
     parent: Optional["HistoryNode"] = None
-    actions: Optional[dict[Agent, Action]] = None  # profile leading here from parent
 
     @property
     def time(self) -> int:
         return self.config.time
+
+    @property
+    def actions(self) -> Optional[dict[Agent, Action]]:
+        """The profile leading here from the parent (None at the root)."""
+        return None if self.parent is None else profile_of(self.parent.config, self.key[-1])
 
 
 def root_history(config: Configuration) -> HistoryNode:
@@ -46,8 +49,19 @@ def root_history(config: Configuration) -> HistoryNode:
 
 
 def child_history(graph: Graph, node: HistoryNode, actions: Mapping[Agent, Action]) -> HistoryNode:
-    actions = dict(actions)
-    return HistoryNode(step(graph, node.config, actions), node.key + (_canonical(actions),), node, actions)
+    config = step(graph, node.config, actions)
+    return HistoryNode(config, node.key + (tuple(actions[q[0]] for _, q in node.config.queues),), node)
+
+
+def history_name(node: HistoryNode) -> tuple:
+    """The history's profiles by name, as reports print them: each one's
+    (agent name, action) pairs sorted by name, with EXIT as ''."""
+    names = []
+    while node.parent is not None:
+        named = [(a.name, act if act is not None else "") for a, act in node.actions.items()]
+        names.append(tuple(sorted(named)))
+        node = node.parent
+    return tuple(reversed(names))
 
 
 class StrategyOracle:
@@ -67,6 +81,12 @@ class StrategyOracle:
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return {a: self.action(history, a) for a in history.config.agents()}
+
+    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
+        """The profile's actions of the queue heads, in queue order: the key
+        entry of the history it plays to."""
+        prof = self.profile(history)
+        return tuple(prof[q[0]] for _, q in history.config.queues)
 
     def state(self, history: HistoryNode) -> Hashable:
         return history.key
@@ -132,6 +152,10 @@ class SigmaStar(StrategyOracle):
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
         return dict(self.prescription(history.config))
 
+    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
+        prof = self.prescription(history.config)  # read, not copied
+        return tuple(prof[q[0]] for _, q in history.config.queues)
+
     def state(self, history: HistoryNode) -> Hashable:
         return history.config.content_key()
 
@@ -148,12 +172,7 @@ class NEBasedOracle(StrategyOracle):
     an iterative dominating partial profile on that base (Construction II).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        root_config: Configuration,
-        pi: Mapping[Agent, Sequence[str]],
-    ):
+    def __init__(self, graph: Graph, root_config: Configuration, pi: Mapping[Agent, Sequence[str]]):
         super().__init__(graph)
         missing = [a for a in root_config.agents() if a not in pi]
         if missing:
@@ -164,7 +183,7 @@ class NEBasedOracle(StrategyOracle):
         self._profiles: dict[tuple, dict[Agent, tuple[str, ...]]] = {
             (): {a: tuple(p) for a, p in pi.items()}
         }
-        self._parents: dict[tuple, tuple[dict[Agent, Action], BatchDecomposition]] = {}
+        self._parents: dict[tuple, tuple[tuple[Action, ...], BatchDecomposition]] = {}
         self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def matched_prefix_size(self, node: HistoryNode) -> int:
@@ -177,10 +196,11 @@ class NEBasedOracle(StrategyOracle):
         if state not in self._parents:
             rho = self.profile_at(parent)
             trace = run_paths(self.graph, parent.config.restrict(rho), rho)
-            self._parents[state] = self.profile(parent), batch_decompose(trace)
+            self._parents[state] = self.heads(parent), batch_decompose(trace)
         prescribed, batches = self._parents[state]
+        moved = {q[0] for (_, q), a, b in zip(parent.config.queues, node.key[-1], prescribed) if a != b}
         for k, batch in enumerate(batches.batches):
-            if any(node.actions.get(a, EXIT) != prescribed[a] for a in batch):
+            if not moved.isdisjoint(batch):
                 return k
         return len(batches.batches)
 
@@ -191,14 +211,13 @@ class NEBasedOracle(StrategyOracle):
         matched = self.matched_prefix_size(node)
         rho = self.profile_at(node.parent)
         keep = set(self._parents[self.state(node.parent)][1].prefix(matched))
-        live = set(node.config.agents())
+        edge = {a: e for e, q in node.config.queues for a in q}
         base: dict[Agent, tuple[str, ...]] = {}
-        for agent in sorted(keep & live, key=lambda a: a.name):
+        for agent in sorted(keep & edge.keys(), key=lambda a: a.name):
             old = rho[agent]
-            edge_name, _ = node.config.locate(agent)
-            base[agent] = old if old[0] == edge_name else old[1:]
-            assert base[agent][0] == edge_name
-        if live - keep:
+            base[agent] = old if old[0] == edge[agent] else old[1:]
+            assert base[agent][0] == edge[agent]
+        if edge.keys() - keep:
             # the rebuild depends only on the queue content and the base; the
             # solver is skipped when every path is kept, which holds the
             # full-tree audit of fanout waves (3, 2) to 1,098 solves for its
@@ -230,9 +249,7 @@ def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequenc
 # -- induced play ----------------------------------------------------------------
 
 
-def _play(
-    graph: Graph, node: HistoryNode, oracle: StrategyOracle, limit: int
-) -> list[HistoryNode]:
+def _play(graph: Graph, node: HistoryNode, oracle: StrategyOracle, limit: int) -> list[HistoryNode]:
     """The chain of histories from node under the oracle until every agent
     has exited; HorizonExceeded once play passes time limit."""
     out = [node]
@@ -246,22 +263,15 @@ def _play(
     return out
 
 
-def induced_paths(
-    graph: Graph,
-    history: HistoryNode,
-    oracle: StrategyOracle,
-    horizon: Optional[int] = None,
-) -> tuple[dict[Agent, tuple[str, ...]], RoutingTrace]:
+def induced_paths(graph: Graph, history: HistoryNode, oracle: StrategyOracle, horizon: Optional[int] = None
+                  ) -> tuple[dict[Agent, tuple[str, ...]], RoutingTrace]:
     """Forward-simulate the oracle from a history until every agent has exited."""
     limit = horizon if horizon is not None else default_horizon(graph, history.config)
     realized = {a: [e] for e, q in history.config.queues for a in q}
-    # an agent's path is the run of edges it occupies: on an acyclic network
-    # it never returns to an edge it has left
-    for node in _play(graph, history, oracle, limit):
-        for e, q in node.config.queues:
-            for agent in q:
-                if realized[agent][-1] != e:
-                    realized[agent].append(e)
+    for node in _play(graph, history, oracle, limit)[1:]:
+        for (_, q), act in zip(node.parent.config.queues, node.key[-1]):
+            if act is not EXIT:
+                realized[q[0]].append(act)
     paths = {a: tuple(p) for a, p in realized.items()}
     trace = run_paths(graph, history.config, paths)
     return paths, trace
@@ -291,44 +301,36 @@ class DeviationAuditReport:
         return not self.violations
 
     def to_text(self) -> str:
-        lines = [
-            f"one-deviation audit: {self.audited_histories} histories, "
-            f"{self.audited_deviations} deviations, "
-            f"{'PASS' if self.passed else 'FAIL'}"
-        ]
-        for v in self.violations:
-            lines.append(
-                f"  at t={v.time} agent {v.agent} gains by {v.alternative!r}: "
-                f"{v.deviating_exit} < {v.conforming_exit} (history {v.history_key})"
-            )
+        lines = [f"one-deviation audit: {self.audited_histories} histories, "
+                 f"{self.audited_deviations} deviations, {'PASS' if self.passed else 'FAIL'}"]
+        lines += [f"  at t={v.time} agent {v.agent} gains by {v.alternative!r}: {v.deviating_exit} < "
+                  f"{v.conforming_exit} (history {v.history_key})" for v in self.violations]
         return "\n".join(lines)
 
 
-def one_deviation_audit(
-    graph: Graph,
-    oracle: StrategyOracle,
-    histories: Iterable[HistoryNode],
-) -> DeviationAuditReport:
+def one_deviation_audit(graph: Graph, oracle: StrategyOracle, histories: Iterable[HistoryNode]
+                        ) -> DeviationAuditReport:
     """Check that no single agent gains by deviating once and conforming after.
 
     Each distinct oracle state is audited once, weighted by the histories
     behind it (`_grouped`: a `HistoryTree` is walked from its root, any other
-    iterable counts the histories it lists). Play steps only past the tree.
+    iterable counts the histories it lists). Only the queue heads deviate:
+    the agents behind them can only stay. Play steps only past the tree.
     Exit times of conforming play are memoised relative to the start, on the
-    state; only failing states are mapped back to their histories, in order."""
+    state; only failing states are mapped back to their histories, in order,
+    and named there (`history_name`)."""
     if isinstance(histories, HistoryTree):
         expanded, roots = histories.children, [root_history(histories.root)]
     else:
         expanded, roots = {}, list(histories)
         histories = roots
+    menus, m = graph.plan().menus, len(graph.edges)
 
-    def advance(node: HistoryNode, acts: Mapping[Agent, Action]) -> HistoryNode:
+    def advance(node: HistoryNode, heads: tuple[Action, ...]) -> HistoryNode:
         kids = expanded.get(node.config)
         if kids is None:
-            return child_history(graph, node, acts)
-        canon = _canonical(acts)
-        successor, acts = kids[canon]
-        return HistoryNode(successor, node.key + (canon,), node, acts)
+            return child_history(graph, node, profile_of(node.config, heads))
+        return HistoryNode(kids[heads], node.key + (heads,), node)
 
     memo: dict[Hashable, dict[Agent, int]] = {}
 
@@ -338,12 +340,13 @@ def one_deviation_audit(
         node, chain = start, []
         while not node.config.is_empty() and (state := oracle.state(node)) not in memo:
             chain.append((state, node.config))
-            node = advance(node, oracle.profile(node))
+            node = advance(node, oracle.heads(node))
             oracle.played(chain[-1][1], node.config)
         later = memo[state] if not node.config.is_empty() else {}
         for state, config in reversed(chain):
             later = memo[state] = {a: later.get(a, 0) + 1 for a in config.agents()}
-        limit = default_horizon(graph, start.config)
+        # `later` has an entry per agent of start.config: its default horizon
+        limit = start.time + len(later) * m + m + 2
         if start.time + max(later.values(), default=0) - 1 > limit:
             raise HorizonExceeded(f"induced play passed time {limit}")
         return later
@@ -355,18 +358,18 @@ def one_deviation_audit(
             continue
         report.audited_histories += n
         base = exits(node)
-        prof = oracle.profile(node)
-        for e, q in node.config.queues:
-            for idx, agent in enumerate(q):
-                for alt in sorted(_allowed(graph, e, idx) - {prof[agent]}):
+        heads = oracle.heads(node)
+        for i, (e, (agent, *_)) in enumerate(node.config.queues):
+            for alt in menus[e]:
+                if alt != heads[i]:
                     report.audited_deviations += n
-                    t_dev = 1 + exits(advance(node, {**prof, agent: alt}))[agent]
+                    t_dev = 1 + exits(advance(node, heads[:i] + (alt,) + heads[i + 1:]))[agent]
                     if t_dev < base[agent]:
                         failed.setdefault(oracle.state(node), []).append((agent, alt, base[agent], t_dev))
     for node in histories if failed else ():
         for agent, alt, conforming, deviating in failed.get(oracle.state(node), ()):
-            finding = (node.key, node.time, agent, alt, node.time + conforming, node.time + deviating)
-            report.violations.append(DeviationFinding(*finding))
+            finding = (node.time, agent, alt, node.time + conforming, node.time + deviating)
+            report.violations.append(DeviationFinding(history_name(node), *finding))
     return report
 
 
@@ -382,8 +385,8 @@ def _grouped(nodes: Iterable[HistoryNode], children: Mapping, state: Callable) -
         succ: dict[tuple, list] = {}
         for (_, key), (node, n) in layer.items():
             groups.setdefault(key, [node, 0])[1] += n
-            for canon, (child, acts) in children.get(node.config, {}).items():
-                kid = HistoryNode(child, node.key + (canon,), node, acts)
+            for heads, child in children.get(node.config, {}).items():
+                kid = HistoryNode(child, node.key + (heads,), node)
                 succ.setdefault((child.time, state(kid)), [kid, 0])[1] += n
         layer = succ
     return list(groups.values())
@@ -398,14 +401,15 @@ class HistoryTree:
 
     `multiplicity` maps each distinct configuration (time included), in
     breadth-first order, to the number of tree histories that reach it;
-    `children` maps each expanded one to its canonical profiles, each to its
-    (successor, action profile), in `itertools.product` order of the agents'
-    menus. `len` is the number of histories. Iterating yields the
-    `HistoryNode`s breadth first, built once from the stored children."""
+    `children` maps each expanded one to its profiles' head actions (the
+    `HistoryNode` key entries), each to its successor, in `itertools.product`
+    order of the heads' menus. `len` is the number of histories. Iterating
+    yields the `HistoryNode`s breadth first, built once from the stored
+    children."""
 
     root: Configuration
     multiplicity: dict[Configuration, int]
-    children: dict[Configuration, dict[tuple, tuple[Configuration, dict[Agent, Action]]]]
+    children: dict[Configuration, dict[tuple[Action, ...], Configuration]]
     _nodes: Optional[list[HistoryNode]] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -418,12 +422,8 @@ class HistoryTree:
         return iter(self._nodes)
 
 
-def exhaustive_histories(
-    graph: Graph,
-    config: Configuration,
-    depth: Optional[int] = None,
-    guard: int = 200_000,
-) -> HistoryTree:
+def exhaustive_histories(graph: Graph, config: Configuration, depth: Optional[int] = None,
+                         guard: int = 200_000) -> HistoryTree:
     """Every history reachable under arbitrary play, to the given depth
     (default: until everyone exits); HorizonExceeded past guard histories."""
     limit = depth if depth is not None else default_horizon(graph, config) - config.time
@@ -433,20 +433,18 @@ def exhaustive_histories(
     # configurations are layered by time, so each one's multiplicity is
     # final once every configuration discovered before it is expanded
     order = [config]
-    head_menus = graph.plan().menus
+    plan = graph.plan()
     for c in order:
         if c.is_empty() or c.time - config.time >= limit:
             continue
-        menus = [(head_menus[e] or (EXIT,)) if idx == 0 else (e,)
-                 for e, q in c.queues for idx in range(len(q))]
+        menus = [plan.menus[e] or (EXIT,) for e, _ in c.queues]
         n = multiplicity[c]
-        size += n * math.prod(len(m) for m in menus)
+        size += n * math.prod(map(len, menus))
         if size > guard:
             raise HorizonExceeded(f"history tree exceeds {guard} nodes")
-        agents = c.agents()
-        profiles = [dict(zip(agents, combo)) for combo in itertools.product(*menus)]
-        children[c] = {_canonical(acts): (_successor(graph, c, acts), acts) for acts in profiles}
-        for kid, _ in children[c].values():
+        successor, t = _round(plan.ranks, c.queues), c.time + 1
+        kids = children[c] = {h: Configuration(t, successor(h)) for h in itertools.product(*menus)}
+        for kid in kids.values():
             seen = multiplicity.get(kid)
             if seen is None:
                 order.append(kid)

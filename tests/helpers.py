@@ -50,7 +50,6 @@ from dqroute.spe import (
     DeviationFinding,
     HistoryNode,
     StrategyOracle,
-    _canonical,
     child_history,
     induced_paths,
     prescribed_actions,
@@ -337,7 +336,8 @@ def reference_induced_paths(
             if act is not EXIT and idx == 0 and act != current:
                 realized[agent].append(act)
         config = reference_step(graph, node.config, acts)
-        node = HistoryNode(config, node.key + (_canonical(acts),), node, acts)
+        # a key entry is the queue heads' actions, in queue order
+        node = HistoryNode(config, node.key + (tuple(acts[q[0]] for _, q in node.config.queues),), node)
     paths = {a: tuple(p) for a, p in realized.items()}
     trace = reference_run_paths(graph, history.config, paths)
     return paths, trace
@@ -404,6 +404,19 @@ def reference_exhaustive_histories(
     return out
 
 
+def reference_history_name(node: HistoryNode) -> tuple:
+    """A history's profiles by name, read off its configurations: per step,
+    each agent of the parent's (agent name, action) pair, sorted by name,
+    where the action is the edge the agent is on next ('' once it has left):
+    the oracle for `spe.history_name`."""
+    names = []
+    while node.parent is not None:
+        after = {a: e for e, q in node.config.queues for a in q}
+        names.append(tuple(sorted((a.name, after.get(a, "")) for a in node.parent.config.agents())))
+        node = node.parent
+    return tuple(reversed(names))
+
+
 def reference_one_deviation_audit(
     graph: Graph,
     oracle: StrategyOracle,
@@ -436,7 +449,7 @@ def reference_one_deviation_audit(
                     if t_dev < base[agent]:
                         report.violations.append(
                             DeviationFinding(
-                                history_key=node.key,
+                                history_key=reference_history_name(node),
                                 time=node.time,
                                 agent=agent,
                                 alternative=alt,

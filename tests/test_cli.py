@@ -232,6 +232,24 @@ class TestCommands:
         for name in ("occupancy.tsv", "queues.tsv"):
             assert (tmp_path / name).read_text() == (golden / name).read_text()
 
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            *((name, [name]) for name in ("fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond")),
+            ("fig1_oracle_vicious", ["fig1", "--oracle", "vicious"]),
+            ("fig3_oracle_ne_based", ["fig3", "--oracle", "ne-based"]),
+            ("fig3_depth_2", ["fig3", "--depth", "2"]),
+            # past the guard: sampled play, its histories told apart by key
+            ("fanout_sampled", ["fanout", "--guard", "60", "--samples", "8", "--seed", "5"]),
+        ],
+    )
+    def test_spe_audit_matches_golden_reports(self, capsys, tmp_path, case, argv):
+        golden = (GOLDEN / "spe-audit" / case / "stdout.txt").read_text()
+        code, out = run(capsys, "spe-audit", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert out == golden
+        assert (tmp_path / "report.txt").read_text() == golden
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("network\n  bogus directive\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from dqroute.spe import (
     StrategyOracle,
     child_history,
     exhaustive_histories,
+    history_name,
     induced_paths,
     ne_based_spe,
     one_deviation_audit,
@@ -39,10 +41,13 @@ from helpers import (
     random_net,
     random_schedule,
     reference_exhaustive_histories,
+    reference_history_name,
     reference_induced_paths,
     reference_one_deviation_audit,
     tiny_schedule_tables,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "spe-audit"
 
 
 class MyopicOracle(StrategyOracle):
@@ -601,6 +606,7 @@ class TestHistoryTreeReference:
             assert len(tree) == len(expected)
             got = list(tree)
             assert [n.key for n in got] == [n.key for n in expected]
+            assert [history_name(n) for n in got] == [reference_history_name(n) for n in expected]
             assert [n.config for n in got] == [n.config for n in expected]
             assert [n.actions for n in got] == [n.actions for n in expected]
             assert all(n.parent is None or n.parent.key == n.key[:-1] for n in got)
@@ -635,8 +641,8 @@ class TestHistoryTreeReference:
                 if node.key not in kids:
                     assert node.config not in tree.children
                     continue
-                got = [(canon, child, acts) for canon, (child, acts) in tree.children[node.config].items()]
-                assert got == [(n.key[-1], n.config, n.actions) for n in kids[node.key]]
+                got = list(tree.children[node.config].items())
+                assert got == [(n.key[-1], n.config) for n in kids[node.key]]
                 expanded += 1
         assert expanded > 1000
 
@@ -738,6 +744,53 @@ class TestStateKeyedAudit:
             failing += not got.passed
         assert failing
 
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fanout"])
+    def test_failing_audit_text_matches_golden(self, name):
+        # the rendered history names: fig1's findings are at the root,
+        # fig3's one profile down and fanout's up to two
+        loaded = load_fixture(name)
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        report = one_deviation_audit(loaded.graph, MyopicOracle(loaded.graph), tree)
+        assert report.to_text() + "\n" == (GOLDEN / "myopic" / f"{name}.txt").read_text()
+
+    def test_tree_list_and_samples_give_the_same_findings(self):
+        # the tree walked by state, its histories listed one by one and
+        # sampled play find and name each history's findings alike
+        rng = random.Random(84)
+        cases, failing = [], 0
+        while len(cases) < 8:
+            if len(cases) % 2:
+                drawn = random_fan(rng, fan=2, max_mid=2, max_e=7)
+            else:
+                net = random_net(rng, max_v=6, max_e=8)
+                drawn = net and (net, random_interim_config(rng, net, max_agents=4)[0])
+            if drawn is None or drawn[1].is_empty():
+                continue
+            depth = rng.choice((1, 2, None))
+            try:
+                tree = exhaustive_histories(*drawn, depth, guard=2_000)
+            except HorizonExceeded:
+                continue
+            cases.append((*drawn, depth, tree))
+        for graph, config, depth, tree in cases:
+            pi = iterative_dominating_profile(graph, config).paths
+            sampled = sampled_histories(graph, config, random.Random(len(tree)), playouts=5, depth=depth)
+            names = {history_name(node) for node in sampled}
+            for make in (GrudgeOracle, sigma_star, lambda g: ne_based_spe(g, config, pi)):
+                whole = one_deviation_audit(graph, make(graph), tree)
+                assert one_deviation_audit(graph, make(graph), list(tree)) == whole
+                seen = self._by_history(one_deviation_audit(graph, make(graph), sampled))
+                assert seen == {k: v for k, v in self._by_history(whole).items() if k in names}
+                failing += bool(seen)
+        assert failing >= 3
+
+    @staticmethod
+    def _by_history(report):
+        out = {}
+        for finding in report.violations:
+            out.setdefault(finding.history_key, []).append(finding)
+        return out
+
     def test_fan_corpus(self):
         rng = random.Random(82)
         done = 0
@@ -785,7 +838,7 @@ class TestStateKeyedAudit:
         NE continuation of a content exits alike."""
         seen = {}
         for node in tree:
-            kids = {canon: oracle.state(HistoryNode(kid, node.key + (canon,), node, acts))
-                    for canon, (kid, acts) in tree.children.get(node.config, {}).items()}
+            kids = {heads: oracle.state(HistoryNode(kid, node.key + (heads,), node))
+                    for heads, kid in tree.children.get(node.config, {}).items()}
             got = (node.config.content_key(), oracle.profile(node), kids)
             assert seen.setdefault(oracle.state(node), got) == got
