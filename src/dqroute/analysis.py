@@ -201,10 +201,16 @@ def _stabilization(series: list[int]) -> tuple[int, int]:
     return series.index(best), best
 
 
-def _experiment_report(
-    net: UnitNetwork, schedule: InflowSchedule, stats: GraphStats
-) -> tuple[BoundReport, OccupancyTrace]:
-    """Route the schedule in entry order and report on its occupancy trace."""
+def _experiment_report(net: UnitNetwork, schedule: InflowSchedule
+                       ) -> tuple[BoundReport, OccupancyTrace, GraphStats, frozenset, frozenset]:
+    """Check every wave against the leftmost min cut and the network's
+    invariants, route the schedule in entry order and report on its occupancy
+    trace: (report, trace, stats, cut, cut's left side)."""
+    cut, left, _ = leftmost_min_cut(net)
+    for r, wave in schedule.waves:
+        if len(wave) > len(cut):
+            raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > min cut {len(cut)}")
+    stats = validate_and_stats(net)
     result = route_entry_order(net, schedule)
     trace = occupancy_trace(net, result)
     inflow_end = schedule.last_time
@@ -244,7 +250,7 @@ def _experiment_report(
         latency_stabilization_entry=lat_stab_entry,
         checks=checks,
     )
-    return report, trace
+    return report, trace, stats, cut, left
 
 
 def _check_full_cut_drain(
@@ -279,12 +285,7 @@ def queue_bound_experiment(
     decomp = sp_decompose(net)
     if decomp is None:
         raise NotSeriesParallel("queue bound experiment needs a series-parallel network")
-    cut, left, _ = leftmost_min_cut(net)
-    for r, wave in schedule.waves:
-        if len(wave) > len(cut):
-            raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > cut size {len(cut)}")
-    stats = validate_and_stats(net)
-    report, trace = _experiment_report(net, schedule, stats)
+    report, trace, stats, cut, left = _experiment_report(net, schedule)
     verdicts = degree_ratio_monitor(trace, decomp, stats)
     ratio_ok = all(v.ok for v in verdicts)
     report.checks.append(("parallel_ratio_bound", ratio_ok, "" if ratio_ok else "see verdicts"))
@@ -307,8 +308,4 @@ def spe_bound_experiment(
             raise DegreeConditionViolated(
                 f"vertex {v!r} has out-degree {len(net.out_edges(v))} < in-degree {len(net.in_edges(v))}"
             )
-    cut, _, _ = leftmost_min_cut(net)
-    for r, wave in schedule.waves:
-        if len(wave) > len(cut):
-            raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > min cut {len(cut)}")
-    return _experiment_report(net, schedule, validate_and_stats(net))
+    return _experiment_report(net, schedule)[:2]

@@ -207,21 +207,15 @@ class EarliestArrivalTable:
         t = self.time_at[self.plan.vertex_id[vertex]]
         return math.inf if t == UNREACHED else self.base + t
 
-    def edge_path(self, v: int) -> list[int]:
-        """The edge ids e*(.) from the start vertex to vertex id v, traced back from it."""
-        estar, arcs = self.estar_at, self.plan.arcs
+    def path_to(self, vertex: str) -> tuple[str, ...]:
+        """The edges e*(.) from the start vertex to the vertex, traced back from it."""
+        estar, arcs, v = self.estar_at, self.plan.arcs, self.plan.vertex_id[vertex]
         path: list[int] = []
         while v != self.start_vertex:
             e = estar[v]
             path.append(e)
             v = arcs[e][0]
-        path.reverse()
-        return path
-
-    def path_to(self, vertex: str) -> tuple[str, ...]:
-        """The edges e*(.) from the start vertex to the vertex."""
-        edges = self.plan.edges
-        return tuple(edges[e] for e in self.edge_path(self.plan.vertex_id[vertex]))
+        return tuple(self.plan.edges[e] for e in reversed(path))
 
 
 def dp_from_vertex(

@@ -45,20 +45,6 @@ from .spe import (
     sigma_star,
 )
 
-COMMANDS = (
-    "simulate",
-    "solve",
-    "best-response",
-    "verify-ne",
-    "enumerate-ne",
-    "properties",
-    "spe-audit",
-    "queue-bound",
-    "spe-bound",
-    "fixtures",
-)
-
-
 class Reporter:
     def __init__(self, out: Optional[Path]):
         self.out = out
@@ -335,6 +321,21 @@ def cmd_fixtures(args, rep: Reporter) -> int:
     return 0
 
 
+# every command's handler, in `--help` order; all but `fixtures` read a scenario
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "solve": cmd_solve,
+    "best-response": cmd_best_response,
+    "verify-ne": cmd_verify_ne,
+    "enumerate-ne": cmd_enumerate_ne,
+    "properties": cmd_properties,
+    "spe-audit": cmd_spe_audit,
+    "queue-bound": cmd_queue_bound,
+    "spe-bound": cmd_spe_bound,
+    "fixtures": cmd_fixtures,
+}
+
+
 def _count(text: str) -> int:
     """argparse type of a count, depth or horizon option: an integer >= 0."""
     try:
@@ -390,24 +391,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "fixtures":
             code = cmd_fixtures(args, rep)
-            rep.finish()
-            return code
-        sc, name = _read_scenario(args.scenario)
-        rep.line(f"dqroute {__version__} scenario={name} hash={scenario_hash(sc)} "
-                 f"seed={getattr(args, 'seed', 0)}")
-        loaded = load_scenario(sc)
-        handler = {
-            "simulate": cmd_simulate,
-            "solve": cmd_solve,
-            "best-response": cmd_best_response,
-            "verify-ne": cmd_verify_ne,
-            "enumerate-ne": cmd_enumerate_ne,
-            "properties": cmd_properties,
-            "spe-audit": cmd_spe_audit,
-            "queue-bound": cmd_queue_bound,
-            "spe-bound": cmd_spe_bound,
-        }[args.command]
-        code = handler(args, rep, loaded)
+        else:
+            sc, name = _read_scenario(args.scenario)
+            rep.line(f"dqroute {__version__} scenario={name} hash={scenario_hash(sc)} "
+                     f"seed={getattr(args, 'seed', 0)}")
+            code = COMMANDS[args.command](args, rep, load_scenario(sc))
     except DQRouteError as exc:
         rep.line(f"error: {exc}")
         rep.finish()

@@ -55,9 +55,9 @@ def _check_base_invariance(
         chosen = [a for a in others if rng.random() < 0.7] or [rng.choice(others)]
         profile = dict(base)
         for a in chosen:
-            edge_name, _ = config.locate(a)
-            opts = cache.setdefault(a, graph.paths(edge_name, graph.destination, guard=10_000))
-            profile[a] = rng.choice(opts)
+            if a not in cache:
+                cache[a] = graph.paths(config.locate(a)[0], graph.destination, guard=10_000)
+            profile[a] = rng.choice(cache[a])
         trace = run_paths(graph, config.restrict(profile), profile)
         for a in base_agents:
             if trace.vertex_times[a] != reference.vertex_times[a]:

@@ -148,30 +148,6 @@ class Graph:
                                    self._rank, menus)
         return self._plan
 
-    def reachable_from(self, v: str) -> frozenset[str]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for name in self._out[u]:
-                h = self.edges[name].head
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return frozenset(seen)
-
-    def reaches(self, v: str) -> frozenset[str]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for name in self._in[u]:
-                t = self.edges[name].tail
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
     def paths(self, first_edge: str, target: str, guard: Optional[int] = None) -> list[tuple[str, ...]]:
         """Every path that starts with `first_edge` and ends at `target`, as edge tuples."""
         out: list[tuple[str, ...]] = []
@@ -233,13 +209,21 @@ class Network(Graph):
     def validate(self) -> None:
         if self.origin not in self.priorities or self.destination not in self.priorities:
             raise EdgeOffAllPaths("<origin/destination not in graph>")
-        self.topo_order()  # raises CyclicGraph
+        topo = self.topo_order()  # raises CyclicGraph
         if self._in[self.origin]:
             raise IncompletePriorityOrder(self.origin, "origin has incoming edges")
         if self._out[self.destination]:
             raise IncompletePriorityOrder(self.destination, "destination has outgoing edges")
-        from_o = self.reachable_from(self.origin)
-        to_d = self.reaches(self.destination)
+        # reachability, one sweep each way: a tail comes before its heads in `topo`
+        edges, from_o, to_d = self.edges, {self.origin}, {self.destination}
+        for v in topo:
+            if v in from_o:
+                for name in self._out[v]:
+                    from_o.add(edges[name].head)
+        for v in reversed(topo):
+            if v in to_d:
+                for name in self._in[v]:
+                    to_d.add(edges[name].tail)
         for e in self.edges.values():
             if e.capacity < 1 or e.transit < 1:
                 raise MalformedEdge(f"edge {e.name!r} needs capacity and transit >= 1")

@@ -152,6 +152,8 @@ def parse_scenario(text: str) -> Scenario:
                 if len(args) < 2:
                     raise ParseError(lineno, "queue needs: edge agent [agent ...]")
                 e = _ident(args[0], lineno, "edge")
+                if f"queue:{e}" in sc.lines:
+                    raise ParseError(lineno, f"duplicate queue on edge {e!r}")
                 names = [_ident(a, lineno, "agent") for a in args[1:]]
                 _declare_agents(declared_agents, names, lineno)
                 sc.config_queues.append((e, names))

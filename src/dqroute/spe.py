@@ -124,27 +124,26 @@ class SigmaStar(StrategyOracle):
 
     def __init__(self, graph: Graph):
         super().__init__(graph)
-        self._memo: dict[tuple, dict[Agent, Action]] = {}
-        self._paths: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
+        # content key -> (the content's profile, its prescription)
+        self._memo: dict[tuple, tuple[dict[Agent, tuple[str, ...]], dict[Agent, Action]]] = {}
 
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
-        key = config.content_key()
-        if key not in self._memo:
-            solve = iterative_dominating_profile(self.graph, config)
-            self._paths[key] = solve.paths
-            self._memo[key] = prescribed_actions(self.graph, config, solve.paths)
-        return self._memo[key]
+        hit = self._memo.get(key := config.content_key())
+        if hit is None:
+            paths = iterative_dominating_profile(self.graph, config).paths
+            hit = self._memo[key] = paths, prescribed_actions(self.graph, config, paths)
+        return hit[1]
 
     def played(self, config: Configuration, successor: Configuration) -> None:
         key = successor.content_key()
         if key in self._memo:
             return
         edge = {a: e for e, q in successor.queues for a in q}
-        paths = self._paths[key] = {
+        paths = {
             a: p if p[0] == edge[a] else p[1:]
-            for a, p in self._paths[config.content_key()].items() if a in edge
+            for a, p in self._memo[config.content_key()][0].items() if a in edge
         }
-        self._memo[key] = prescribed_actions(self.graph, successor, paths)
+        self._memo[key] = paths, prescribed_actions(self.graph, successor, paths)
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
         return self.prescription(history.config)[agent]
@@ -327,10 +326,10 @@ def one_deviation_audit(graph: Graph, oracle: StrategyOracle, histories: Iterabl
     menus, m = graph.plan().menus, len(graph.edges)
 
     def advance(node: HistoryNode, heads: tuple[Action, ...]) -> HistoryNode:
-        kids = expanded.get(node.config)
-        if kids is None:
+        try:
+            return HistoryNode(expanded[node.config][heads], node.key + (heads,), node)
+        except KeyError:  # past the tree, or off a menu: `step` refuses the move
             return child_history(graph, node, profile_of(node.config, heads))
-        return HistoryNode(kids[heads], node.key + (heads,), node)
 
     memo: dict[Hashable, dict[Agent, int]] = {}
 

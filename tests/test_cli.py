@@ -256,6 +256,23 @@ class TestCommands:
         code, out = run(capsys, "simulate", str(bad))
         assert code == 2 and "error:" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # an oracle's off-menu move, in the tree audit and in the sampled one
+            (["spe-audit", "offmenu_vicious.scn", "--oracle", "vicious"],
+             "error: invalid action for agent p1: 'w2d' not in action set ['w2x']"),
+            (["spe-audit", "offmenu_vicious.scn", "--oracle", "vicious", "--guard", "1"],
+             "error: invalid action for agent p1: 'w2d' not in action set ['w2x']"),
+            (["solve", "duplicate_queue.scn"], "error: line 9: duplicate queue on edge 'oa'"),
+        ],
+        ids=["tree-audit", "sampled-audit", "duplicate-queue"],
+    )
+    def test_bad_inputs_exit_2_with_an_error_line(self, capsys, argv, message):
+        code, out = run(capsys, argv[0], str(GOLDEN / "errors" / argv[1]), *argv[2:])
+        assert code == 2
+        assert out.splitlines()[-1] == message
+
     def test_witness_replay(self, capsys, tmp_path):
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps({

@@ -170,6 +170,26 @@ class TestBaseVariant:
         with pytest.raises(BaseInvarianceViolated):
             iterative_dominating_profile(net, c, base=base, base_check_samples=30)
 
+    def test_base_check_enumerates_each_menu_once(self, monkeypatch):
+        # the rival is drawn in each of the 30 samples; its menu is built on
+        # its first draw only
+        from dqroute.equilibrium import _check_base_invariance
+
+        net = Network.build(
+            "o", "d", [("s", "o", "x"), ("t", "o", "x"), ("p", "x", "d"), ("q", "x", "d")]
+        )
+        a, b = Agent("a"), Agent("b")
+        c = Configuration.from_mapping(0, {"s": [a], "t": [b]})
+        enumerated, paths = [], Network.paths
+
+        def counting_paths(graph, first_edge, *args, **kwargs):
+            enumerated.append(first_edge)
+            return paths(graph, first_edge, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "paths", counting_paths)
+        _check_base_invariance(net, c, {a: ("s", "p")}, 30, random.Random(0))
+        assert enumerated == ["t"]
+
 
 class TestIncrementalSolverMatchesReference:
     """The incremental solver against the from-scratch one: same order, same

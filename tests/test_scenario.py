@@ -100,6 +100,13 @@ class TestParse:
             parse_scenario(MINIMAL + "inflow\n  at 1 a a\n  at 1 b\n")
         assert err.value.line == 7
 
+    def test_duplicate_queue_rejected_with_its_line(self):
+        # a second queue on one edge used to replace the first one's agents
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL + "config\n  queue od a\n  queue od b\n")
+        assert err.value.line == 8
+        assert err.value.message == "duplicate queue on edge 'od'"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FIXTURES))

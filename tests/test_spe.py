@@ -14,9 +14,10 @@ from dqroute.equilibrium import (
     iterative_dominating_profile,
     verify_ne,
 )
-from dqroute.errors import HorizonExceeded, NotAnNE
+from dqroute.errors import HorizonExceeded, InvalidAction, NotAnNE
 from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
+from dqroute.scenario import load_scenario, parse_scenario
 from dqroute.spe import (
     HistoryNode,
     SigmaStar,
@@ -464,6 +465,18 @@ class TestAudits:
         hists = exhaustive_histories(loaded.graph, loaded.config)
         report = one_deviation_audit(loaded.graph, oracle, hists)
         assert report.passed, report.to_text()
+
+    def test_off_menu_prescription_is_refused_by_tree_and_list_audits(self):
+        # w2's only out-edge is w2x, but the blocker's script still names w2d
+        # off the played path: each audit refuses the move as `step` does
+        text = (GOLDEN.parent / "errors" / "offmenu_vicious.scn").read_text()
+        loaded = load_scenario(parse_scenario(text))
+        p1, p2 = sorted(loaded.config.agents(), key=lambda a: a.slot)
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        for histories in (tree, list(tree)):
+            oracle = ViciousOracle(loaded.graph, blocker=p1, victim=p2)
+            with pytest.raises(InvalidAction, match=r"'w2d' not in action set \['w2x'\]"):
+                one_deviation_audit(loaded.graph, oracle, histories)
 
     def test_myopic_oracle_fails_with_witness(self):
         loaded = load_fixture("fig1")

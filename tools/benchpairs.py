@@ -9,7 +9,9 @@ even ones, and keeps the last line of its standard output, the run's JSON
 summary.  The output file holds, per workload and side, every run's
 end-to-end metrics with their medians and quartiles, and per metric the number
 of pairs in which the change read better.  Neither checkout's benchmark is
-edited; a run that is not `correct` stops the script.
+edited; a run that is not `correct` stops the script.  Both checkouts' `src`
+and `perfbench` are byte-compiled first, so that no timed run compiles a
+stale module and `peak_rss_mb` reads the program, not the compiler.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ def main(argv=None) -> int:
                  "cpus": os.cpu_count()},
         "workloads": {},
     }
+    for checkout in (args.parent, args.change):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=checkout, check=True)
     for workload in args.workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for k in range(args.pairs):
