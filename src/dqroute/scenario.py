@@ -129,6 +129,8 @@ def parse_scenario(text: str) -> Scenario:
                 if len(args) < 2:
                     raise ParseError(lineno, "priority needs: vertex edge [edge ...]")
                 v = _ident(args[0], lineno, "vertex")
+                if v in sc.priorities:
+                    raise ParseError(lineno, f"duplicate priority on vertex {v!r}")
                 sc.priorities[v] = [_ident(a, lineno, "edge") for a in args[1:]]
                 sc.lines[f"priority:{v}"] = lineno
             else:
@@ -166,6 +168,8 @@ def parse_scenario(text: str) -> Scenario:
             if len(args) < 2:
                 raise ParseError(lineno, "agent needs: name edge [edge ...]")
             name = _ident(args[0], lineno, "agent")
+            if name in sc.paths:
+                raise ParseError(lineno, f"duplicate path for agent {name!r}")
             sc.paths[name] = [_ident(a, lineno, "edge") for a in args[1:]]
             sc.lines[f"path:{name}"] = lineno
         elif section == "params":

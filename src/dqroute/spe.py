@@ -169,6 +169,11 @@ class NEBasedOracle(StrategyOracle):
     Per visited history it keeps the paths of the batch prefix whose realized
     actions matched the prescription (Construction I) and rebuilds the rest as
     an iterative dominating partial profile on that base (Construction II).
+    One memo holds each history's profile, prescription, head actions and
+    state. A conforming child (its key entry is the parent's head actions)
+    keeps every batch: its profile is the parent's, each path cut to the suffix
+    from the agent's edge, with no simulation. The root's batches come from
+    `verify_ne`'s trace.
     """
 
     def __init__(self, graph: Graph, root_config: Configuration, pi: Mapping[Agent, Sequence[str]]):
@@ -179,11 +184,22 @@ class NEBasedOracle(StrategyOracle):
         report = verify_ne(graph, root_config, pi)
         if not report.passed:
             raise NotAnNE(f"given profile is not an NE: {report.witnesses[0]}")
-        self._profiles: dict[tuple, dict[Agent, tuple[str, ...]]] = {
-            (): {a: tuple(p) for a, p in pi.items()}
-        }
-        self._parents: dict[tuple, tuple[tuple[Action, ...], BatchDecomposition]] = {}
+        # history key -> (profile, prescribed actions, head actions, state)
+        root = self._entry(root_config, {a: tuple(p) for a, p in pi.items()})
+        self._memo: dict[tuple, tuple] = {(): root}
+        # state -> batches of its NE's simulation
+        self._batches: dict[Hashable, BatchDecomposition] = {root[3]: batch_decompose(report.trace)}
         self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
+
+    def _entry(self, config: Configuration, rho: dict[Agent, tuple[str, ...]]) -> tuple:
+        acts = prescribed_actions(self.graph, config, rho)
+        state = config.content_key(), tuple(rho[a] for a in config.agents())
+        return rho, acts, tuple(acts[q[0]] for _, q in config.queues), state
+
+    def _at(self, node: HistoryNode) -> tuple:
+        if node.key not in self._memo:
+            self.profile_at(node)  # builds the entry
+        return self._memo[node.key]
 
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
@@ -191,12 +207,11 @@ class NEBasedOracle(StrategyOracle):
         simulation of the parent NE, shared by the children of every parent in
         its state (its queue content and the profile in force)."""
         parent = node.parent
-        state = self.state(parent)
-        if state not in self._parents:
-            rho = self.profile_at(parent)
+        rho, _, prescribed, state = self._at(parent)
+        if state not in self._batches:
             trace = run_paths(self.graph, parent.config.restrict(rho), rho)
-            self._parents[state] = self.heads(parent), batch_decompose(trace)
-        prescribed, batches = self._parents[state]
+            self._batches[state] = batch_decompose(trace)
+        batches = self._batches[state]
         moved = {q[0] for (_, q), a, b in zip(parent.config.queues, node.key[-1], prescribed) if a != b}
         for k, batch in enumerate(batches.batches):
             if not moved.isdisjoint(batch):
@@ -204,19 +219,20 @@ class NEBasedOracle(StrategyOracle):
         return len(batches.batches)
 
     def profile_at(self, node: HistoryNode) -> dict[Agent, tuple[str, ...]]:
-        if node.key in self._profiles:
-            return self._profiles[node.key]
-        assert node.parent is not None, "root profile must be seeded"
-        matched = self.matched_prefix_size(node)
-        rho = self.profile_at(node.parent)
-        keep = set(self._parents[self.state(node.parent)][1].prefix(matched))
+        if node.key in self._memo:
+            return self._memo[node.key][0]
+        rho, _, heads, state = self._at(node.parent)
         edge = {a: e for e, q in node.config.queues for a in q}
+        keep = edge.keys()  # a conforming child keeps every batch
+        if node.key[-1] != heads:
+            matched = self.matched_prefix_size(node)
+            keep = keep & self._batches[state].prefix(matched)
         base: dict[Agent, tuple[str, ...]] = {}
-        for agent in sorted(keep & edge.keys(), key=lambda a: a.name):
+        for agent in sorted(keep, key=lambda a: a.name):
             old = rho[agent]
             base[agent] = old if old[0] == edge[agent] else old[1:]
             assert base[agent][0] == edge[agent]
-        if edge.keys() - keep:
+        if len(keep) < len(edge):
             # the rebuild depends only on the queue content and the base; the
             # solver is skipped when every path is kept, which holds the
             # full-tree audit of fanout waves (3, 2) to 1,098 solves for its
@@ -227,18 +243,20 @@ class NEBasedOracle(StrategyOracle):
                     self.graph, node.config, base=base, base_check_samples=0
                 ).paths
             base = self._solves[solved]
-        self._profiles[node.key] = base
+        self._memo[node.key] = self._entry(node.config, base)
         return base
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
-        return self.profile(history)[agent]
+        return self._at(history)[1][agent]
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
-        return prescribed_actions(self.graph, history.config, self.profile_at(history))
+        return dict(self._at(history)[1])
+
+    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
+        return self._at(history)[2]
 
     def state(self, history: HistoryNode) -> Hashable:
-        rho = self.profile_at(history)
-        return history.config.content_key(), tuple(rho[a] for a in history.config.agents())
+        return self._at(history)[3]
 
 
 def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequence[str]]) -> NEBasedOracle:

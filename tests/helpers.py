@@ -27,8 +27,9 @@ from dqroute.equilibrium import (
     _check_base_invariance,
     build_exit_table,
     iterative_dominating_profile,
+    verify_ne,
 )
-from dqroute.errors import HorizonExceeded, InvalidAction, TooManyProfiles, Unreachable
+from dqroute.errors import HorizonExceeded, InvalidAction, NotAnNE, TooManyProfiles, Unreachable
 from dqroute.fixtures import FIXTURES
 from dqroute.netcore import (
     Agent,
@@ -370,6 +371,53 @@ class ReferenceSigmaStar(StrategyOracle):
 
     def state(self, history: HistoryNode) -> tuple:
         return history.config.content_key()
+
+
+class ReferenceNEBasedOracle(StrategyOracle):
+    """The NE-based construction rebuilt from the root at every call, with no
+    memo and no shortcut for conforming steps: each step of the history
+    simulates the parent's profile, keeps the paths of the batches before the
+    first one holding a queue head that left its prescription, and solves the
+    rest on them. The oracle for `spe.NEBasedOracle`."""
+
+    def __init__(self, graph: Graph, root_config: Configuration, pi: Mapping[Agent, Sequence[str]]):
+        super().__init__(graph)
+        if not verify_ne(graph, root_config, pi).passed:
+            raise NotAnNE("given profile is not an NE")
+        self.pi = {a: tuple(p) for a, p in pi.items()}
+
+    def profile_at(self, history: HistoryNode) -> dict[Agent, tuple[str, ...]]:
+        chain = []
+        while history.parent is not None:
+            chain.append(history)
+            history = history.parent
+        rho = self.pi
+        for node in reversed(chain):
+            config = node.parent.config
+            exits = reference_run_paths(self.graph, config, rho).exit_times
+            batches = [sorted((a for a in exits if exits[a] == t), key=lambda a: a.name)
+                       for t in sorted(set(exits.values()))]
+            prescribed = prescribed_actions(self.graph, config, rho)
+            moved = {q[0] for (_, q), act in zip(config.queues, node.key[-1]) if act != prescribed[q[0]]}
+            matched = next((k for k, b in enumerate(batches) if moved.intersection(b)), len(batches))
+            edge = {a: e for e, q in node.config.queues for a in q}
+            kept = sorted(edge.keys() & {a for b in batches[:matched] for a in b}, key=lambda a: a.name)
+            base = {a: rho[a] if rho[a][0] == edge[a] else rho[a][1:] for a in kept}
+            if len(base) < len(edge):
+                base = iterative_dominating_profile(self.graph, node.config, base=base,
+                                                    base_check_samples=0).paths
+            rho = base
+        return rho
+
+    def action(self, history: HistoryNode, agent: Agent) -> Action:
+        return self.profile(history)[agent]
+
+    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
+        return prescribed_actions(self.graph, history.config, self.profile_at(history))
+
+    def state(self, history: HistoryNode) -> tuple:
+        rho = self.profile_at(history)
+        return history.config.content_key(), tuple(rho[a] for a in history.config.agents())
 
 
 def reference_exhaustive_histories(

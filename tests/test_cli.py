@@ -265,8 +265,10 @@ class TestCommands:
             (["spe-audit", "offmenu_vicious.scn", "--oracle", "vicious", "--guard", "1"],
              "error: invalid action for agent p1: 'w2d' not in action set ['w2x']"),
             (["solve", "duplicate_queue.scn"], "error: line 9: duplicate queue on edge 'oa'"),
+            (["solve", "duplicate_priority.scn"], "error: line 10: duplicate priority on vertex 'd'"),
+            (["simulate", "duplicate_path.scn"], "error: line 15: duplicate path for agent 'x'"),
         ],
-        ids=["tree-audit", "sampled-audit", "duplicate-queue"],
+        ids=["tree-audit", "sampled-audit", "duplicate-queue", "duplicate-priority", "duplicate-path"],
     )
     def test_bad_inputs_exit_2_with_an_error_line(self, capsys, argv, message):
         code, out = run(capsys, argv[0], str(GOLDEN / "errors" / argv[1]), *argv[2:])

@@ -107,6 +107,22 @@ class TestParse:
         assert err.value.line == 8
         assert err.value.message == "duplicate queue on edge 'od'"
 
+    def test_duplicate_priority_rejected_with_its_line(self):
+        # a second priority line for one vertex used to replace the first
+        text = MINIMAL + "  edge od2 o d\n  priority d od od2\n  priority d od2 od\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == 8
+        assert err.value.message == "duplicate priority on vertex 'd'"
+
+    def test_duplicate_path_rejected_with_its_line(self):
+        # a second path line for one agent used to replace the first
+        text = MINIMAL + "config\n  queue od a\npaths\n  agent a od\n  agent a od\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == 10
+        assert err.value.message == "duplicate path for agent 'a'"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -14,7 +14,7 @@ from dqroute.equilibrium import (
     iterative_dominating_profile,
     verify_ne,
 )
-from dqroute.errors import HorizonExceeded, InvalidAction, NotAnNE
+from dqroute.errors import HorizonExceeded, InvalidAction, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
 from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
 from dqroute.scenario import load_scenario, parse_scenario
@@ -35,6 +35,7 @@ from dqroute.spe import (
 )
 
 from helpers import (
+    ReferenceNEBasedOracle,
     ReferenceSigmaStar,
     fanout_config,
     random_fan,
@@ -392,12 +393,8 @@ class TestNEBasedOracle:
             moved = acts[agent] not in (None, path[0])
             assert rho2[agent] == (path[1:] if moved else path)
 
-    def test_profile_miss_simulates_the_parent_ne_once(self, monkeypatch):
-        loaded = load_fixture("fig1")
-        pi = iterative_dominating_profile(loaded.graph, loaded.config).paths
-        oracle = ne_based_spe(loaded.graph, loaded.config, pi)
-        root = root_history(loaded.config)
-        child = child_history(loaded.graph, root, oracle.profile(root))
+    @staticmethod
+    def _count_simulations(monkeypatch) -> list:
         calls = []
 
         def counting_run_paths(*args, **kwargs):
@@ -405,29 +402,68 @@ class TestNEBasedOracle:
             return run_paths(*args, **kwargs)
 
         monkeypatch.setattr(dqroute.spe, "run_paths", counting_run_paths)
+        return calls
+
+    @staticmethod
+    def _fig1_one_step_in():
+        """fig1's dominating-profile oracle, the history one conforming step
+        in (p1 on `ov` may take `vw1`, its NE edge, or `vw2`) and the
+        oracle's profile there."""
+        loaded = load_fixture("fig1")
+        pi = iterative_dominating_profile(loaded.graph, loaded.config).paths
+        oracle = ne_based_spe(loaded.graph, loaded.config, pi)
+        root = root_history(loaded.config)
+        parent = child_history(loaded.graph, root, oracle.profile(root))
+        return loaded.graph, oracle, parent, oracle.profile(parent)
+
+    def test_profile_miss_simulates_the_parent_ne_once(self, monkeypatch):
+        graph, oracle, parent, acts = self._fig1_one_step_in()
+        p1 = next(a for a in acts if a.name == "p1")
+        child = child_history(graph, parent, {**acts, p1: "vw2"})
+        calls = self._count_simulations(monkeypatch)
         oracle.profile_at(child)
         assert len(calls) == 1
 
-    def test_sibling_misses_share_one_parent_simulation(self, monkeypatch):
+    def test_conforming_child_runs_no_simulation(self, monkeypatch):
+        graph, oracle, parent, acts = self._fig1_one_step_in()
+        child = child_history(graph, parent, acts)
+        calls = self._count_simulations(monkeypatch)
+        rho2 = oracle.profile_at(child)
+        assert not calls
+        assert rho2 == {a: p[1:] for a, p in oracle.profile_at(parent).items()}
+        assert list(rho2) == sorted(rho2, key=lambda a: a.name)
+
+    def test_root_batches_come_from_the_ne_check(self, monkeypatch):
+        # the constructor's `verify_ne` trace is the root NE's simulation
         loaded = load_fixture("fig1")
         pi = iterative_dominating_profile(loaded.graph, loaded.config).paths
         oracle = ne_based_spe(loaded.graph, loaded.config, pi)
         root = root_history(loaded.config)
         acts = oracle.profile(root)
         p1 = next(a for a in acts if a.name == "p1")
-        alts = sorted(action_set(loaded.graph, loaded.config, p1) - {acts[p1]})
-        siblings = [child_history(loaded.graph, root, acts),
-                    child_history(loaded.graph, root, {**acts, p1: alts[0]})]
-        calls = []
+        child = child_history(loaded.graph, root, {**acts, p1: "ou1"})
+        calls = self._count_simulations(monkeypatch)
+        assert oracle.matched_prefix_size(child) == 0
+        assert verify_ne(loaded.graph, child.config, oracle.profile_at(child)).passed
+        assert not calls
 
-        def counting_run_paths(*args, **kwargs):
-            calls.append(args)
-            return run_paths(*args, **kwargs)
+    def test_induced_play_simulates_only_the_final_trace(self, monkeypatch):
+        loaded = load_fixture("fig1")
+        oracles = [ne_based_spe(loaded.graph, loaded.config, pi)
+                   for pi in enumerate_all_ne(loaded.graph, loaded.config)]
+        calls = self._count_simulations(monkeypatch)
+        for k, oracle in enumerate(oracles, start=1):
+            induced_paths(loaded.graph, root_history(loaded.config), oracle)
+            assert len(calls) == k
 
-        monkeypatch.setattr(dqroute.spe, "run_paths", counting_run_paths)
+    def test_sibling_misses_share_one_parent_simulation(self, monkeypatch):
+        graph, oracle, parent, acts = self._fig1_one_step_in()
+        p1 = next(a for a in acts if a.name == "p1")
+        siblings = [child_history(graph, parent, acts), child_history(graph, parent, {**acts, p1: "vw2"})]
+        calls = self._count_simulations(monkeypatch)
         assert [oracle.matched_prefix_size(child) for child in siblings] == [1, 0]
         for child in siblings:
-            assert verify_ne(loaded.graph, child.config, oracle.profile_at(child)).passed
+            assert verify_ne(graph, child.config, oracle.profile_at(child)).passed
         assert len(calls) == 1
 
     def test_first_batch_deviation_rebuilds_from_scratch(self):
@@ -444,6 +480,63 @@ class TestNEBasedOracle:
         assert oracle.matched_prefix_size(child) == 0
         rho2 = oracle.profile_at(child)
         assert verify_ne(loaded.graph, child.config, rho2).passed
+
+    def test_deviation_in_a_later_batch_keeps_the_earlier_batches(self):
+        # a0 leaves its NE edge at the root behind two batches that exit
+        # before it: a1's and a2's paths are kept and a3's is rebuilt
+        edges = [("e0", "o", "v1"), ("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "d"),
+                 ("e4", "v1", "v2"), ("e5", "v3", "d"), ("e6", "v2", "v3")]
+        graph = Network.build("o", "d", [(*e, 1, 1) for e in edges],
+                              priorities={"v2": ["e1", "e4"], "v3": ["e6", "e2"], "d": ["e3", "e5"]})
+        a0, a1, a2, a3 = (Agent(f"a{i}") for i in range(4))
+        config = Configuration.from_mapping(0, {"e0": [a0], "e1": [a1, a3], "e6": [a2]})
+        pi = {a0: ("e0", "e4", "e2", "e3"), a1: ("e1", "e2", "e5"), a3: ("e1", "e6", "e5"), a2: ("e6", "e3")}
+        oracle = ne_based_spe(graph, config, pi)
+        root = root_history(config)
+        child = child_history(graph, root, {**oracle.profile(root), a0: "e1"})
+        assert oracle.matched_prefix_size(child) == 2
+        rho2 = oracle.profile_at(child)
+        assert (rho2[a1], rho2[a2], rho2[a3]) == (("e2", "e5"), ("e3",), ("e1", "e6", "e3"))
+        assert list(rho2.items()) == list(ReferenceNEBasedOracle(graph, config, pi).profile_at(child).items())
+        assert verify_ne(graph, child.config, rho2).passed
+
+    def test_matches_the_from_scratch_reference(self):
+        # every NE of fan, interim and tiny-schedule draws: the memo and the
+        # conforming shortcut give the reference's profiles, in its agent
+        # order, its states, audits and induced play on every history
+        rng = random.Random(91)
+        cases = []
+        while len(cases) < 9:
+            kind = len(cases) % 3
+            if kind == 0:
+                drawn = random_fan(rng, fan=1, max_mid=2, max_e=5)
+            elif kind == 1:
+                net = random_net(rng, max_v=6, max_e=9)
+                drawn = net and (net, random_interim_config(rng, net, max_agents=4)[0])
+            else:
+                drawn = tiny_schedule_tables(rng, 1, guard=64)[0][:2]
+            if drawn is None or len(drawn[1].agents()) < 2:
+                continue
+            try:
+                tree = exhaustive_histories(*drawn, 4 if kind == 0 else None, guard=3_000)
+                nes = enumerate_all_ne(*drawn, guard=200)
+            except (HorizonExceeded, TooManyProfiles):
+                continue
+            cases.append((*drawn, tree, nes))
+        checked = 0
+        for graph, config, tree, nes in cases:
+            root = root_history(config)
+            for pi in nes:
+                oracle = ne_based_spe(graph, config, pi)
+                reference = ReferenceNEBasedOracle(graph, config, pi)
+                for node in tree:
+                    assert list(oracle.profile_at(node).items()) == list(reference.profile_at(node).items())
+                    assert oracle.heads(node) == reference.heads(node)
+                    assert oracle.state(node) == reference.state(node)
+                assert one_deviation_audit(graph, oracle, tree) == one_deviation_audit(graph, reference, tree)
+                assert induced_paths(graph, root, oracle) == induced_paths(graph, root, reference)
+                checked += 1
+        assert checked >= 40
 
     def test_full_tree_audits_on_every_fig1_ne(self):
         loaded = load_fixture("fig1")
