@@ -41,6 +41,11 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     edge with rank slot - 1: one DP from the origin and one `commit_table`,
     which runs the solver's no-displacement check, per agent. Agents on the
     same edges share one tuple of names.
+
+    A wave at r reads only the index cells from r to the frontier. If they
+    equal those the wave at r - 1 of equal width read, it and the rest of its
+    run of equal-width waves route as that one shifted, with no DP or check;
+    cells are compared once two waves' paths and exit - r have matched.
     """
     plan = net.plan()
     edge_names = plan.edges
@@ -49,7 +54,26 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     exits: dict[Agent, int] = {}
     named: dict[tuple[int, ...], tuple[str, ...]] = {}
     o, d = plan.vertex_id[net.origin], plan.vertex_id[net.destination]
-    for r, wave in schedule.waves:
+    waves, i = schedule.waves, 0
+    ref: tuple = (0, [], [])  # the last DP-routed wave: time, relative routing, trajectories
+    repeated = held = None  # whether its relative routing repeated the wave's before; its window
+    while i < len(waves):
+        r, wave = waves[i]
+        window = None
+        if repeated and ref[0] == r - 1 and len(wave) == len(ref[2]):
+            f, index = timelines.frontier, (timelines.lengths, timelines.entered)
+            window = [cells[e][r : f + 1] for cells in index for e in timelines.committed]
+            if window == held:
+                j, (route, offsets) = i, zip(*ref[1])  # its paths and exits - r
+                while j < len(waves) and waves[j][0] == r + j - i and len(waves[j][1]) == len(wave):
+                    paths.update(zip(waves[j][1], route))
+                    exits.update(zip(waves[j][1], map(waves[j][0].__add__, offsets)))
+                    j += 1
+                timelines.add_translates(ref[2], j - i)
+                i = j  # ref's time is now before r - 1: waves[j] takes no window
+                continue
+        held = window
+        relative, trajectories = [], []
         for rank, agent in enumerate(wave):  # rank slot - 1
             table = dp_from_vertex(o, r, None, rank, timelines)
             exits[agent] = t = table.time_at[d]
@@ -59,6 +83,11 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
             if path is None:
                 path = named[ids] = tuple([edge_names[e] for e in ids])
             paths[agent] = path
+            relative.append((path, t - r))
+            trajectories.append((ids, table.time_at, rank))
+        repeated = relative == ref[1]
+        ref = (r, relative, trajectories)
+        i += 1
     return RouterResult(paths=paths, exit_times=exits, timelines=timelines)
 
 

@@ -27,9 +27,9 @@ class QueueCounters:
     It is written one trajectory at a time: by `commit`, each of a
     simulation's (`from_trace`), and by `commit_table`, each chosen path of a
     solver or each agent the entry-order router routes, whose arrivals at an
-    inner vertex are then the entrants of the vertex's out-edges. Initial
-    queue members rank -1, strictly ahead of any entrant. Edges that nothing
-    commits to share one list of zeros and one of empty cells.
+    inner vertex are then the entrants of the vertex's out-edges, or in bulk
+    by `add_translates`. Initial queue members rank -1, ahead of any entrant;
+    edges nothing commits to share one list of zeros and one of empty cells.
 
     Padding, in index times: a DP starting at s0 first pads every list to
     max(frontier, s0) + |V| cells, `frontier` being the latest committed
@@ -176,6 +176,36 @@ class QueueCounters:
                     sizes[t] += 1
             entered[e][enter] += (rank,)
             enter, rank = leave, next_rank
+
+    def add_translates(self, trajectories: Sequence[tuple], copies: int) -> None:
+        """Add `copies` translates of committed (path, times, rank) trajectories,
+        the k-th k steps later, as `_add` would one by one, unchecked: an edge's
+        cell q past its first gets its offsets [q - copies, q), ramp, plateau, ramp."""
+        arcs, stays, last = self.plan.arcs, {}, 0
+        for path, times, rank in trajectories:
+            for e in path:
+                tail, head, next_rank = arcs[e]
+                stays.setdefault(e, []).append((times[tail], times[head], rank))
+                rank = next_rank
+            last = max(last, times[head])
+        self.pad(last + copies + 1)
+        self.frontier = max(self.frontier, last + copies)
+        for e, visits in stays.items():
+            lo = min(v[0] for v in visits)
+            span = max(v[1] for v in visits) - lo
+            inc, ent = [0] * span, [()] * span
+            for enter, leave, rank in visits:
+                inc[enter - lo : leave - lo] = [n + 1 for n in inc[enter - lo : leave - lo]]
+                ent[enter - lo] += (rank,)
+            sizes, cells = self.lengths[e], self.entered[e]
+            for q in [*range(1, span), *range(max(span, copies + 1), copies + span)]:
+                i, j = max(0, q - copies), min(span, q)
+                sizes[lo + q] += sum(inc[i:j])
+                cells[lo + q] += sum(ent[i:j][::-1], ())
+            plateau = slice(lo + span, lo + copies + 1)
+            total, everyone = sum(inc), sum(ent[::-1], ())
+            sizes[plateau] = [n + total for n in sizes[plateau]]
+            cells[plateau] = [c + everyone for c in cells[plateau]]
 
 
 @dataclass(slots=True)

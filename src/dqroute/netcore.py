@@ -351,8 +351,9 @@ class InflowSchedule:
 
     @classmethod
     def build(cls, waves: Sequence[tuple[int, Sequence[str]]]) -> "InflowSchedule":
+        new, agent = tuple.__new__, itertools.repeat(Agent)  # skips Agent's Python-level __new__
         return cls(tuple(
-            (r, tuple(map(Agent, names, itertools.repeat(r), itertools.count(1))))
+            (r, tuple(map(new, agent, zip(names, itertools.repeat(r), itertools.count(1)))))
             for r, names in waves
         ))
 

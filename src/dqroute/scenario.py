@@ -65,12 +65,18 @@ def _declare_agents(declared: set[str], names: list[str], line: int) -> None:
         declared.add(n)
 
 
+def _once(lines: dict[str, int], key: str, line: int, what: str) -> None:
+    """Refuse a second line of a directive that may appear once, keeping its line."""
+    if key in lines:
+        raise ParseError(line, f"duplicate {what}")
+    lines[key] = line
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ParseError/UnresolvedReference with line numbers."""
     sc = Scenario()
     section = None
-    seen_sections = set()
-    declared_edges: dict[str, tuple[str, str]] = {}
+    seen: dict[str, int] = {}  # the lines of directives that no later error names
     declared_agents: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,9 +89,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(tokens) != 1 or tokens[0] not in _SECTIONS:
                 raise ParseError(lineno, f"unknown section {line.strip()!r}")
             section = tokens[0]
-            if section in seen_sections:
-                raise ParseError(lineno, f"duplicate section {section!r}")
-            seen_sections.add(section)
+            _once(seen, section, lineno, f"section {section!r}")
             continue
         if section is None:
             raise ParseError(lineno, "directive before any section header")
@@ -99,10 +103,12 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "origin":
                 if len(args) != 1:
                     raise ParseError(lineno, "origin takes one vertex")
+                _once(seen, "network:origin", lineno, "origin")
                 sc.origin = _ident(args[0], lineno, "vertex")
             elif key == "destination":
                 if len(args) != 1:
                     raise ParseError(lineno, "destination takes one vertex")
+                _once(seen, "network:destination", lineno, "destination")
                 sc.destination = _ident(args[0], lineno, "vertex")
             elif key == "edge":
                 if len(args) < 3:
@@ -120,19 +126,14 @@ def parse_scenario(text: str) -> Scenario:
                         raise ParseError(lineno, f"unknown edge attribute {extra!r}")
                 if cap < 1 or transit < 1:
                     raise ParseError(lineno, "capacity and transit must be at least 1")
-                if name in declared_edges:
-                    raise ParseError(lineno, f"duplicate edge {name!r}")
-                declared_edges[name] = (tail, head)
+                _once(sc.lines, f"edge:{name}", lineno, f"edge {name!r}")
                 sc.edges.append((name, tail, head, cap, transit))
-                sc.lines[f"edge:{name}"] = lineno
             elif key == "priority":
                 if len(args) < 2:
                     raise ParseError(lineno, "priority needs: vertex edge [edge ...]")
                 v = _ident(args[0], lineno, "vertex")
-                if v in sc.priorities:
-                    raise ParseError(lineno, f"duplicate priority on vertex {v!r}")
+                _once(sc.lines, f"priority:{v}", lineno, f"priority on vertex {v!r}")
                 sc.priorities[v] = [_ident(a, lineno, "edge") for a in args[1:]]
-                sc.lines[f"priority:{v}"] = lineno
             else:
                 raise ParseError(lineno, f"unknown network directive {key!r}")
         elif section == "inflow":
@@ -149,17 +150,16 @@ def parse_scenario(text: str) -> Scenario:
             if key == "time":
                 if len(args) != 1:
                     raise ParseError(lineno, "time takes one integer")
+                _once(seen, "config:time", lineno, "config time")
                 sc.config_time = _int(args[0], lineno, "time")
             elif key == "queue":
                 if len(args) < 2:
                     raise ParseError(lineno, "queue needs: edge agent [agent ...]")
                 e = _ident(args[0], lineno, "edge")
-                if f"queue:{e}" in sc.lines:
-                    raise ParseError(lineno, f"duplicate queue on edge {e!r}")
+                _once(sc.lines, f"queue:{e}", lineno, f"queue on edge {e!r}")
                 names = [_ident(a, lineno, "agent") for a in args[1:]]
                 _declare_agents(declared_agents, names, lineno)
                 sc.config_queues.append((e, names))
-                sc.lines[f"queue:{e}"] = lineno
             else:
                 raise ParseError(lineno, f"unknown config directive {key!r}")
         elif section == "paths":
@@ -168,22 +168,22 @@ def parse_scenario(text: str) -> Scenario:
             if len(args) < 2:
                 raise ParseError(lineno, "agent needs: name edge [edge ...]")
             name = _ident(args[0], lineno, "agent")
-            if name in sc.paths:
-                raise ParseError(lineno, f"duplicate path for agent {name!r}")
+            _once(sc.lines, f"path:{name}", lineno, f"path for agent {name!r}")
             sc.paths[name] = [_ident(a, lineno, "edge") for a in args[1:]]
-            sc.lines[f"path:{name}"] = lineno
         elif section == "params":
             if key not in _PARAM_KEYS:
                 raise ParseError(lineno, f"unknown parameter {key!r}")
             if len(args) != 1:
                 raise ParseError(lineno, f"{key} takes one integer")
+            _once(seen, f"params:{key}", lineno, f"parameter {key!r}")
             sc.params[key] = _int(args[0], lineno, key)
 
-    _resolve(sc, declared_edges, declared_agents)
+    _resolve(sc, declared_agents)
     return sc
 
 
-def _resolve(sc: Scenario, edges: dict[str, tuple[str, str]], agents: set[str]) -> None:
+def _resolve(sc: Scenario, agents: set[str]) -> None:
+    edges = {name: (tail, head) for name, tail, head, _, _ in sc.edges}
     if not sc.origin or not sc.destination:
         raise UnresolvedReference(0, "network needs origin and destination")
     known_vertices = set(sc.vertices)

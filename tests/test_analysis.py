@@ -178,19 +178,76 @@ class TestRouterReference:
 
 
     def test_one_dp_per_routed_agent(self, monkeypatch):
-        calls = []
-        original = dqroute.analysis.dp_from_vertex
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(dqroute.analysis, "dp_from_vertex", counting)
-        schedule = constant_schedule(2, 300)
+        # widths that alternate never repeat, so no wave is routed by translation
+        calls = record_dp_starts(monkeypatch)
+        schedule = InflowSchedule.build(
+            [(t, [f"x{t}.{i}" for i in range(1 + t % 2)]) for t in range(1, 301)]
+        )
         result = route_entry_order(unit(diamond_net()), schedule)
-        assert len(calls) == len(schedule.agents()) == len(result.paths) == 600
+        assert len(calls) == len(schedule.agents()) == len(result.paths) == 450
         # agents on the same edges share one tuple of names
         assert len({id(p) for p in result.paths.values()}) == len(set(result.paths.values()))
+
+    def test_a_settled_run_is_translated_with_no_dp(self, monkeypatch):
+        calls = record_dp_starts(monkeypatch)
+        copies = record_translates(monkeypatch)
+        schedule = constant_schedule(2, 300)
+        result = route_entry_order(unit(diamond_net()), schedule)
+        # one run, from the first translated wave to the last wave; a DP for
+        # each agent before it and none after
+        assert len(copies) == 1
+        first = 301 - copies[0]
+        assert calls == [(t, rank) for t in range(1, first) for rank in (0, 1)]
+        assert len(calls) <= 10 < 600 == len(result.paths)
+        assert len({id(p) for p in result.paths.values()}) == len(set(result.paths.values()))
+        assert_route_matches_reference(unit(diamond_net()), schedule)
+
+    def test_random_sp_schedules_that_settle_break_and_settle_again(self, monkeypatch):
+        copies = record_translates(monkeypatch)
+        rng = random.Random(33)
+        resumed = 0
+        for _ in range(30):
+            u = unit(random_sp_net(rng, rng.randint(3, 8)))
+            cut, _, _ = leftmost_min_cut(u)
+            widths: list[int] = []
+            for _ in range(rng.randint(2, 4)):
+                widths += [rng.randint(1, len(cut))] * rng.randint(12, 40)  # a run that settles
+                # then a gap, or one to three narrower or wider waves
+                widths += [rng.choice([0, rng.randint(1, len(cut) + 1)])] * rng.randint(1, 3)
+            schedule = InflowSchedule.build(
+                [(t, [f"x{t}.{i}" for i in range(w)]) for t, w in enumerate(widths, 1) if w]
+            )
+            before = len(copies)
+            assert_route_matches_reference(u, schedule)
+            resumed += len(copies) - before > 1
+        # the router stopped and resumed translating on most nets
+        assert resumed >= 20
+
+
+def record_dp_starts(monkeypatch) -> list[tuple[int, int]]:
+    """The (start time, start rank) of every DP the router runs, as it runs them."""
+    calls = []
+    original = dqroute.analysis.dp_from_vertex
+
+    def recording(start_vertex, start_time, start_edge, start_rank, counters):
+        calls.append((start_time, start_rank))
+        return original(start_vertex, start_time, start_edge, start_rank, counters)
+
+    monkeypatch.setattr(dqroute.analysis, "dp_from_vertex", recording)
+    return calls
+
+
+def record_translates(monkeypatch) -> list[int]:
+    """The number of copies of every bulk translation the router adds."""
+    copies = []
+    original = QueueCounters.add_translates
+
+    def recording(self, trajectories, count):
+        copies.append(count)
+        return original(self, trajectories, count)
+
+    monkeypatch.setattr(QueueCounters, "add_translates", recording)
+    return copies
 
 
 class TestQueueBound:

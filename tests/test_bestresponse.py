@@ -293,6 +293,30 @@ class TestCompiledPlan:
                 outcomes.add(expected)
         assert outcomes == {AssertionError, DQRouteError, None}
 
+    def test_translates_equal_their_commits_one_by_one(self):
+        # a committed wave of up to three trajectories, then its translates in
+        # bulk against the oracle committing them translate after translate,
+        # with more and with fewer copies than an edge's span of cells
+        rng = random.Random(14)
+        spans = set()
+        for net, counters, reference in random_nets_with_counters(rng, 40):
+            wave = [random_trajectory(rng, net) for _ in range(rng.randint(1, 3))]
+            for path, times, rank in wave:
+                counters.pad(max(times.values()) + 1)  # as `commit` pads, unchecked
+                counters._add(*by_ids(net, path, times), rank)
+                reference.commit(net, path, times, rank)
+            copies = rng.randint(1, 8)
+            counters.add_translates([(*by_ids(net, p, ts), rank) for p, ts, rank in wave], copies)
+            for k in range(1, copies + 1):
+                for path, times, rank in wave:
+                    reference.commit(net, path, {v: t + k for v, t in times.items()}, rank)
+            assert counters.sizes == reference.sizes
+            assert entrant_ranks(counters) == reference.entrant_ranks
+            last = max(max(times.values()) for _, times, _ in wave)
+            assert counters.frontier == max(counters.frontier, last + copies)
+            spans.add(copies < last - min(min(ts.values()) for _, ts, _ in wave))
+        assert spans == {True, False}
+
     def test_tables_match_the_reference_dp(self):
         rng = random.Random(13)
         for net, counters, reference in random_nets_with_counters(rng, 30):

@@ -232,6 +232,15 @@ class TestCommands:
         for name in ("occupancy.tsv", "queues.tsv"):
             assert (tmp_path / name).read_text() == (golden / name).read_text()
 
+    @pytest.mark.parametrize("case", ["sp_diamond", "fanout"])
+    def test_spe_bound_matches_golden_reports(self, capsys, tmp_path, case):
+        golden = GOLDEN / "spe-bound" / case
+        code, out = run(capsys, "spe-bound", case, "--out", str(tmp_path))
+        assert code == 0
+        assert out == (golden / "stdout.txt").read_text()
+        assert (tmp_path / "report.txt").read_text() == out
+        assert (tmp_path / "occupancy.tsv").read_text() == (golden / "occupancy.tsv").read_text()
+
     @pytest.mark.parametrize(
         "case, argv",
         [
@@ -267,8 +276,13 @@ class TestCommands:
             (["solve", "duplicate_queue.scn"], "error: line 9: duplicate queue on edge 'oa'"),
             (["solve", "duplicate_priority.scn"], "error: line 10: duplicate priority on vertex 'd'"),
             (["simulate", "duplicate_path.scn"], "error: line 15: duplicate path for agent 'x'"),
+            (["solve", "duplicate_origin.scn"], "error: line 4: duplicate origin"),
+            (["solve", "duplicate_destination.scn"], "error: line 5: duplicate destination"),
+            (["solve", "duplicate_time.scn"], "error: line 9: duplicate config time"),
+            (["queue-bound", "duplicate_horizon.scn"], "error: line 11: duplicate parameter 'horizon'"),
         ],
-        ids=["tree-audit", "sampled-audit", "duplicate-queue", "duplicate-priority", "duplicate-path"],
+        ids=["tree-audit", "sampled-audit", "duplicate-queue", "duplicate-priority", "duplicate-path",
+             "duplicate-origin", "duplicate-destination", "duplicate-time", "duplicate-horizon"],
     )
     def test_bad_inputs_exit_2_with_an_error_line(self, capsys, argv, message):
         code, out = run(capsys, argv[0], str(GOLDEN / "errors" / argv[1]), *argv[2:])

@@ -56,6 +56,17 @@ class TestAgent:
         assert plain == Agent("a") and scheduled == Agent("a", 1, 1)
         assert len({plain, scheduled, Agent("a")}) == 2
 
+    def test_schedule_agents_equal_those_the_constructor_builds(self):
+        # `InflowSchedule.build` makes its agents without the named tuple's __new__
+        waves = [(1, ["x", "y"]), (3, ["z"]), (4, ["u", "v", "w"])]
+        built = InflowSchedule.build(waves).agents()
+        expected = [Agent(n, r, slot) for r, names in waves for slot, n in enumerate(names, 1)]
+        assert list(built) == expected
+        assert [hash(a) for a in built] == [hash(a) for a in expected]
+        assert all(type(a) is Agent for a in built)
+        assert [(a.name, a.entry, a.slot, str(a)) for a in built] == \
+            [(a.name, a.entry, a.slot, str(a)) for a in expected]
+
 
 class TestValidateAndStats:
     def test_single_edge(self):

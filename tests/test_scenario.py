@@ -123,6 +123,23 @@ class TestParse:
         assert err.value.line == 10
         assert err.value.message == "duplicate path for agent 'a'"
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (MINIMAL + "  origin d\n", 6, "duplicate origin"),
+            (MINIMAL + "  destination o\n", 6, "duplicate destination"),
+            (MINIMAL + "config\n  time 3\n  time 5\n", 8, "duplicate config time"),
+            (MINIMAL + "params\n  horizon 7\n  horizon 9\n", 8, "duplicate parameter 'horizon'"),
+        ],
+        ids=["origin", "destination", "time", "horizon"],
+    )
+    def test_duplicate_single_line_rejected_with_its_line(self, text, line, message):
+        # a second origin, destination, time or parameter line used to replace the first
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+        assert err.value.message == message
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
