@@ -139,9 +139,6 @@ class RoutingTrace:
     def arrival(self, agent: Agent, vertex: str) -> float:
         return self.vertex_times.get(agent, {}).get(vertex, math.inf)
 
-    def agents(self) -> tuple[Agent, ...]:
-        return tuple(self.paths)
-
     def rows(self) -> list[tuple[str, str, int]]:
         """Tabular (agent, vertex, time) report rows, sorted by time then agent."""
         out = [(agent.name, v, t) for agent, times in self.vertex_times.items() for v, t in times.items()]

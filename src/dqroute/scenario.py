@@ -78,6 +78,7 @@ def parse_scenario(text: str) -> Scenario:
     section = None
     seen: dict[str, int] = {}  # the lines of directives that no later error names
     declared_agents: set[str] = set()
+    last = 1  # the previous inflow wave's time, 1 before the first
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -144,8 +145,12 @@ def parse_scenario(text: str) -> Scenario:
             r = _int(args[0], lineno, "inflow time")
             names = [_ident(a, lineno, "agent") for a in args[1:]]
             _declare_agents(declared_agents, names, lineno)
+            _once(seen, f"inflow:{r}", lineno, f"inflow time {r}")
+            if r < last:
+                raise ParseError(lineno, f"inflow time {r} is before the previous wave's {last}"
+                                 if sc.inflow else f"inflow time must be at least 1, got {r}")
             sc.inflow.append((r, names))
-            sc.lines[f"inflow:{r}"] = lineno
+            last = r
         elif section == "config":
             if key == "time":
                 if len(args) != 1:
@@ -193,6 +198,9 @@ def _resolve(sc: Scenario, agents: set[str]) -> None:
                 raise UnresolvedReference(
                     sc.lines[f"edge:{name}"], f"edge {name!r} uses undeclared vertex {v!r}"
                 )
+        if head == sc.origin or tail == sc.destination:
+            end = f"enters the origin {head!r}" if head == sc.origin else f"leaves the destination {tail!r}"
+            raise ParseError(sc.lines[f"edge:{name}"], f"edge {name!r} {end}")
     for v, order in sc.priorities.items():
         if v not in known_vertices:
             raise UnresolvedReference(sc.lines[f"priority:{v}"], f"unknown vertex {v!r}")
@@ -285,7 +293,7 @@ def load_scenario(sc: Scenario) -> LoadedScenario:
             vertices=sc.vertices,
         )
     except IncompletePriorityOrder as exc:
-        line = sc.lines.get(f"priority:{exc.vertex}", 0)
+        line = sc.lines[f"priority:{exc.vertex}"]
         raise IncompletePriorityOrder(exc.vertex, f"(scenario line {line})") from exc
     for v in net.vertices:
         if len(net.in_edges(v)) > 1 and v not in sc.priorities:

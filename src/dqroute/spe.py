@@ -65,7 +65,9 @@ def history_name(node: HistoryNode) -> tuple:
 
 
 class StrategyOracle:
-    """Deterministic rule (history, agent) -> action; total over live agents.
+    """Deterministic rule (history, agent) -> action over live agents, in four
+    methods: `action`, `profile`, `heads` (what play and the audits step on)
+    and `state`. Each oracle decides itself whether a step followed its play.
 
     `state(history)` must fix the queue content and all that later play depends
     on: equal states get equal profiles, and equal action profiles take them
@@ -91,10 +93,6 @@ class StrategyOracle:
     def state(self, history: HistoryNode) -> Hashable:
         return history.key
 
-    def played(self, config: Configuration, successor: Configuration) -> None:
-        """Play went from config to successor on this oracle's own profile
-        (sigma-star seeds the successor's prescription from it)."""
-
 
 def prescribed_actions(
     graph: Graph, config: Configuration, profile: Mapping[Agent, Sequence[str]]
@@ -116,65 +114,90 @@ def prescribed_actions(
     return acts
 
 
-class SigmaStar(StrategyOracle):
-    """Markovian oracle replaying the iterative dominating profile of the
-    current configuration; memoized on queue contents. `played` seeds, not
-    solves, a successor of its own play: by on-path consistency its profile is
-    the parent's order with each path cut to the suffix from the agent's edge."""
+def _cut(rho: Mapping[Agent, tuple[str, ...]], config: Configuration,
+         keep: Optional[Iterable[Agent]] = None) -> dict[Agent, tuple[str, ...]]:
+    """On-path consistency: after a step that followed rho, the profile is
+    rho with each path cut to the suffix from the agent's edge, in agent-name
+    order (for the agents in `keep` when given)."""
+    edge = {a: e for e, q in config.queues for a in q}
+    return {a: rho[a] if rho[a][0] == edge[a] else rho[a][1:]
+            for a in sorted(edge if keep is None else edge.keys() & keep, key=lambda a: a.name)}
+
+
+class _ProfileOracle(StrategyOracle):
+    """An oracle of path profiles with one memo, `_key(history)` -> (profile,
+    prescribed actions, head actions, state). A miss whose last key entry is
+    its memoized parent's head actions followed the parent's profile and takes
+    its `_cut`; any other goes to the subclass's `_solve`, which stores it."""
 
     def __init__(self, graph: Graph):
         super().__init__(graph)
-        # content key -> (the content's profile, its prescription)
-        self._memo: dict[tuple, tuple[dict[Agent, tuple[str, ...]], dict[Agent, Action]]] = {}
+        self._memo: dict[Hashable, tuple] = {}
+
+    def _key(self, history: HistoryNode) -> Hashable:
+        return history.key
+
+    def _state_of(self, config: Configuration, rho: Mapping[Agent, tuple[str, ...]]) -> Hashable:
+        return config.content_key()
+
+    def _store(self, key: Hashable, config: Configuration, rho: dict[Agent, tuple[str, ...]]) -> tuple:
+        acts = prescribed_actions(self.graph, config, rho)
+        heads = tuple(acts[q[0]] for _, q in config.queues)
+        entry = self._memo[key] = rho, acts, heads, self._state_of(config, rho)
+        return entry
+
+    def _at(self, node: HistoryNode) -> tuple:
+        if (entry := self._memo.get(key := self._key(node))) is not None:
+            return entry
+        up = node.parent and self._memo.get(self._key(node.parent))
+        if up and node.key[-1] == up[2]:
+            return self._store(key, node.config, _cut(up[0], node.config))
+        self._solve(node)
+        return self._memo[key]
+
+    def action(self, history: HistoryNode, agent: Agent) -> Action:
+        return self._at(history)[1][agent]
+
+    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
+        return self._at(history)[2]
+
+    def state(self, history: HistoryNode) -> Hashable:
+        return self._at(history)[3]
+
+
+class SigmaStar(_ProfileOracle):
+    """Markovian oracle replaying the iterative dominating profile of the
+    current configuration; memoized on queue contents, its state. It solves
+    a content only when no step that followed its profile reached it."""
+
+    def _key(self, history: HistoryNode) -> Hashable:
+        return history.config.content_key()
+
+    def _solve(self, history: HistoryNode) -> None:
+        self.prescription(history.config)
 
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
         hit = self._memo.get(key := config.content_key())
         if hit is None:
-            paths = iterative_dominating_profile(self.graph, config).paths
-            hit = self._memo[key] = paths, prescribed_actions(self.graph, config, paths)
+            hit = self._store(key, config, iterative_dominating_profile(self.graph, config).paths)
         return hit[1]
 
-    def played(self, config: Configuration, successor: Configuration) -> None:
-        key = successor.content_key()
-        if key in self._memo:
-            return
-        edge = {a: e for e, q in successor.queues for a in q}
-        paths = {
-            a: p if p[0] == edge[a] else p[1:]
-            for a, p in self._memo[config.content_key()][0].items() if a in edge
-        }
-        self._memo[key] = paths, prescribed_actions(self.graph, successor, paths)
-
-    def action(self, history: HistoryNode, agent: Agent) -> Action:
-        return self.prescription(history.config)[agent]
-
-    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
-        return dict(self.prescription(history.config))
-
-    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
-        prof = self.prescription(history.config)  # read, not copied
-        return tuple(prof[q[0]] for _, q in history.config.queues)
-
-    def state(self, history: HistoryNode) -> Hashable:
-        return history.config.content_key()
+    state = _key
 
 
 def sigma_star(graph: Graph) -> SigmaStar:
     return SigmaStar(graph)
 
 
-class NEBasedOracle(StrategyOracle):
+class NEBasedOracle(_ProfileOracle):
     """History-dependent oracle that preserves a given NE on the played path.
 
     Per visited history it keeps the paths of the batch prefix whose realized
     actions matched the prescription (Construction I) and rebuilds the rest as
     an iterative dominating partial profile on that base (Construction II).
-    One memo holds each history's profile, prescription, head actions and
-    state. A conforming child (its key entry is the parent's head actions)
-    keeps every batch: its profile is the parent's, each path cut to the suffix
-    from the agent's edge, with no simulation. The root's batches come from
-    `verify_ne`'s trace.
-    """
+    Its memo is keyed on the history; its state is the queue content and the
+    profile in force. A step that followed the profile keeps every batch and
+    runs no simulation. The root's batches come from `verify_ne`'s trace."""
 
     def __init__(self, graph: Graph, root_config: Configuration, pi: Mapping[Agent, Sequence[str]]):
         super().__init__(graph)
@@ -184,22 +207,16 @@ class NEBasedOracle(StrategyOracle):
         report = verify_ne(graph, root_config, pi)
         if not report.passed:
             raise NotAnNE(f"given profile is not an NE: {report.witnesses[0]}")
-        # history key -> (profile, prescribed actions, head actions, state)
-        root = self._entry(root_config, {a: tuple(p) for a, p in pi.items()})
-        self._memo: dict[tuple, tuple] = {(): root}
+        root = self._store((), root_config, {a: tuple(p) for a, p in pi.items()})
         # state -> batches of its NE's simulation
         self._batches: dict[Hashable, BatchDecomposition] = {root[3]: batch_decompose(report.trace)}
         self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
-    def _entry(self, config: Configuration, rho: dict[Agent, tuple[str, ...]]) -> tuple:
-        acts = prescribed_actions(self.graph, config, rho)
-        state = config.content_key(), tuple(rho[a] for a in config.agents())
-        return rho, acts, tuple(acts[q[0]] for _, q in config.queues), state
+    def _solve(self, history: HistoryNode) -> None:
+        self.profile_at(history)
 
-    def _at(self, node: HistoryNode) -> tuple:
-        if node.key not in self._memo:
-            self.profile_at(node)  # builds the entry
-        return self._memo[node.key]
+    def _state_of(self, config: Configuration, rho: Mapping[Agent, tuple[str, ...]]) -> Hashable:
+        return config.content_key(), tuple(rho[a] for a in config.agents())
 
     def matched_prefix_size(self, node: HistoryNode) -> int:
         """Batches of the parent NE whose realized actions matched it (the
@@ -219,44 +236,23 @@ class NEBasedOracle(StrategyOracle):
         return len(batches.batches)
 
     def profile_at(self, node: HistoryNode) -> dict[Agent, tuple[str, ...]]:
+        """The memo's profile at the history, else Constructions I and II."""
         if node.key in self._memo:
             return self._memo[node.key][0]
-        rho, _, heads, state = self._at(node.parent)
-        edge = {a: e for e, q in node.config.queues for a in q}
-        keep = edge.keys()  # a conforming child keeps every batch
-        if node.key[-1] != heads:
-            matched = self.matched_prefix_size(node)
-            keep = keep & self._batches[state].prefix(matched)
-        base: dict[Agent, tuple[str, ...]] = {}
-        for agent in sorted(keep, key=lambda a: a.name):
-            old = rho[agent]
-            base[agent] = old if old[0] == edge[agent] else old[1:]
-            assert base[agent][0] == edge[agent]
-        if len(keep) < len(edge):
-            # the rebuild depends only on the queue content and the base; the
-            # solver is skipped when every path is kept, which holds the
-            # full-tree audit of fanout waves (3, 2) to 1,098 solves for its
-            # 1,298 (time, state) groups (1,388 solves when it always runs)
+        rho, _, _, state = self._at(node.parent)
+        matched = self.matched_prefix_size(node)
+        base = _cut(rho, node.config, self._batches[state].prefix(matched))
+        if len(base) < sum(len(q) for _, q in node.config.queues):
+            # the rebuild depends only on the queue content and the base, and
+            # is skipped when every path is kept: 1,098 solves, not 1,388, for
+            # the 1,298 (time, state) groups of the fanout (3, 2) full-tree audit
             solved = (node.config.content_key(), tuple(base.items()))
             if solved not in self._solves:
                 self._solves[solved] = iterative_dominating_profile(
                     self.graph, node.config, base=base, base_check_samples=0
                 ).paths
             base = self._solves[solved]
-        self._memo[node.key] = self._entry(node.config, base)
-        return base
-
-    def action(self, history: HistoryNode, agent: Agent) -> Action:
-        return self._at(history)[1][agent]
-
-    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
-        return dict(self._at(history)[1])
-
-    def heads(self, history: HistoryNode) -> tuple[Action, ...]:
-        return self._at(history)[2]
-
-    def state(self, history: HistoryNode) -> Hashable:
-        return self._at(history)[3]
+        return self._store(node.key, node.config, base)[0]
 
 
 def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequence[str]]) -> NEBasedOracle:
@@ -266,6 +262,14 @@ def ne_based_spe(graph: Graph, config: Configuration, pi: Mapping[Agent, Sequenc
 # -- induced play ----------------------------------------------------------------
 
 
+def _advance(graph: Graph, children: Mapping, node: HistoryNode, heads: tuple[Action, ...]) -> HistoryNode:
+    """The history where node's heads take `heads`: a tree child, else a checked `step`."""
+    try:
+        return HistoryNode(children[node.config][heads], node.key + (heads,), node)
+    except KeyError:
+        return child_history(graph, node, profile_of(node.config, heads))
+
+
 def _play(graph: Graph, node: HistoryNode, oracle: StrategyOracle, limit: int) -> list[HistoryNode]:
     """The chain of histories from node under the oracle until every agent
     has exited; HorizonExceeded once play passes time limit."""
@@ -273,9 +277,7 @@ def _play(graph: Graph, node: HistoryNode, oracle: StrategyOracle, limit: int) -
     while not node.config.is_empty():
         if node.config.time > limit:
             raise HorizonExceeded(f"induced play passed time {limit}")
-        child = child_history(graph, node, oracle.profile(node))
-        oracle.played(node.config, child.config)
-        node = child
+        node = _advance(graph, {}, node, oracle.heads(node))
         out.append(node)
     return out
 
@@ -342,13 +344,6 @@ def one_deviation_audit(graph: Graph, oracle: StrategyOracle, histories: Iterabl
         expanded, roots = {}, list(histories)
         histories = roots
     menus, m = graph.plan().menus, len(graph.edges)
-
-    def advance(node: HistoryNode, heads: tuple[Action, ...]) -> HistoryNode:
-        try:
-            return HistoryNode(expanded[node.config][heads], node.key + (heads,), node)
-        except KeyError:  # past the tree, or off a menu: `step` refuses the move
-            return child_history(graph, node, profile_of(node.config, heads))
-
     memo: dict[Hashable, dict[Agent, int]] = {}
 
     def exits(start: HistoryNode) -> dict[Agent, int]:
@@ -357,8 +352,7 @@ def one_deviation_audit(graph: Graph, oracle: StrategyOracle, histories: Iterabl
         node, chain = start, []
         while not node.config.is_empty() and (state := oracle.state(node)) not in memo:
             chain.append((state, node.config))
-            node = advance(node, oracle.heads(node))
-            oracle.played(chain[-1][1], node.config)
+            node = _advance(graph, expanded, node, oracle.heads(node))
         later = memo[state] if not node.config.is_empty() else {}
         for state, config in reversed(chain):
             later = memo[state] = {a: later.get(a, 0) + 1 for a in config.agents()}
@@ -380,7 +374,7 @@ def one_deviation_audit(graph: Graph, oracle: StrategyOracle, histories: Iterabl
             for alt in menus[e]:
                 if alt != heads[i]:
                     report.audited_deviations += n
-                    t_dev = 1 + exits(advance(node, heads[:i] + (alt,) + heads[i + 1:]))[agent]
+                    t_dev = 1 + exits(_advance(graph, expanded, node, heads[:i] + (alt,) + heads[i + 1:]))[agent]
                     if t_dev < base[agent]:
                         failed.setdefault(oracle.state(node), []).append((agent, alt, base[agent], t_dev))
     for node in histories if failed else ():

@@ -11,6 +11,14 @@ from dqroute.errors import DQRouteError
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def error_cases():
+    """The exit-2 cases of `golden/errors/cases.txt`, one parameter set a line."""
+    for line in (GOLDEN / "errors" / "cases.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            case, command, scenario, extra, message = line.split("|")
+            yield pytest.param([command, scenario, *extra.split()], message, id=case)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -265,25 +273,7 @@ class TestCommands:
         code, out = run(capsys, "simulate", str(bad))
         assert code == 2 and "error:" in out
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            # an oracle's off-menu move, in the tree audit and in the sampled one
-            (["spe-audit", "offmenu_vicious.scn", "--oracle", "vicious"],
-             "error: invalid action for agent p1: 'w2d' not in action set ['w2x']"),
-            (["spe-audit", "offmenu_vicious.scn", "--oracle", "vicious", "--guard", "1"],
-             "error: invalid action for agent p1: 'w2d' not in action set ['w2x']"),
-            (["solve", "duplicate_queue.scn"], "error: line 9: duplicate queue on edge 'oa'"),
-            (["solve", "duplicate_priority.scn"], "error: line 10: duplicate priority on vertex 'd'"),
-            (["simulate", "duplicate_path.scn"], "error: line 15: duplicate path for agent 'x'"),
-            (["solve", "duplicate_origin.scn"], "error: line 4: duplicate origin"),
-            (["solve", "duplicate_destination.scn"], "error: line 5: duplicate destination"),
-            (["solve", "duplicate_time.scn"], "error: line 9: duplicate config time"),
-            (["queue-bound", "duplicate_horizon.scn"], "error: line 11: duplicate parameter 'horizon'"),
-        ],
-        ids=["tree-audit", "sampled-audit", "duplicate-queue", "duplicate-priority", "duplicate-path",
-             "duplicate-origin", "duplicate-destination", "duplicate-time", "duplicate-horizon"],
-    )
+    @pytest.mark.parametrize("argv, message", list(error_cases()))
     def test_bad_inputs_exit_2_with_an_error_line(self, capsys, argv, message):
         code, out = run(capsys, argv[0], str(GOLDEN / "errors" / argv[1]), *argv[2:])
         assert code == 2

@@ -140,6 +140,28 @@ class TestParse:
         assert err.value.line == line
         assert err.value.message == message
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (MINIMAL + "inflow\n  at 1 a\n  at 1 b\n", 8, "duplicate inflow time 1"),
+            (MINIMAL + "inflow\n  at 0 a\n", 7, "inflow time must be at least 1, got 0"),
+            (MINIMAL + "inflow\n  at 2 a\n  at 1 b\n", 8, "inflow time 1 is before the previous wave's 2"),
+            (MINIMAL + "inflow\n  at 2 a\n  at -1 b\n", 8, "inflow time -1 is before the previous wave's 2"),
+            (MINIMAL + "  edge do d o\n", 6, "edge 'do' enters the origin 'o'"),
+            (MINIMAL.replace("vertices o d", "vertices o d x") + "  edge dx d x\n", 6,
+             "edge 'dx' leaves the destination 'd'"),
+        ],
+        ids=["repeated-wave", "wave-at-zero", "waves-out-of-order", "negative-wave", "into-origin",
+             "out-of-destination"],
+    )
+    def test_inflow_times_and_end_edges_refused_with_their_line(self, text, line, message):
+        # these used to load and fail unlocated in `InflowSchedule` or `Network.validate`,
+        # and waves out of order hashed as their sorted, loadable form
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+        assert err.value.message == message
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -52,6 +52,18 @@ from helpers import (
 GOLDEN = Path(__file__).parent / "golden" / "spe-audit"
 
 
+def count_solves(monkeypatch) -> list:
+    """The arguments of every solver call `dqroute.spe` makes from here on."""
+    calls = []
+
+    def counting_solver(*args, **kwargs):
+        calls.append(args)
+        return iterative_dominating_profile(*args, **kwargs)
+
+    monkeypatch.setattr(dqroute.spe, "iterative_dominating_profile", counting_solver)
+    return calls
+
+
 class MyopicOracle(StrategyOracle):
     """Always take the last outgoing edge in declaration order."""
 
@@ -257,21 +269,10 @@ class TestSigmaStar:
             done += 1
 
 
-class RecordingSigmaStar(SigmaStar):
-    """Sigma-star that keeps every configuration its own play reached."""
-
-    def __init__(self, graph):
-        super().__init__(graph)
-        self.reached = []
-
-    def played(self, config, successor):
-        super().played(config, successor)
-        self.reached.append(successor)
-
-
 class TestSeededSigmaStar:
-    """Sigma-star seeds each configuration its own play reaches from the
-    parent's solve; `ReferenceSigmaStar` solves every content afresh."""
+    """Sigma-star seeds each configuration reached by a step that followed its
+    profile from the parent's; `ReferenceSigmaStar` solves every content
+    afresh."""
 
     CAP = 3_000
 
@@ -326,7 +327,7 @@ class TestSeededSigmaStar:
     def test_prescriptions_and_audits_match_the_reference(self):
         audited = 0
         for graph, config, tree in self._cases(71, 16):
-            oracle = RecordingSigmaStar(graph)
+            oracle = sigma_star(graph)
             reference = ReferenceSigmaStar(graph)
             assert induced_paths(graph, root_history(config), oracle) == \
                 induced_paths(graph, root_history(config), reference)
@@ -334,20 +335,16 @@ class TestSeededSigmaStar:
                 got = one_deviation_audit(graph, oracle, histories)
                 assert got == one_deviation_audit(graph, ReferenceSigmaStar(graph), histories)
                 assert got.passed, got.to_text()
-            assert oracle.reached
-            for successor in oracle.reached:
-                assert oracle.prescription(successor) == reference.prescription(successor)
+            # the tree's configurations and those of induced play, seeded or solved
+            played = [node.config for node in play_histories(graph, config, oracle)]
+            for c in [*tree.multiplicity, *played]:
+                if not c.is_empty():
+                    assert oracle.prescription(c) == reference.prescription(c)
             audited += 1
         assert audited == 16 + self.FANS + 5
 
     def test_induced_play_solves_once(self, monkeypatch):
-        calls = []
-
-        def counting_solver(*args, **kwargs):
-            calls.append(args)
-            return iterative_dominating_profile(*args, **kwargs)
-
-        monkeypatch.setattr(dqroute.spe, "iterative_dominating_profile", counting_solver)
+        calls = count_solves(monkeypatch)
         for name in ("fig1", "fig2", "fanout"):
             loaded = load_fixture(name)
             del calls[:]
@@ -355,6 +352,19 @@ class TestSeededSigmaStar:
                                      sigma_star(loaded.graph))
             assert len(calls) == 1
             assert paths == iterative_dominating_profile(loaded.graph, loaded.config).paths
+
+    @pytest.mark.parametrize("name, solves", [("fanout", 74), ("fig2", 8)])
+    def test_full_tree_audit_solves_each_unreached_content_once(self, monkeypatch, name, solves):
+        # induced play solves the root and seeds the rest of its chain; the
+        # audit then solves only contents no conforming step reached
+        loaded = load_fixture(name)
+        oracle = sigma_star(loaded.graph)
+        calls = count_solves(monkeypatch)
+        induced_paths(loaded.graph, root_history(loaded.config), oracle)
+        assert len(calls) == 1
+        report = one_deviation_audit(loaded.graph, oracle, exhaustive_histories(loaded.graph, loaded.config))
+        assert report.passed, report.to_text()
+        assert len(calls) == solves
 
     def test_full_tree_audit_of_fanout_with_waves_3_and_2(self):
         graph, config = fanout_config((3, 2))
@@ -428,6 +438,9 @@ class TestNEBasedOracle:
         graph, oracle, parent, acts = self._fig1_one_step_in()
         child = child_history(graph, parent, acts)
         calls = self._count_simulations(monkeypatch)
+        # the oracle's lookup finds the step conforming and cuts the parent's
+        # profile; `profile_at` then reads the memo
+        oracle.heads(child)
         rho2 = oracle.profile_at(child)
         assert not calls
         assert rho2 == {a: p[1:] for a, p in oracle.profile_at(parent).items()}
@@ -545,6 +558,16 @@ class TestNEBasedOracle:
             oracle = ne_based_spe(loaded.graph, loaded.config, pi)
             report = one_deviation_audit(loaded.graph, oracle, hists)
             assert report.passed, report.to_text()
+
+    def test_full_tree_audit_of_fanout_counts_its_solves_and_simulations(self, monkeypatch):
+        graph, config = fanout_config((3, 2))
+        oracle = ne_based_spe(graph, config, enumerate_all_ne(graph, config)[0])
+        tree = exhaustive_histories(graph, config)
+        solves = count_solves(monkeypatch)
+        simulations = self._count_simulations(monkeypatch)
+        report = one_deviation_audit(graph, oracle, tree)
+        assert report.passed, report.to_text()
+        assert (len(solves), len(simulations)) == (1_098, 895)
 
 
 class TestAudits:
@@ -809,13 +832,7 @@ class TestStateKeyedAudit:
         graph, config = fanout_config((3, 2))
         tree = exhaustive_histories(graph, config)
         pi = iterative_dominating_profile(graph, config).paths
-        calls = []
-
-        def counting_solver(*args, **kwargs):
-            calls.append(args)
-            return iterative_dominating_profile(*args, **kwargs)
-
-        monkeypatch.setattr(dqroute.spe, "iterative_dominating_profile", counting_solver)
+        calls = count_solves(monkeypatch)
         report = one_deviation_audit(graph, ne_based_spe(graph, config, pi), tree)
         solves = len(calls)
         assert (len(tree), report.audited_histories, report.audited_deviations) == (9_398, 6_273, 2_294)
