@@ -345,14 +345,14 @@ def earliest_arrival_table(
 ) -> EarliestArrivalTable:
     """Earliest times the deviator can reach every vertex given the others' paths.
 
-    The deviator's queue position on its current edge seeds the recursion; the
-    interim set is the fixed agents plus the deviator, everyone else vanishes.
-    A path of the deviator's own in `fixed` is left out of the index.
+    The deviator's queue position among the fixed agents on its current edge
+    seeds the recursion; every other agent vanishes. A path of the deviator's
+    own in `fixed` is left out of the index.
     """
-    world = config.restrict([a for a in config.agents() if a in fixed or a == zeta])
-    edge_name, idx = world.locate(zeta)
-    others = {a: fixed[a] for a in world.agents() if a != zeta}
-    return queued_agent_table(edge_name, config.time, idx, fixed_counters(graph, world, others))
+    edge_name, pos = config.locate(zeta)
+    idx = sum(a in fixed for a in config.queue(edge_name)[:pos])
+    others = {a: fixed[a] for a in config.agents() if a in fixed and a != zeta}
+    return queued_agent_table(edge_name, config.time, idx, fixed_counters(graph, config, others))
 
 
 def best_response_path(

@@ -277,14 +277,6 @@ class UnitNetwork(Network):
         if not self.provenance:
             self.provenance = {name: (name, 0, 0) for name in self.edges}
 
-    def lanes_of(self, original_edge: str) -> list[list[str]]:
-        """Unit edges of one original edge, grouped by lane, in segment order."""
-        grouped: dict[int, list[tuple[int, str]]] = {}
-        for name, (orig, lane, seg) in self.provenance.items():
-            if orig == original_edge:
-                grouped.setdefault(lane, []).append((seg, name))
-        return [[name for _, name in sorted(segs)] for _, segs in sorted(grouped.items())]
-
 
 def normalize_to_unit(net: Network) -> UnitNetwork:
     """Expand every capacity-c transit-t edge into c priority-ordered lanes of t unit edges.

@@ -66,8 +66,10 @@ def history_name(node: HistoryNode) -> tuple:
 
 class StrategyOracle:
     """Deterministic rule (history, agent) -> action over live agents, in four
-    methods: `action`, `profile`, `heads` (what play and the audits step on)
-    and `state`. Each oracle decides itself whether a step followed its play.
+    methods: `action`, `profile`, `heads` and `state`. Only a queue head has a
+    choice, so `heads`, the profile's head actions in queue order, is the
+    prescription that play and the audits step on. Each oracle decides itself
+    whether a step followed its play.
 
     `state(history)` must fix the queue content and all that later play depends
     on: equal states get equal profiles, and equal action profiles take them
@@ -94,24 +96,18 @@ class StrategyOracle:
         return history.key
 
 
-def prescribed_actions(
-    graph: Graph, config: Configuration, profile: Mapping[Agent, Sequence[str]]
-) -> dict[Agent, Action]:
-    """Three-case rule: stay when queued behind someone, exit on the final edge,
-    otherwise take the path's next edge."""
-    acts: dict[Agent, Action] = {}
+def prescribed_heads(config: Configuration, profile: Mapping[Agent, Sequence[str]]) -> tuple[Action, ...]:
+    """Three-case rule, as the queue heads' actions in queue order: an agent
+    queued behind a head stays (`profile_of`), a head exits on its path's
+    final edge and otherwise takes the path's next edge."""
+    heads = []
     for edge_name, q in config.queues:
-        for idx, agent in enumerate(q):
-            path = profile[agent]
-            if path[0] != edge_name:
+        for agent in q:
+            if profile[agent][0] != edge_name:
                 raise NotAnNE(f"profile path of {agent} does not start at its edge")
-            if idx > 0:
-                acts[agent] = edge_name
-            elif len(path) == 1:
-                acts[agent] = EXIT
-            else:
-                acts[agent] = path[1]
-    return acts
+        path = profile[q[0]]
+        heads.append(path[1] if len(path) > 1 else EXIT)
+    return tuple(heads)
 
 
 def _cut(rho: Mapping[Agent, tuple[str, ...]], config: Configuration,
@@ -126,9 +122,9 @@ def _cut(rho: Mapping[Agent, tuple[str, ...]], config: Configuration,
 
 class _ProfileOracle(StrategyOracle):
     """An oracle of path profiles with one memo, `_key(history)` -> (profile,
-    prescribed actions, head actions, state). A miss whose last key entry is
-    its memoized parent's head actions followed the parent's profile and takes
-    its `_cut`; any other goes to the subclass's `_solve`, which stores it."""
+    head actions, state); `profile_of` reads the action profile off the heads.
+    A miss whose last key entry is its memoized parent's head actions followed
+    that profile and takes its `_cut`; any other goes to `_solve`, which stores it."""
 
     def __init__(self, graph: Graph):
         super().__init__(graph)
@@ -141,28 +137,29 @@ class _ProfileOracle(StrategyOracle):
         return config.content_key()
 
     def _store(self, key: Hashable, config: Configuration, rho: dict[Agent, tuple[str, ...]]) -> tuple:
-        acts = prescribed_actions(self.graph, config, rho)
-        heads = tuple(acts[q[0]] for _, q in config.queues)
-        entry = self._memo[key] = rho, acts, heads, self._state_of(config, rho)
+        entry = self._memo[key] = rho, prescribed_heads(config, rho), self._state_of(config, rho)
         return entry
 
     def _at(self, node: HistoryNode) -> tuple:
         if (entry := self._memo.get(key := self._key(node))) is not None:
             return entry
         up = node.parent and self._memo.get(self._key(node.parent))
-        if up and node.key[-1] == up[2]:
+        if up and node.key[-1] == up[1]:
             return self._store(key, node.config, _cut(up[0], node.config))
         self._solve(node)
         return self._memo[key]
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
-        return self._at(history)[1][agent]
+        return self.profile(history)[agent]
+
+    def profile(self, history: HistoryNode) -> dict[Agent, Action]:
+        return profile_of(history.config, self._at(history)[1])
 
     def heads(self, history: HistoryNode) -> tuple[Action, ...]:
-        return self._at(history)[2]
+        return self._at(history)[1]
 
     def state(self, history: HistoryNode) -> Hashable:
-        return self._at(history)[3]
+        return self._at(history)[2]
 
 
 class SigmaStar(_ProfileOracle):
@@ -180,7 +177,7 @@ class SigmaStar(_ProfileOracle):
         hit = self._memo.get(key := config.content_key())
         if hit is None:
             hit = self._store(key, config, iterative_dominating_profile(self.graph, config).paths)
-        return hit[1]
+        return profile_of(config, hit[1])
 
     state = _key
 
@@ -209,7 +206,7 @@ class NEBasedOracle(_ProfileOracle):
             raise NotAnNE(f"given profile is not an NE: {report.witnesses[0]}")
         root = self._store((), root_config, {a: tuple(p) for a, p in pi.items()})
         # state -> batches of its NE's simulation
-        self._batches: dict[Hashable, BatchDecomposition] = {root[3]: batch_decompose(report.trace)}
+        self._batches: dict[Hashable, BatchDecomposition] = {root[2]: batch_decompose(report.trace)}
         self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def _solve(self, history: HistoryNode) -> None:
@@ -224,7 +221,7 @@ class NEBasedOracle(_ProfileOracle):
         simulation of the parent NE, shared by the children of every parent in
         its state (its queue content and the profile in force)."""
         parent = node.parent
-        rho, _, prescribed, state = self._at(parent)
+        rho, prescribed, state = self._at(parent)
         if state not in self._batches:
             trace = run_paths(self.graph, parent.config.restrict(rho), rho)
             self._batches[state] = batch_decompose(trace)
@@ -239,7 +236,7 @@ class NEBasedOracle(_ProfileOracle):
         """The memo's profile at the history, else Constructions I and II."""
         if node.key in self._memo:
             return self._memo[node.key][0]
-        rho, _, _, state = self._at(node.parent)
+        rho, _, state = self._at(node.parent)
         matched = self.matched_prefix_size(node)
         base = _cut(rho, node.config, self._batches[state].prefix(matched))
         if len(base) < sum(len(q) for _, q in node.config.queues):

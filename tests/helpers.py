@@ -53,7 +53,6 @@ from dqroute.spe import (
     StrategyOracle,
     child_history,
     induced_paths,
-    prescribed_actions,
     root_history,
 )
 
@@ -344,6 +343,27 @@ def reference_induced_paths(
     return paths, trace
 
 
+def reference_prescribed_actions(config: Configuration, profile: Mapping[Agent, Sequence[str]]
+                                 ) -> dict[Agent, Action]:
+    """Three-case rule, agent by agent: stay when queued behind someone, exit
+    on the final edge, otherwise take the path's next edge; NotAnNE for a path
+    that does not start at its agent's edge. The oracle for
+    `spe.prescribed_heads`."""
+    acts: dict[Agent, Action] = {}
+    for edge_name, q in config.queues:
+        for idx, agent in enumerate(q):
+            path = profile[agent]
+            if path[0] != edge_name:
+                raise NotAnNE(f"profile path of {agent} does not start at its edge")
+            if idx > 0:
+                acts[agent] = edge_name
+            elif len(path) == 1:
+                acts[agent] = EXIT
+            else:
+                acts[agent] = path[1]
+    return acts
+
+
 class ReferenceSigmaStar(StrategyOracle):
     """Markovian oracle replaying the iterative dominating profile of the
     current configuration; memoized on queue contents.
@@ -360,7 +380,7 @@ class ReferenceSigmaStar(StrategyOracle):
         key = config.content_key()
         if key not in self._memo:
             solve = iterative_dominating_profile(self.graph, config)
-            self._memo[key] = prescribed_actions(self.graph, config, solve.paths)
+            self._memo[key] = reference_prescribed_actions(config, solve.paths)
         return self._memo[key]
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
@@ -397,7 +417,7 @@ class ReferenceNEBasedOracle(StrategyOracle):
             exits = reference_run_paths(self.graph, config, rho).exit_times
             batches = [sorted((a for a in exits if exits[a] == t), key=lambda a: a.name)
                        for t in sorted(set(exits.values()))]
-            prescribed = prescribed_actions(self.graph, config, rho)
+            prescribed = reference_prescribed_actions(config, rho)
             moved = {q[0] for (_, q), act in zip(config.queues, node.key[-1]) if act != prescribed[q[0]]}
             matched = next((k for k, b in enumerate(batches) if moved.intersection(b)), len(batches))
             edge = {a: e for e, q in node.config.queues for a in q}
@@ -413,7 +433,7 @@ class ReferenceNEBasedOracle(StrategyOracle):
         return self.profile(history)[agent]
 
     def profile(self, history: HistoryNode) -> dict[Agent, Action]:
-        return prescribed_actions(self.graph, history.config, self.profile_at(history))
+        return reference_prescribed_actions(history.config, self.profile_at(history))
 
     def state(self, history: HistoryNode) -> tuple:
         rho = self.profile_at(history)
@@ -577,6 +597,16 @@ def reference_capacity_sim(net: Network, schedule: InflowSchedule, g_paths) -> d
     return exits
 
 
+def unit_lanes(unit: UnitNetwork, original_edge: str) -> list[list[str]]:
+    """Unit edges of one original edge, grouped by lane, in segment order,
+    read off the provenance."""
+    grouped: dict[int, list[tuple[int, str]]] = {}
+    for name, (orig, lane, seg) in unit.provenance.items():
+        if orig == original_edge:
+            grouped.setdefault(lane, []).append((seg, name))
+    return [[name for _, name in sorted(segs)] for _, segs in sorted(grouped.items())]
+
+
 class LaneDispatchOracle(StrategyOracle):
     """Follow a fixed original-edge path on the normalized network, picking the
     least-backlogged lane of every fat edge; simultaneous entrants coordinate by
@@ -601,7 +631,7 @@ class LaneDispatchOracle(StrategyOracle):
                 return None
             return head, edge_name, path[0]
         orig, lane, seg = self.unit.provenance[edge_name]
-        if seg + 1 < len(self.unit.lanes_of(orig)[lane]):
+        if seg + 1 < len(unit_lanes(self.unit, orig)[lane]):
             return None
         i = path.index(orig)
         if i + 1 == len(path):
@@ -621,7 +651,7 @@ class LaneDispatchOracle(StrategyOracle):
             if edge_name in self.chain_edges:
                 return self.graph.out_edges(head)[0]
             orig, lane, seg = self.unit.provenance[edge_name]
-            lanes = self.unit.lanes_of(orig)
+            lanes = unit_lanes(self.unit, orig)
             if seg + 1 < len(lanes[lane]):
                 return lanes[lane][seg + 1]
             return EXIT
@@ -638,7 +668,7 @@ class LaneDispatchOracle(StrategyOracle):
                 and self.graph.rank(other_hop[1]) < self.graph.rank(prev)
             ):
                 ahead += 1
-        lanes = self.unit.lanes_of(g_next)
+        lanes = unit_lanes(self.unit, g_next)
         order = sorted(range(len(lanes)), key=lambda k: (len(config.queue(lanes[k][0])), k))
         return lanes[order[ahead % len(lanes)]][0]
 

@@ -55,6 +55,26 @@ class TestEarliestArrivalTable:
         table = earliest_arrival_table(net, c, {B: ("od",)}, A)
         assert table.arrival("d") == 2
 
+    def test_agents_without_a_fixed_path_vanish(self):
+        # the table is that of the world of the fixed agents and the deviator
+        net = Network.build("o", "d", [("od", "o", "d")])
+        c = Configuration.from_mapping(0, {"od": [Agent("C"), B, A]})
+        assert earliest_arrival_table(net, c, {B: ("od",)}, A).arrival("d") == 2
+        rng = random.Random(17)
+        done = 0
+        while done < 20:
+            net = random_net(rng, max_v=6, max_e=9)
+            if net is None:
+                continue
+            config, agents = random_interim_config(rng, net, max_agents=5)
+            zeta = rng.choice(agents)
+            profile = random_fixed_paths(rng, net, config, skip=(zeta,))
+            fixed = {a: p for a, p in profile.items() if rng.random() < 0.5}
+            world = config.restrict([*fixed, zeta])
+            assert earliest_arrival_table(net, config, fixed, zeta) == \
+                earliest_arrival_table(net, world, fixed, zeta)
+            done += 1
+
     def test_fig1_player2_against_fixed_player1(self):
         loaded = load_fixture("fig1")
         p1, p2 = loaded.config.agents()

@@ -267,6 +267,27 @@ class TestCommands:
         assert out == golden
         assert (tmp_path / "report.txt").read_text() == golden
 
+    @pytest.mark.parametrize(
+        "command, case, argv, expected, files",
+        [
+            ("verify-ne", "fig3", ["fig3"], 0, ()),
+            # no NE: the improving path traced back along e*
+            ("verify-ne", "fig1_vicious", ["fig1_vicious"], 1, ()),
+            ("enumerate-ne", "fig1", ["fig1"], 0, ()),
+            ("properties", "fig3", ["fig3"], 0, ()),
+            ("properties", "fig3_samples_0", ["fig3", "--samples", "0"], 0, ()),
+            ("best-response", "fig3_agent_i", ["fig3", "--agent", "i", "--brute"], 0, ("arrivals.tsv",)),
+        ],
+    )
+    def test_reports_match_golden(self, capsys, tmp_path, command, case, argv, expected, files):
+        golden = GOLDEN / command / case
+        code, out = run(capsys, command, *argv, "--out", str(tmp_path))
+        assert code == expected
+        assert out == (golden / "stdout.txt").read_text()
+        assert (tmp_path / "report.txt").read_text() == out
+        for name in files:
+            assert (tmp_path / name).read_text() == (golden / name).read_text()
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("network\n  bogus directive\n")

@@ -140,8 +140,13 @@ class TestNormalize:
         unit = normalize_to_unit(net)
         assert len(unit.edges) == 6
         assert len(unit.vertices) == 2 + 4  # o, d plus 2 interior per lane
-        lanes = unit.lanes_of("e")
-        assert len(lanes) == 2 and all(len(lane) == 3 for lane in lanes)
+        slot = {(lane, seg): name for name, (orig, lane, seg) in unit.provenance.items() if orig == "e"}
+        assert sorted(slot) == [(lane, seg) for lane in range(2) for seg in range(3)]
+        for lane in range(2):
+            # each lane's segments chain from o to d in segment order
+            chain = [unit.edge(slot[lane, seg]) for seg in range(3)]
+            assert chain[0].tail == "o" and chain[-1].head == "d"
+            assert all(a.head == b.tail for a, b in zip(chain, chain[1:]))
 
     def test_lane_block_keeps_priority_slot(self):
         net = Network.build(
@@ -151,8 +156,10 @@ class TestNormalize:
         )
         unit = normalize_to_unit(net)
         order = unit.priorities["d"]
-        lanes = [lane[0] for lane in unit.lanes_of("hi")]
-        assert list(order) == lanes + ["lo"]
+        # transit 1: each lane of "hi" is one unit edge into d
+        lanes = sorted((lane, name) for name, (orig, lane, _) in unit.provenance.items() if orig == "hi")
+        assert len(lanes) == 2
+        assert list(order) == [name for _, name in lanes] + ["lo"]
 
     def test_two_lane_queue_latencies(self):
         net = Network.build("o", "d", [("e", "o", "d", 2, 1)])

@@ -243,7 +243,7 @@ _ROUTES = [
 _DROPPED_PARAMS = ["seed", "samples", "guard", "depth", "coalition", "budget"]
 # at most one fault per text, so that about half of the texts load
 _FAULTS = [None, None, None, "capacity=0", "transit=-1", "dropped param", "undeclared vertex",
-           "no priority"]
+           "no priority", "wave at zero"]
 
 
 @st.composite
@@ -265,7 +265,8 @@ def _scenario_texts(draw):
     if len(into_d) > 1 and fault != "no priority":
         lines.append("  priority d " + " ".join(draw(st.permutations(into_d))))
     names = " ".join(f"a{i}" for i in range(draw(st.integers(1, 3))))
-    lines += ["inflow", f"  at {draw(st.integers(0, 2))} {names}"]
+    time = 0 if fault == "wave at zero" else draw(st.integers(1, 3))
+    lines += ["inflow", f"  at {time} {names}"]
     if draw(st.booleans()):
         lines += ["config", f"  queue {edges[0][0]} q"]
     params = ["horizon"] if draw(st.booleans()) else []

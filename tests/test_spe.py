@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import dqroute.spe
-from dqroute.dynamics import EXIT, Configuration, action_set, run_paths
+from dqroute.dynamics import EXIT, Configuration, action_set, profile_of, run_paths
 from dqroute.equilibrium import (
     _arrival_rank,
     _weakly_preempts,
@@ -29,6 +29,7 @@ from dqroute.spe import (
     ne_based_spe,
     one_deviation_audit,
     play_histories,
+    prescribed_heads,
     root_history,
     sampled_histories,
     sigma_star,
@@ -46,6 +47,7 @@ from helpers import (
     reference_history_name,
     reference_induced_paths,
     reference_one_deviation_audit,
+    reference_prescribed_actions,
     tiny_schedule_tables,
 )
 
@@ -135,6 +137,16 @@ class TestSigmaStar:
         assert acts[a] == "vd"  # head mid-route: second edge of its path
         c2 = Configuration.from_mapping(0, {"vd": [a]})
         assert oracle.prescription(c2)[a] is EXIT
+
+    def test_prescribed_heads_refuse_a_path_off_its_agents_edge(self):
+        a, b, c = Agent("a"), Agent("b"), Agent("c")
+        config = Configuration.from_mapping(0, {"ov": [a, b], "vd": [c]})
+        profile = {a: ("ov", "vd"), b: ("ov", "vd"), c: ("vd",)}
+        assert prescribed_heads(config, profile) == ("vd", EXIT)
+        assert profile_of(config, ("vd", EXIT)) == reference_prescribed_actions(config, profile)
+        for agent in (a, b):  # the head and the agent queued behind it
+            with pytest.raises(NotAnNE, match=f"profile path of {agent} does not start at its edge"):
+                prescribed_heads(config, {**profile, agent: ("vd",)})
 
     def test_fig2_actions_follow_the_dominating_profile(self):
         loaded = load_fixture("fig2")
@@ -339,7 +351,12 @@ class TestSeededSigmaStar:
             played = [node.config for node in play_histories(graph, config, oracle)]
             for c in [*tree.multiplicity, *played]:
                 if not c.is_empty():
-                    assert oracle.prescription(c) == reference.prescription(c)
+                    expected = reference.prescription(c)
+                    assert oracle.prescription(c) == expected
+                    node = root_history(c)
+                    assert oracle.profile(node) == expected == reference.profile(node)
+                    assert oracle.heads(node) == reference.heads(node)
+                    assert {a: oracle.action(node, a) for a in c.agents()} == expected
             audited += 1
         assert audited == 16 + self.FANS + 5
 
@@ -544,6 +561,9 @@ class TestNEBasedOracle:
                 reference = ReferenceNEBasedOracle(graph, config, pi)
                 for node in tree:
                     assert list(oracle.profile_at(node).items()) == list(reference.profile_at(node).items())
+                    expected = reference.profile(node)
+                    assert oracle.profile(node) == expected
+                    assert {a: oracle.action(node, a) for a in node.config.agents()} == expected
                     assert oracle.heads(node) == reference.heads(node)
                     assert oracle.state(node) == reference.state(node)
                 assert one_deviation_audit(graph, oracle, tree) == one_deviation_audit(graph, reference, tree)
