@@ -396,8 +396,9 @@ def check_properties(
     The checks share one restricted world and one path menu per agent: every
     path from its current edge, read from the exit table when one is given and
     otherwise enumerated once per call. A given table's NE test stands in for
-    `verify_ne` on its NEs; without a table, one is built when the world has
-    at most `_EXHAUSTIVE_GUARD` joint profiles, and the checks share it."""
+    `verify_ne` on its NEs, whose batches are first checked on every completion
+    (draws then only name a witness); without a table, one is built when the
+    world has at most `_EXHAUSTIVE_GUARD` joint profiles, and the checks share it."""
     options = options or CheckOptions()
     world = config.restrict(profile)
     if exit_table is not None and exit_table.config != world:
@@ -469,10 +470,12 @@ def _check_batches(graph, world, profile, trace, batches, menus, options, exit_t
     both that those j batches keep their vertex times (independence of batch
     j, for j >= 1) and that no other agent exits before batch j + 1
     (optimality of batch j + 1). Each check keeps its first failure; with no
-    samples both are skipped."""
+    samples both are skipped, and both pass undrawn if `_every_completion_passes`."""
     if not options.samples:
         drawn = "samples=0: no completion was drawn"
         return CheckResult("independence", "skip", drawn), CheckResult("optimality", "skip", drawn)
+    if exit_table and _every_completion_passes(graph, profile, trace, batches, options, exit_table):
+        return CheckResult("independence", "pass"), CheckResult("optimality", "pass")
     rng = random.Random(options.seed)
     independence: Optional[CheckResult] = None
     optimality: Optional[CheckResult] = None
@@ -517,6 +520,32 @@ def _check_batches(graph, world, profile, trace, batches, menus, options, exit_t
         independence or CheckResult("independence", "pass"),
         optimality or CheckResult("optimality", "pass"),
     )
+
+
+def _every_completion_passes(graph, profile, trace, batches, options, table) -> bool:
+    """Both batch checks on every completion of every batch prefix, read off
+    `table`'s exits and cached traces: every draw from its menus is one, so True
+    means the draws pass too. False if one fails, or unless `trace` is the
+    table's own and no prefix has more completions than `options.samples`."""
+    agents, sets = table.agents, table.sets
+    if table.traces.get(tuple(tuple(profile[a]) for a in agents)) is not trace:
+        return False
+    combo = table.combo_of(profile)
+    prefixes = [set(batches.prefix(j)) for j in range(len(batches.times))]
+    spans = [[(c,) if a in kept else range(len(sets[a])) for a, c in zip(agents, combo)]
+             for kept in prefixes]
+    if any(math.prod(map(len, span)) > options.samples for span in spans):
+        return False
+    for kept, span, bound in zip(prefixes, spans, batches.times):
+        rest = [i for i, a in enumerate(agents) if a not in kept]
+        for world in itertools.product(*span):
+            if min(table.exits[world][i] for i in rest) < bound:
+                return False
+            if kept:
+                sub = table.trace(graph, {a: sets[a][c] for a, c in zip(agents, world)})
+                if any(sub.vertex_times[a] != trace.vertex_times[a] for a in kept):
+                    return False
+    return True
 
 
 def _check_strong_ne(graph, world, profile, trace, options, menus, exit_table) -> CheckResult:

@@ -277,6 +277,8 @@ class TestCommands:
             ("properties", "fig3", ["fig3"], 0, ()),
             ("properties", "fig3_samples_0", ["fig3", "--samples", "0"], 0, ()),
             ("best-response", "fig3_agent_i", ["fig3", "--agent", "i", "--brute"], 0, ("arrivals.tsv",)),
+            # two seeded draws, fewer than a batch prefix's completions
+            ("properties", "fig3_samples_2", ["fig3", "--samples", "2"], 0, ()),
         ],
     )
     def test_reports_match_golden(self, capsys, tmp_path, command, case, argv, expected, files):

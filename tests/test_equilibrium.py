@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +12,9 @@ from dqroute.bestresponse import QueueCounters, dominates, queued_agent_table
 from dqroute.dynamics import Configuration, run_paths
 from dqroute.equilibrium import (
     CheckOptions,
+    CheckResult,
     _check_batches,
+    _every_completion_passes,
     batch_decompose,
     build_exit_table,
     check_properties,
@@ -427,6 +430,29 @@ class TestEnumerateAllNE:
             enumerate_all_ne(net, c, guard=100)
 
 
+def detour_instance():
+    """(network, configuration, profile): b's detour lets a exit first at 3
+    and b at 4; b's direct path reaches w with a and wins there on priority,
+    so a moves and b beats its batch time. Each prefix has two completions."""
+    net = Network.build(
+        "o", "d",
+        [("ou", "o", "u"), ("ov", "o", "v"), ("uw", "u", "w"), ("vw", "v", "w"),
+         ("vx", "v", "x"), ("xw", "x", "w"), ("wd", "w", "d")],
+        priorities={"w": ["vw", "xw", "uw"]},
+    )
+    a, b = Agent("a"), Agent("b")
+    c = Configuration.from_mapping(0, {"ou": [a], "ov": [b]})
+    return net, c, {a: ("ou", "uw", "wd"), b: ("ov", "vx", "xw", "wd")}
+
+
+def most_completions(table, batches) -> int:
+    """The largest number of completions of one batch prefix."""
+    return max(
+        math.prod(len(table.sets[a]) for a in table.agents if a not in batches.prefix(j))
+        for j in range(len(batches.times))
+    )
+
+
 class TestProperties:
     def test_fig1_ne_passes_every_check(self):
         loaded = load_fixture("fig1")
@@ -547,19 +573,7 @@ class TestProperties:
             assert with_table == check_properties(net, c, pi, options)
 
     def test_sampled_pass_failures_reproduce_from_their_witnesses(self):
-        # b's detour lets a exit first; b's direct path reaches w with a and
-        # wins there on priority, so a moves and b beats its batch time
-        from dqroute.equilibrium import _check_batches
-
-        net = Network.build(
-            "o", "d",
-            [("ou", "o", "u"), ("ov", "o", "v"), ("uw", "u", "w"), ("vw", "v", "w"),
-             ("vx", "v", "x"), ("xw", "x", "w"), ("wd", "w", "d")],
-            priorities={"w": ["vw", "xw", "uw"]},
-        )
-        a, b = Agent("a"), Agent("b")
-        c = Configuration.from_mapping(0, {"ou": [a], "ov": [b]})
-        profile = {a: ("ou", "uw", "wd"), b: ("ov", "vx", "xw", "wd")}
+        net, c, profile = detour_instance()
         assert not verify_ne(net, c, profile).passed
         trace = run_paths(net, c, profile)
         batches = batch_decompose(trace)
@@ -603,15 +617,7 @@ class TestProperties:
                 failed += any(res.status == "fail" for res in cached)
         assert failed  # the corpus exercises failing checks and their witnesses
         # the hand-built failing profile of the witness test below
-        net = Network.build(
-            "o", "d",
-            [("ou", "o", "u"), ("ov", "o", "v"), ("uw", "u", "w"), ("vw", "v", "w"),
-             ("vx", "v", "x"), ("xw", "x", "w"), ("wd", "w", "d")],
-            priorities={"w": ["vw", "xw", "uw"]},
-        )
-        a, b = Agent("a"), Agent("b")
-        c = Configuration.from_mapping(0, {"ou": [a], "ov": [b]})
-        profile = {a: ("ou", "uw", "wd"), b: ("ov", "vx", "xw", "wd")}
+        net, c, profile = detour_instance()
         trace = run_paths(net, c, profile)
         table = build_exit_table(net, c)
         args = (net, c, profile, trace, batch_decompose(trace), table.sets,
@@ -619,6 +625,107 @@ class TestProperties:
         cached = _check_batches(*args, table)
         assert [res.status for res in cached] == ["fail", "fail"]
         assert cached == reference_check_batches(*args)
+
+    def test_every_completion_pass_matches_the_reference(self, monkeypatch):
+        # every NE and some other profiles, each on the table's own trace, with
+        # fewer draws than the largest prefix's completions and with at least
+        # as many: whole results, witnesses included, equal the sampled pass
+        passes, decided = dqroute.equilibrium._every_completion_passes, []
+
+        def spy(*args):
+            decided.append(passes(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(dqroute.equilibrium, "_every_completion_passes", spy)
+        rng = random.Random(23)
+        failed = 0
+        for graph, c0, table in tiny_schedule_tables(rng, 10, guard=64):
+            nes = [combo for combo in sorted(table.exits) if table.is_ne(combo)]
+            others = [combo for combo in sorted(table.exits) if combo not in nes]
+            for combo in nes + rng.sample(others, min(3, len(others))):
+                profile = {a: table.sets[a][i] for a, i in zip(table.agents, combo)}
+                trace = table.trace(graph, profile)
+                batches = batch_decompose(trace)
+                most = most_completions(table, batches)
+                for samples in (rng.randint(1, max(1, most - 1)), rng.randint(most, most + 3)):
+                    options = CheckOptions(samples=samples, seed=rng.randrange(100))
+                    args = (graph, c0, profile, trace, batches, table.sets, options)
+                    cached = _check_batches(*args, table)
+                    assert cached == reference_check_batches(*args)
+                    failed += any(res.status == "fail" for res in cached)
+        assert decided.count(True) >= 20  # decided over every completion
+        assert decided.count(False) >= 20  # decided by the draws
+        assert failed >= 10
+
+    def test_a_failure_the_draws_miss_is_still_reported_as_a_pass(self):
+        # three draws over each prefix's two completions, and seed 0 never
+        # draws b's direct path: the pass finds the failure, so the draws
+        # decide, and they report the pass the sampled check always reported
+        net, c, profile = detour_instance()
+        table = build_exit_table(net, c)
+        trace = table.trace(net, profile)
+        batches = batch_decompose(trace)
+        options = CheckOptions(samples=3, seed=0)
+        assert most_completions(table, batches) == 2
+        assert not _every_completion_passes(net, profile, trace, batches, options, table)
+        args = (net, c, profile, trace, batches, table.sets, options)
+        passed = (CheckResult("independence", "pass"), CheckResult("optimality", "pass"))
+        assert _check_batches(*args, table) == reference_check_batches(*args) == passed
+        # more draws find it
+        args = (*args[:-1], CheckOptions(samples=10, seed=0))
+        assert [res.status for res in _check_batches(*args, table)] == ["fail", "fail"]
+
+    def test_every_completion_pass_draws_nothing(self, monkeypatch):
+        # three agents queued on one edge leave it one per step: three
+        # batches, and prefixes of 8, 4 and 2 completions, none more than the
+        # 8 samples. No completion is drawn; the empty prefix reads only the
+        # table's exits, so every simulated world keeps a's path, and each is
+        # simulated once: the NE's own by `ne_trace`, the other three by the pass
+        net = Network.build("o", "d", [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "d")])
+        a = Agent("a")
+        c = Configuration.from_mapping(0, {"s": [a, Agent("b"), Agent("c")]})
+        nes = enumerate_all_ne(net, c)
+        tables = [build_exit_table(net, c) for _ in nes]
+        worlds = []
+
+        def counting_simulate(graph, config, profile):
+            worlds.append(frozenset((x, tuple(p)) for x, p in profile.items()))
+            return run_paths(graph, config, profile)
+
+        def no_draw(self, seq):
+            raise AssertionError("a completion was drawn")
+
+        monkeypatch.setattr(dqroute.equilibrium, "_simulate", counting_simulate)
+        monkeypatch.setattr(random.Random, "choice", no_draw)
+        for pi, table in zip(nes, tables):
+            del worlds[:]
+            report = check_properties(net, c, pi, CheckOptions(samples=8), exit_table=table)
+            assert report.passed
+            assert [report.result(n).status for n in ("independence", "optimality")] == ["pass"] * 2
+            assert len(worlds) == len(set(worlds)) == 4
+            assert all((a, pi[a]) in world for world in worlds)
+
+    def test_every_completion_pass_compares_the_prefix_vertex_times(self):
+        # a trace whose batch-0 agent reaches x a step late: every other world
+        # of prefix 1 moves it against that trace, so the pass may not decide
+        # and the draws name the moved agent
+        net = Network.build("o", "d", [("s", "o", "x"), ("p", "x", "d"), ("q", "x", "d")])
+        c = Configuration.from_mapping(0, {"s": [Agent(n) for n in "abc"]})
+        table = build_exit_table(net, c)
+        pi = enumerate_all_ne(net, c, table=table)[0]
+        trace = table.ne_trace(net, pi)
+        first = batch_decompose(trace).batches[0][0]
+        late = {**trace.vertex_times[first], "x": trace.vertex_times[first]["x"] + 1}
+        trace = dataclasses.replace(trace, vertex_times={**trace.vertex_times, first: late})
+        table.traces[tuple(pi[a] for a in table.agents)] = trace
+        batches = batch_decompose(trace)
+        options = CheckOptions(samples=8)
+        assert most_completions(table, batches) == 8
+        assert not _every_completion_passes(net, pi, trace, batches, options, table)
+        args = (net, c, pi, trace, batches, table.sets, options)
+        independence, optimality = _check_batches(*args, table)
+        assert independence.status == "fail" and independence.witness["agent"] == first.name
+        assert optimality.status == "pass"
 
     def test_reports_match_the_uncached_reference(self, monkeypatch):
         # whole reports, with the table given, without one (the CLI path) and
