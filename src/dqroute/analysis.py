@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, cycle, islice, repeat
+from operator import add, and_, attrgetter, gt, ne, sub
 from typing import Optional
 
 from .bestresponse import UNREACHED, QueueCounters, dp_from_vertex
@@ -45,7 +47,9 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     A wave at r reads only the index cells from r to the frontier. If they
     equal those the wave at r - 1 of equal width read, it and the rest of its
     run of equal-width waves route as that one shifted, with no DP or check;
-    cells are compared once two waves' paths and exit - r have matched.
+    cells are compared once two waves' paths and exit - r have matched. A run
+    ends where the waves' (time - index, width) key changes, and its agents'
+    paths and exits are filled with one `dict.update` each.
     """
     plan = net.plan()
     edge_names = plan.edges
@@ -55,6 +59,8 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
     named: dict[tuple[int, ...], tuple[str, ...]] = {}
     o, d = plan.vertex_id[net.origin], plan.vertex_id[net.destination]
     waves, i = schedule.waves, 0
+    groups = [wave for _, wave in waves]
+    keys = list(zip(map(sub, [r for r, _ in waves], count()), map(len, groups)))
     ref: tuple = (0, [], [])  # the last DP-routed wave: time, relative routing, trajectories
     repeated = held = None  # whether its relative routing repeated the wave's before; its window
     while i < len(waves):
@@ -64,11 +70,12 @@ def route_entry_order(net: UnitNetwork, schedule: InflowSchedule) -> RouterResul
             f, index = timelines.frontier, (timelines.lengths, timelines.entered)
             window = [cells[e][r : f + 1] for cells in index for e in timelines.committed]
             if window == held:
-                j, (route, offsets) = i, zip(*ref[1])  # its paths and exits - r
-                while j < len(waves) and waves[j][0] == r + j - i and len(waves[j][1]) == len(wave):
-                    paths.update(zip(waves[j][1], route))
-                    exits.update(zip(waves[j][1], map(waves[j][0].__add__, offsets)))
-                    j += 1
+                ends = compress(count(i), map(ne, islice(keys, i, None), repeat(keys[i])))
+                j, (route, offsets) = next(ends, len(waves)), zip(*ref[1])  # its paths and exits - r
+                run = list(chain.from_iterable(groups[i:j]))
+                paths.update(zip(run, cycle(route)))
+                exits.update(zip(run, chain.from_iterable(
+                    zip(*[range(r + x, r + x + j - i) for x in offsets]))))
                 timelines.add_translates(ref[2], j - i)
                 i = j  # ref's time is now before r - 1: waves[j] takes no window
                 continue
@@ -111,15 +118,18 @@ class OccupancyTrace:
         """The occupancy of the edges at every time 0..horizon."""
         return _column_sums([self.per_edge[e] for e in edges if e in self.per_edge], self.horizon)
 
-    def conservation_holds(self) -> bool:
-        for t in range(1, self.horizon + 1):
-            if self.total[t] != self.total[t - 1] + self.entrants[t] - self.exiters[t]:
-                return False
-        return True
+    def conservation_holds(self) -> bool:  # each step's change is entrants less exiters
+        h, total = self.horizon, self.total
+        return list(map(sub, total[1 : h + 1], total[:h])) == list(
+            map(sub, self.entrants[1 : h + 1], self.exiters[1 : h + 1]))
 
 
 def _column_sums(series: list[list[int]], horizon: int) -> list[int]:
-    return list(map(sum, zip(*series))) if series else [0] * (horizon + 1)
+    """Elementwise sums, as long as the shortest series."""
+    total = list(series[0]) if series else [0] * (horizon + 1)
+    for other in series[1:]:
+        total = list(map(add, total, other))
+    return total
 
 
 def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
@@ -176,7 +186,9 @@ class RatioVerdict:
 def degree_ratio_monitor(
     trace: OccupancyTrace, decomp: SPDecomposition, stats: GraphStats
 ) -> list[RatioVerdict]:
-    """Check n_i <= 2 m^2 (2m + n_j) at every step of every parallel node."""
+    """Check n_i <= 2 m^2 (2m + n_j) at every step of every parallel node. A
+    node whose sides' maxima are within the bound of the other side's minimum
+    passes every step; the steps of any other are checked one by one."""
     m = stats.m
     scale, base = 2 * m * m, 2 * m  # n_i may not exceed scale * (base + n_j)
     verdicts = []
@@ -184,7 +196,10 @@ def degree_ratio_monitor(
         left = trace.series(node.left.edge_set())
         right = trace.series(node.right.edge_set())
         verdict = RatioVerdict(node=f"parallel#{idx}", ok=True)
-        for t in range(trace.horizon + 1):
+        steps = range(trace.horizon + 1)
+        if max(left) <= scale * (base + min(right)) and max(right) <= scale * (base + min(left)):
+            steps = ()  # every step is within the bound
+        for t in steps:
             n1, n2 = left[t], right[t]
             if n1 > scale * (base + n2) or n2 > scale * (base + n1):
                 verdict = RatioVerdict(verdict.node, False, worst_time=t, worst_pair=(n1, n2))
@@ -245,17 +260,13 @@ def _experiment_report(net: UnitNetwork, schedule: InflowSchedule
     inflow_end = schedule.last_time
     required = max(inflow_end // 2, 200)
     occ_stab, max_occ = _stabilization(trace.total)
-    edge_stab = 0
-    for series in trace.per_edge.values():
-        s, _ = _stabilization(series)
-        edge_stab = max(edge_stab, s)
+    edge_stab = max((_stabilization(series)[0] for series in trace.per_edge.values()), default=0)
     stabilization = max(occ_stab, edge_stab)
 
-    # each wave's latest exit after its entry time (waves are never empty)
-    exit_of = result.exit_times.__getitem__
-    entries = [r for r, _ in schedule.waves]
-    lat_series = [max(map(exit_of, wave)) - r for r, wave in schedule.waves]
-    lat_stab_idx, max_latency = _stabilization(lat_series)
+    # every agent's exit after its entry, in entry order: the latest, and the
+    # entry time of the first agent it is reached by
+    entries = list(map(attrgetter("entry"), result.exit_times))
+    lat_stab_idx, max_latency = _stabilization(list(map(sub, result.exit_times.values(), entries)))
     lat_stab_entry = entries[lat_stab_idx] if entries else 0
     max_latency = max(max_latency, 0)
 
@@ -286,23 +297,22 @@ def _check_full_cut_drain(
     net: UnitNetwork, trace: OccupancyTrace, cut: frozenset[str], left_edges: frozenset[str]
 ) -> tuple[str, bool, str]:
     """Whenever the cut is full, exactly its size crosses next step, so the left
-    side changes by the inflow minus the cut size."""
-
-    left = trace.series(left_edges)
+    side changes by the inflow minus the cut size. The times t < horizon where
+    the cut is full and the change is not that are found by `map`s over the
+    series; the first one is reported."""
+    h, left = trace.horizon, trace.series(left_edges)
     # the shortest queue on the cut at each time; a missing series is empty
-    shortest = map(min, zip(*(trace.per_edge.get(e, ()) for e in cut)))
-    for t, queued in zip(range(trace.horizon), shortest):
-        if queued <= 0:
-            continue
-        n_now, n_next = left[t], left[t + 1]
-        inflow = trace.entrants[t + 1] if t + 1 < len(trace.entrants) else 0
-        if n_next != n_now - len(cut) + inflow:
-            return (
-                "full_cut_drain",
-                False,
-                f"t={t}: left occupancy {n_now}->{n_next} with inflow {inflow}, cut {len(cut)}",
-            )
-    return ("full_cut_drain", True, "")
+    cols = [trace.per_edge.get(e, ()) for e in cut]
+    shortest = cols[0] if len(cols) == 1 else map(min, zip(*cols))
+    inflow = trace.entrants[1 : h + 1]
+    inflow += [0] * (h - len(inflow))
+    changed = map(ne, map(sub, left[1 : h + 1], left[:h]), map(sub, inflow, repeat(len(cut))))
+    full = map(gt, shortest, repeat(0))
+    t = next(compress(range(h), map(and_, full, changed)), None)
+    if t is None:
+        return ("full_cut_drain", True, "")
+    detail = f"t={t}: left occupancy {left[t]}->{left[t + 1]} with inflow {inflow[t]}, cut {len(cut)}"
+    return ("full_cut_drain", False, detail)
 
 
 def queue_bound_experiment(

@@ -180,7 +180,9 @@ class QueueCounters:
     def add_translates(self, trajectories: Sequence[tuple], copies: int) -> None:
         """Add `copies` translates of committed (path, times, rank) trajectories,
         the k-th k steps later, as `_add` would one by one, unchecked: an edge's
-        cell q past its first gets its offsets [q - copies, q), ramp, plateau, ramp."""
+        cell q past its first gets its offsets [q - copies, q), ramp, plateau, ramp.
+        No agent is indexed at or past the frontier, so the plateau's cells
+        there are set, not added to."""
         arcs, stays, last = self.plan.arcs, {}, 0
         for path, times, rank in trajectories:
             for e in path:
@@ -189,7 +191,7 @@ class QueueCounters:
                 rank = next_rank
             last = max(last, times[head])
         self.pad(last + copies + 1)
-        self.frontier = max(self.frontier, last + copies)
+        frontier, self.frontier = self.frontier, max(self.frontier, last + copies)
         for e, visits in stays.items():
             lo = min(v[0] for v in visits)
             span = max(v[1] for v in visits) - lo
@@ -202,10 +204,13 @@ class QueueCounters:
                 i, j = max(0, q - copies), min(span, q)
                 sizes[lo + q] += sum(inc[i:j])
                 cells[lo + q] += sum(ent[i:j][::-1], ())
-            plateau = slice(lo + span, lo + copies + 1)
+            end = lo + copies + 1
+            fresh = max(lo + span, min(frontier, end))  # the plateau is [lo + span, end)
             total, everyone = sum(inc), sum(ent[::-1], ())
-            sizes[plateau] = [n + total for n in sizes[plateau]]
-            cells[plateau] = [c + everyone for c in cells[plateau]]
+            sizes[lo + span : fresh] = [n + total for n in sizes[lo + span : fresh]]
+            cells[lo + span : fresh] = [c + everyone for c in cells[lo + span : fresh]]
+            sizes[fresh:end] = [total] * (end - fresh)
+            cells[fresh:end] = [everyone] * (end - fresh)
 
 
 @dataclass(slots=True)

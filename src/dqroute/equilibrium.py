@@ -395,14 +395,20 @@ def check_properties(
 
     The checks share one restricted world and one path menu per agent: every
     path from its current edge, read from the exit table when one is given and
-    otherwise enumerated once per call. A given table's NE test stands in for
-    `verify_ne` on its NEs, whose batches are first checked on every completion
-    (draws then only name a witness); without a table, one is built when the
-    world has at most `_EXHAUSTIVE_GUARD` joint profiles, and the checks share it."""
+    otherwise enumerated once per call; without a table, one is built first
+    when the world has at most `_EXHAUSTIVE_GUARD` joint profiles. The table's
+    NE test stands in for `verify_ne`, which then runs only to name a non-NE's
+    witness, and an NE's batches are first checked on every completion."""
     options = options or CheckOptions()
     world = config.restrict(profile)
     if exit_table is not None and exit_table.config != world:
         raise DQRouteError("the exit table was built on another configuration than the profile's")
+    menus = exit_table.sets if exit_table is not None else {}
+    if exit_table is None:
+        for e, q in world.queues:
+            menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
+        if math.prod(len(m) for m in menus.values()) <= _EXHAUSTIVE_GUARD:
+            exit_table = build_exit_table(graph, world, _EXHAUSTIVE_GUARD)
     trace = exit_table.ne_trace(graph, profile) if exit_table is not None else None
     if trace is None:
         ne = verify_ne(graph, config, profile)
@@ -410,12 +416,6 @@ def check_properties(
             raise NotAnNE(f"profile fails verify_ne: {ne.witnesses[0]}")
         trace = ne.trace
     batches = batch_decompose(trace)
-    menus = exit_table.sets if exit_table is not None else {}
-    if exit_table is None:
-        for e, q in world.queues:
-            menus.update(dict.fromkeys(q, graph.paths(e, graph.destination, guard=100_000)))
-        if math.prod(len(m) for m in menus.values()) <= _EXHAUSTIVE_GUARD:
-            exit_table = build_exit_table(graph, world, _EXHAUSTIVE_GUARD)
     order = _derive_original_order(config.agents())
     independence, optimality = _check_batches(
         graph, world, profile, trace, batches, menus, options, exit_table

@@ -343,11 +343,11 @@ class InflowSchedule:
 
     @classmethod
     def build(cls, waves: Sequence[tuple[int, Sequence[str]]]) -> "InflowSchedule":
-        new, agent = tuple.__new__, itertools.repeat(Agent)  # skips Agent's Python-level __new__
-        return cls(tuple(
-            (r, tuple(map(new, agent, zip(names, itertools.repeat(r), itertools.count(1)))))
+        new = tuple.__new__  # skips Agent's Python-level __new__
+        return cls(tuple([
+            (r, tuple([new(Agent, (name, r, slot)) for slot, name in enumerate(names, 1)]))
             for r, names in waves
-        ))
+        ]))
 
     def __post_init__(self):
         last = 0

@@ -9,7 +9,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from dqroute.analysis import OccupancyTrace, RatioVerdict
+from dqroute.analysis import BoundReport, OccupancyTrace, RatioVerdict
 from dqroute.bestresponse import UNREACHED, EarliestArrivalTable, QueueCounters
 from dqroute.dynamics import (
     EXIT,
@@ -42,7 +42,10 @@ from dqroute.netcore import (
     SPNode,
     UnitNetwork,
     build_extended,
+    leftmost_min_cut,
     normalize_to_unit,
+    sp_decompose,
+    validate_and_stats,
 )
 from dqroute.scenario import load_scenario, parse_scenario
 from dqroute.spe import (
@@ -980,13 +983,80 @@ def reference_occupancy_trace(net: UnitNetwork, result: ReferenceRoute) -> Occup
         for t, n in counts.items():
             if t <= horizon:
                 series[t] = n
-    total = [sum(col) for col in zip(*per_edge.values())] if per_edge else [0] * (horizon + 1)
+    total = reference_column_sums(list(per_edge.values()), horizon)
+    return OccupancyTrace(horizon, per_edge, total, *reference_ledger(result.exit_times, horizon))
+
+
+def reference_column_sums(series: Sequence[Sequence[int]], horizon: int) -> list[int]:
+    """The oracle for `analysis._column_sums`: one tuple per time, summed."""
+    return list(map(sum, zip(*series))) if series else [0] * (horizon + 1)
+
+
+def reference_ledger(exit_times: Mapping[Agent, int], horizon: int) -> tuple[list[int], list[int]]:
+    """(entrants, exiters) at every time 0..horizon, agent by agent."""
     entrants = [0] * (horizon + 1)
     exiters = [0] * (horizon + 1)
-    for agent, t in result.exit_times.items():
+    for agent, t in exit_times.items():
         entrants[agent.entry] += 1
         exiters[t] += 1
-    return OccupancyTrace(horizon, per_edge, total, entrants, exiters)
+    return entrants, exiters
+
+
+def reference_conservation_holds(trace: OccupancyTrace) -> bool:
+    """The oracle for `OccupancyTrace.conservation_holds`, step by step."""
+    for t in range(1, trace.horizon + 1):
+        if trace.total[t] != trace.total[t - 1] + trace.entrants[t] - trace.exiters[t]:
+            return False
+    return True
+
+
+def reference_stabilization(series: Sequence[int]) -> tuple[int, int]:
+    """(last time the running maximum grew, the maximum), time by time; (0, -1)
+    for an empty series."""
+    when, best = 0, -1
+    for t, x in enumerate(series):
+        if x > best:
+            when, best = t, x
+    return when, best
+
+
+def reference_latency(schedule: InflowSchedule, exit_times: Mapping[Agent, int]) -> tuple[int, int]:
+    """(max latency, entry time of the first wave reaching it) from each wave's
+    latest exit after its entry time."""
+    series = [max(exit_times[a] for a in wave) - r for r, wave in schedule.waves]
+    idx, best = reference_stabilization(series)
+    return max(best, 0), schedule.waves[idx][0] if schedule.waves else 0
+
+
+def reference_queue_bound_experiment(net: UnitNetwork, schedule: InflowSchedule):
+    """The oracle for `analysis.queue_bound_experiment`, on a schedule within
+    the min cut: (report, trace, verdicts) from the dict-backed router, the
+    per-wave latency series, the per-agent ledger, per-step conservation and
+    the per-time monitors."""
+    decomp, stats = sp_decompose(net), validate_and_stats(net)
+    cut, left, _ = leftmost_min_cut(net)
+    route = reference_route_entry_order(net, schedule)
+    trace = reference_occupancy_trace(net, route)
+    inflow_end = schedule.last_time
+    required = max(inflow_end // 2, 200)
+    occ_stab, max_occ = reference_stabilization(trace.total)
+    stabilization = max([occ_stab] + [reference_stabilization(s)[0] for s in trace.per_edge.values()])
+    max_latency, lat_entry = reference_latency(schedule, route.exit_times)
+    bounded = not route.exit_times or (
+        stabilization + required <= inflow_end and lat_entry + required <= inflow_end)
+    verdicts = reference_degree_ratio_monitor(trace, decomp, stats)
+    ratio_ok = all(v.ok for v in verdicts)
+    left_edges = frozenset(e for e, edge in net.edges.items() if edge.tail in left)
+    checks = [
+        ("occupancy_conservation", reference_conservation_holds(trace), ""),
+        reference_check_simultaneous_arrivals(
+            reference_arrival_counts(route.arrivals), stats.max_in_degree, net.origin),
+        ("parallel_ratio_bound", ratio_ok, "" if ratio_ok else "see verdicts"),
+        reference_check_full_cut_drain(net, trace, cut, left_edges),
+    ]
+    report = BoundReport(trace.horizon, inflow_end, max_occ, stabilization, required, bounded,
+                         max_latency, lat_entry, checks)
+    return report, trace, verdicts
 
 
 def reference_arrival_counts(arrivals: Mapping[Agent, Mapping[str, int]]) -> Counter:

@@ -6,6 +6,7 @@ import dqroute.analysis
 from dqroute.analysis import (
     OccupancyTrace,
     RouterResult,
+    _column_sums,
     _check_full_cut_drain,
     _check_simultaneous_arrivals,
     degree_ratio_monitor,
@@ -43,7 +44,10 @@ from helpers import (
     reference_check_full_cut_drain,
     reference_check_simultaneous_arrivals,
     reference_degree_ratio_monitor,
+    reference_column_sums,
+    reference_conservation_holds,
     reference_occupancy_trace,
+    reference_queue_bound_experiment,
     reference_route_entry_order,
     replay_queue_lengths,
     step_replay,
@@ -190,20 +194,21 @@ class TestRouterReference:
 
     def test_a_settled_run_is_translated_with_no_dp(self, monkeypatch):
         calls = record_dp_starts(monkeypatch)
-        copies = record_translates(monkeypatch)
+        runs = record_translates(monkeypatch)
         schedule = constant_schedule(2, 300)
         result = route_entry_order(unit(diamond_net()), schedule)
         # one run, from the first translated wave to the last wave; a DP for
         # each agent before it and none after
-        assert len(copies) == 1
-        first = 301 - copies[0]
+        (reference, copies), = runs
+        first = 301 - copies
+        assert first == reference + 1
         assert calls == [(t, rank) for t in range(1, first) for rank in (0, 1)]
         assert len(calls) <= 10 < 600 == len(result.paths)
         assert len({id(p) for p in result.paths.values()}) == len(set(result.paths.values()))
         assert_route_matches_reference(unit(diamond_net()), schedule)
 
     def test_random_sp_schedules_that_settle_break_and_settle_again(self, monkeypatch):
-        copies = record_translates(monkeypatch)
+        runs = record_translates(monkeypatch)
         rng = random.Random(33)
         resumed = 0
         for _ in range(30):
@@ -217,9 +222,9 @@ class TestRouterReference:
             schedule = InflowSchedule.build(
                 [(t, [f"x{t}.{i}" for i in range(w)]) for t, w in enumerate(widths, 1) if w]
             )
-            before = len(copies)
+            before = len(runs)
             assert_route_matches_reference(u, schedule)
-            resumed += len(copies) - before > 1
+            resumed += len(runs) - before > 1
         # the router stopped and resumed translating on most nets
         assert resumed >= 20
 
@@ -237,17 +242,19 @@ def record_dp_starts(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
-def record_translates(monkeypatch) -> list[int]:
-    """The number of copies of every bulk translation the router adds."""
-    copies = []
+def record_translates(monkeypatch) -> list[tuple[int, int]]:
+    """(entry time of the reference wave, copies) of every bulk translation the
+    router adds: the run is the waves at reference + 1 .. reference + copies."""
+    runs = []
     original = QueueCounters.add_translates
 
-    def recording(self, trajectories, count):
-        copies.append(count)
-        return original(self, trajectories, count)
+    def recording(self, trajectories, copies):
+        path, times, _ = trajectories[0]
+        runs.append((times[self.plan.arcs[path[0]][0]], copies))
+        return original(self, trajectories, copies)
 
     monkeypatch.setattr(QueueCounters, "add_translates", recording)
-    return copies
+    return runs
 
 
 class TestQueueBound:
@@ -307,8 +314,73 @@ class TestQueueBound:
                     assert n1 <= 4 * m ** 3
 
 
+def run_end_kind(schedule: InflowSchedule, reference: int, copies: int) -> str:
+    """How a translated run ends: at the schedule's end, at a wave of another
+    width right after it, or at a gap."""
+    later = [r for r, _ in schedule.waves if r > reference + copies]
+    return "end" if not later else "width" if later[0] == reference + copies + 1 else "gap"
+
+
+class TestExperimentReference:
+    """The whole experiment against the per-wave, per-agent and per-step oracle."""
+
+    def test_random_sp_schedules_match_the_reference(self, monkeypatch):
+        runs = record_translates(monkeypatch)
+        rng = random.Random(34)
+        ends, bounded = set(), set()
+        for _ in range(16):
+            u = unit(random_sp_net(rng, rng.randint(3, 8)))
+            cut, _, _ = leftmost_min_cut(u)
+            widths: list[int] = []
+            for _ in range(rng.randint(1, 3)):
+                widths += [rng.randint(1, len(cut))] * rng.randint(12, 30)  # a run that settles
+                # then a gap, or one to three waves of a random width within the cut
+                widths += [rng.choice([0, rng.randint(1, len(cut))])] * rng.randint(1, 3)
+            # a run to the end, at times long enough for the queues to count as bounded
+            widths += [rng.randint(1, len(cut))] * rng.choice([rng.randint(12, 30), 450])
+            schedule = InflowSchedule.build(
+                [(t, [f"x{t}.{i}" for i in range(w)]) for t, w in enumerate(widths, 1) if w]
+            )
+            before = len(runs)
+            report, trace, ratio = queue_bound_experiment(u, schedule)
+            expected = reference_queue_bound_experiment(u, schedule)
+            assert (report, trace, ratio) == expected
+            assert report.to_text() == expected[0].to_text()
+            ends.update(run_end_kind(schedule, *run) for run in runs[before:])
+            bounded.add(report.bounded)
+            # a jolted copy breaks conservation; the column sums of any edges agree
+            jolted = OccupancyTrace(trace.horizon, trace.per_edge, list(trace.total),
+                                    trace.entrants, trace.exiters)
+            jolted.total[rng.randint(1, trace.horizon)] += rng.randint(1, 5)
+            assert not jolted.conservation_holds() and not reference_conservation_holds(jolted)
+            assert trace.conservation_holds() and reference_conservation_holds(trace)
+            edges = rng.sample(sorted(u.edges), rng.randint(0, len(u.edges)))
+            assert trace.series(edges) == reference_column_sums(
+                [trace.per_edge[e] for e in edges if e in trace.per_edge], trace.horizon)
+        assert ends == {"gap", "width", "end"} and bounded == {True, False}
+        assert len(runs) >= 30
+
+    def test_column_sums_stop_at_the_shortest_series(self):
+        rng = random.Random(35)
+        for _ in range(50):
+            series = [[rng.randint(0, 9) for _ in range(rng.randint(0, 6))]
+                      for _ in range(rng.randint(0, 4))]
+            assert _column_sums(series, 3) == reference_column_sums(series, 3)
+            if series:  # one series is summed into a copy, not returned itself
+                assert _column_sums(series[:1], 3) is not series[0]
+
+
 def left_side_edges(net, left):
     return frozenset(e for e, edge in net.edges.items() if edge.tail in left)
+
+
+def within_extrema(trace, node, stats) -> bool:
+    """Whether each side's maximum is within the ratio bound of the other
+    side's minimum, which passes every step."""
+    m = stats.m
+    left, right = trace.series(node.left.edge_set()), trace.series(node.right.edge_set())
+    bound = lambda n: 2 * m * m * (2 * m + n)
+    return max(left) <= bound(min(right)) and max(right) <= bound(min(left))
 
 
 class TestBoundMonitors:
@@ -316,7 +388,7 @@ class TestBoundMonitors:
 
     def test_random_sp_schedules_match_the_reference(self):
         rng = random.Random(21)
-        verdicts_seen, drains_seen = set(), set()
+        verdicts_seen, drains_seen, decided = set(), set(), set()
         for _ in range(25):
             u = unit(random_sp_net(rng, rng.randint(2, 7)))
             decomp = sp_decompose(u)
@@ -338,12 +410,16 @@ class TestBoundMonitors:
                     got = degree_ratio_monitor(trace, decomp, st)
                     assert got == reference_degree_ratio_monitor(trace, decomp, st)
                     verdicts_seen.update(v.ok for v in got)
+                    decided.update((within_extrema(trace, node, st), v.ok)
+                                   for node, v in zip(decomp.parallel_nodes(), got))
                 drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
                 assert drain == reference_check_full_cut_drain(
                     u, trace, cut, left_side_edges(u, left)
                 )
                 drains_seen.add(drain[1])
         assert verdicts_seen == {True, False} and drains_seen == {True, False}
+        # nodes passed on their extrema alone, and nodes the steps decided both ways
+        assert decided == {(True, True), (False, True), (False, False)}
 
     def test_hand_built_ratio_failure(self):
         u = unit(diamond_net())
@@ -354,6 +430,20 @@ class TestBoundMonitors:
         trace = OccupancyTrace(2, per_edge, [0, 6, 301], [0] * 3, [0] * 3)
         verdicts = degree_ratio_monitor(trace, decomp, stats)
         assert [(v.ok, v.worst_time, v.worst_pair) for v in verdicts] == [(False, 2, (301, 0))]
+        assert verdicts == reference_degree_ratio_monitor(trace, decomp, stats)
+
+    def test_extrema_over_the_bound_with_no_failing_step_pass(self):
+        u = unit(diamond_net())
+        decomp = sp_decompose(u)
+        stats = validate_and_stats(u)  # m = 4: n_i <= 32 (8 + n_j)
+        # the left side's 300 exceeds 32 (8 + 0), the right side's least, but at
+        # t=1 the right side holds 2 and 300 <= 32 (8 + 2): every step passes
+        trace = OccupancyTrace(1, {"e1": [0, 300], "e3": [0, 2]}, [0, 302], [0] * 2, [0] * 2)
+        (node,) = decomp.parallel_nodes()
+        left, right = trace.series(node.left.edge_set()), trace.series(node.right.edge_set())
+        assert sorted([left, right]) == [[0, 2], [0, 300]]
+        verdicts = degree_ratio_monitor(trace, decomp, stats)
+        assert [(v.ok, v.worst_time, v.worst_pair) for v in verdicts] == [(True, None, None)]
         assert verdicts == reference_degree_ratio_monitor(trace, decomp, stats)
 
     def test_hand_built_drain_failure(self):

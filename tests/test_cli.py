@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import dqroute.cli
+import dqroute.equilibrium
 from dqroute.cli import main
 from dqroute.errors import DQRouteError
 
@@ -289,6 +291,25 @@ class TestCommands:
         assert (tmp_path / "report.txt").read_text() == out
         for name in files:
             assert (tmp_path / name).read_text() == (golden / name).read_text()
+
+    def test_properties_decides_fig3_from_its_exit_table(self, capsys, monkeypatch):
+        # the table built first gives the NE verdict and trace, and the batch
+        # checks pass on every completion: no draw and no `verify_ne`
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw or a verify_ne call")
+
+        monkeypatch.setattr(random.Random, "choice", refuse)
+        monkeypatch.setattr(dqroute.equilibrium, "verify_ne", refuse)
+        for case, argv in (("fig3", []), ("fig3_samples_0", ["--samples", "0"])):
+            code, out = run(capsys, "properties", "fig3", *argv)
+            assert code == 0
+            assert out == (GOLDEN / "properties" / case / "stdout.txt").read_text()
+
+    def test_properties_names_a_non_ne_by_the_verify_ne_witness(self, capsys):
+        code, out = run(capsys, "properties", "fig1_vicious")
+        assert code == 2
+        assert out.splitlines()[-1] == \
+            "error: profile fails verify_ne: p2 exits 5, can reach 4 via ~c2.1 ou2 u2w2 w2d"
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"

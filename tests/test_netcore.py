@@ -68,6 +68,37 @@ class TestAgent:
             [(a.name, a.entry, a.slot, str(a)) for a in expected]
 
 
+class TestInflowSchedule:
+    @pytest.mark.parametrize("waves, message", [
+        ([(0, ["a"])], "wave times must be strictly increasing and >= 1, got 0"),
+        ([(2, ["a"]), (2, ["b"])], "wave times must be strictly increasing and >= 1, got 2"),
+        ([(3, ["a"]), (1, ["b"])], "wave times must be strictly increasing and >= 1, got 1"),
+        ([(1, ["a"]), (2, [])], "wave at time 2 is empty"),
+        # the first bad wave is named, and a wave's time before its agents
+        ([(1, []), (0, ["a"])], "wave at time 1 is empty"),
+        ([(2, ["a"]), (2, [])], "wave times must be strictly increasing and >= 1, got 2"),
+    ])
+    def test_the_first_bad_wave_is_named(self, waves, message):
+        with pytest.raises(EmptySchedule) as info:
+            InflowSchedule.build(waves)
+        assert str(info.value) == message
+
+    def test_build_matches_a_per_wave_construction(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            times = sorted(rng.sample(range(1, 80), rng.randint(0, 15)))
+            waves = [(r, [f"a{r}.{k}" for k in range(rng.randint(1, 3))]) for r in times]
+            built = InflowSchedule.build(waves)
+            expected = tuple(
+                (r, tuple(Agent(name, r, slot) for slot, name in enumerate(names, 1)))
+                for r, names in waves
+            )
+            assert built == InflowSchedule(expected) and built.waves == expected
+            assert [(a.name, a.entry, a.slot) for a in built.agents()] == \
+                [(a.name, a.entry, a.slot) for _, wave in expected for a in wave]
+            assert all(type(a) is Agent for a in built.agents())
+
+
 class TestValidateAndStats:
     def test_single_edge(self):
         stats = validate_and_stats(Network.build("o", "d", [("e", "o", "d")]))
