@@ -3,7 +3,6 @@ parallel-composition ratio monitor, and the two boundedness checks."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, cycle, islice, repeat
 from operator import add, and_, attrgetter, gt, ne, sub
@@ -148,17 +147,17 @@ def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
 
 
 def _check_simultaneous_arrivals(
-    net: UnitNetwork, result: RouterResult, max_in_degree: int
+    net: UnitNetwork, timelines: QueueCounters, exiters: list[int], max_in_degree: int
 ) -> tuple[str, bool, str]:
     """No vertex but the origin sees more simultaneous arrivals than the
     maximum in-degree; the detail names the earliest violation. Read off the
     index: the arrivals at an inner vertex at t are the entrants of its
-    out-edges at t, and those at the destination are the exits at t. A vertex
-    whose out-edges' largest entrant cells sum to at most the bound has no
-    time over it, so only the others are summed time by time."""
-    entered, edge_id = result.timelines.entered, result.timelines.plan.edge_id
-    exits = Counter(result.exit_times.values())
-    over = [(t, net.destination, n) for t, n in exits.items() if n > max_in_degree]
+    out-edges at t, and those at the destination are the exits at t, the
+    occupancy trace's exiter ledger. A vertex whose out-edges' largest entrant
+    cells sum to at most the bound has no time over it, so only the others are
+    summed time by time."""
+    entered, edge_id = timelines.entered, timelines.plan.edge_id
+    over = [(t, net.destination, n) for t, n in enumerate(exiters) if n > max_in_degree]
     for v in net.vertices:
         if v in (net.origin, net.destination):
             continue
@@ -277,7 +276,7 @@ def _experiment_report(net: UnitNetwork, schedule: InflowSchedule
 
     checks = [
         ("occupancy_conservation", trace.conservation_holds(), ""),
-        _check_simultaneous_arrivals(net, result, stats.max_in_degree),
+        _check_simultaneous_arrivals(net, result.timelines, trace.exiters, stats.max_in_degree),
     ]
     report = BoundReport(
         horizon=trace.horizon,

@@ -153,6 +153,7 @@ def default_horizon(graph: Graph, config: Configuration) -> int:
 
 def validate_paths(graph: Graph, config: Configuration, paths: Mapping[Agent, Sequence[str]]) -> None:
     start_edge = {a: e for e, q in config.queues for a in q}
+    edges = graph.edges
     for agent in start_edge:
         if agent not in paths:
             raise PathNotFromCurrentEdge(agent, "no path given")
@@ -163,9 +164,9 @@ def validate_paths(graph: Graph, config: Configuration, paths: Mapping[Agent, Se
         if not path or path[0] != edge_name:
             raise PathNotFromCurrentEdge(agent, f"expected first edge {edge_name!r}, got {path[:1]}")
         for a, b in zip(path, path[1:]):
-            if graph.edge(a).head != graph.edge(b).tail:
+            if edges[a].head != edges[b].tail:
                 raise PathNotFromCurrentEdge(agent, f"edges {a!r},{b!r} are not consecutive")
-        if graph.edge(path[-1]).head != graph.destination:
+        if edges[path[-1]].head != graph.destination:
             raise PathNotFromCurrentEdge(agent, "path does not end at the destination")
 
 

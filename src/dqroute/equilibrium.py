@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional, Sequence
@@ -76,49 +77,69 @@ def iterative_dominating_profile(
     """Assign dominating paths one agent at a time (the base variant seeds the
     assigned set with fixed paths whose arrival times are already invariant).
 
-    Each unassigned agent's earliest-arrival table is kept with its backward
+    Only lane fronts get tables. The lane of an unassigned agent j on edge e
+    is the agents ahead of it in e's queue, then the queues of the edges
+    reached from e's head over single out-edges, up to the destination or a
+    vertex with several out-edges: inflow chains and the inner vertices of
+    normalised transit edges. j waits while an unassigned agent is on its
+    lane, and is released when its blocker, the nearest such agent, is
+    chosen. The pick is the same as over every unassigned agent: under unit
+    capacity at most one agent leaves an edge per step, so the DP's hop cost
+    t + 1 + queued[t] - #(entrants ranked >= ref) does not fall in (t, ref).
+    A blocker thus reaches every vertex no later than j, at equal times over
+    an edge of no lower priority, and its key is <= j's; across edges
+    strictly, since its key ends at its start tail's 0 where j's carries a
+    time >= 1. Keys tie only within one queue, where the blocker scans first,
+    so the first least key is always a lane front's.
+
+    Each lane front's earliest-arrival table is kept with its backward
     key: the times at its path's vertices (its start edge, then e*(.) to the
     destination) and the ranks of the edges between, read from the
     destination back to the start edge's tail, so earlier arrivals, then
     higher-priority last edges, then shorter walks sort first. Each iteration
-    is one pass over the unassigned agents, each queue front to back, that
-    fills the missing tables and keeps the first least key: equal keys are
-    equal paths, so the front-most agent of one start queue wins. The result
-    keeps, for each agent in solve order, the table it was chosen on.
+    is one pass over the lane fronts, each queue front to back, that fills
+    the missing tables and keeps the first least key. The result keeps, for
+    each agent in solve order, the table it was chosen on.
 
     The assigned routing lives in one QueueCounters index (seeded by one
     simulation of the base, if any). The chosen agent's trajectory is
     committed once, at the times of its own table: it holds each path edge
     (u, v) during [tau(u), tau(v)) and enters it with the rank of its previous
     edge, -1 on its starting edge. Iterative domination says this displaces no
-    assigned agent, and `QueueCounters.commit_table` checks it. An
-    unassigned agent keeps its table until the count of assigned agents ahead
-    of it in its start queue changes, or a commit on an edge (u, v) covers the
-    time its table reaches u: those are the only cells its recursion reads
-    that a commit changes.
+    assigned agent, and `QueueCounters.commit_table` checks it. A lane front
+    keeps its table until a commit on an edge (u, v) covers the time its table
+    reaches u: the only cells its recursion reads that a commit changes (the
+    agents behind the chosen one in its start queue were all waiting).
     """
     assigned: dict[Agent, tuple[str, ...]] = {a: tuple(p) for a, p in (base or {}).items()}
     if assigned and base_check_samples > 0:
         _check_base_invariance(graph, config, assigned, base_check_samples, random.Random(0))
-    remaining = [a for a in config.agents() if a not in assigned]
     order: list[Agent] = []
     chosen_tables: list[EarliestArrivalTable] = []
     r = config.time  # index time 0 of the index and the tables
     plan = graph.plan()
-    arcs = plan.arcs
-    counters = QueueCounters(graph, r)
-    if assigned and remaining:
-        counters = fixed_counters(graph, config, assigned)
-    spot: dict[Agent, tuple[str, int, tuple[Agent, ...]]] = {}  # start edge, its id, behind
-    ahead: dict[Agent, int] = {}  # assigned agents ahead in the start queue
+    arcs, menus, queues = plan.arcs, plan.menus, dict(config.queues)
+    # scan place, start edge, its id and queue index, which counts the agents
+    # ahead of a lane front: every one of them is assigned
+    spot: dict[Agent, tuple[int, str, int, int]] = {}
+    followers: dict[Agent, list[Agent]] = {}  # released when their blocker is chosen
+    remaining: list[Agent] = []  # the lane fronts, in scan order
     for e, q in config.queues:
-        n = 0
+        blocker = None
         for i, a in enumerate(q):
             if a in assigned:
-                n += 1
+                continue
+            spot[a] = len(spot), e, plan.edge_id[e], i
+            x = e
+            while blocker is None and len(menus[x]) == 1:  # the lane past e's head
+                x = menus[x][0]
+                blocker = next((b for b in reversed(queues.get(x, ())) if b not in assigned), None)
+            if blocker is None:
+                remaining.append(a)
             else:
-                spot[a] = e, plan.edge_id[e], q[i + 1:]
-                ahead[a] = n
+                followers.setdefault(blocker, []).append(a)
+            blocker = a
+    counters = fixed_counters(graph, config, assigned) if assigned and spot else QueueCounters(graph, r)
     d = plan.vertex_id[graph.destination]
     tables: dict[Agent, tuple[tuple[int, ...], list[int], EarliestArrivalTable]] = {}  # key, time_at
     while remaining:
@@ -126,8 +147,8 @@ def iterative_dominating_profile(
         for i, j in enumerate(remaining):
             entry = tables.get(j)
             if entry is None:
-                edge_name, e, _ = spot[j]
-                table = queued_agent_table(edge_name, r, ahead[j], counters)
+                _, edge_name, e, ahead = spot[j]
+                table = queued_agent_table(edge_name, r, ahead, counters)
                 at, estar = table.time_at, table.estar_at
                 key, v, x = [at[d]], d, e if at[d] == UNREACHED else -1
                 while x != e:  # e*(.) back to the start edge, unless d is unreached
@@ -146,10 +167,8 @@ def iterative_dominating_profile(
         order.append(chosen)
         chosen_tables.append(table)
         assigned[chosen] = tuple(plan.edges[e] for e in path_ids)
-        for a in spot[chosen][2]:
-            assert a not in assigned, "an assigned agent queues behind"
-            ahead[a] += 1
-            tables.pop(a, None)
+        for a in followers.pop(chosen, ()):
+            insort(remaining, a, key=spot.__getitem__)
         # tables reach vertices after r, so cells at r are never read
         touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_ids)]
         stale = []

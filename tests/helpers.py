@@ -746,6 +746,33 @@ def reference_dominating_profile(
     return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
 
 
+def lane_blockers(graph: Graph, config: Configuration, base=()):
+    """Each waiting agent's blocker under the solver's lane rule, found from
+    the queue lists and `Graph.out_edges` alone: the nearest unassigned agent
+    ahead of it in its queue, else the last unassigned agent of the first
+    queue holding one on the walk over single out-edges from its edge's head.
+    Also returns the number of walks that stop at a branching vertex with an
+    unassigned agent on one of its out-edges."""
+    queues = {e: [a for a in q if a not in base] for e, q in config.queues}
+    blockers: dict[Agent, Agent] = {}
+    stopped = 0
+    for e, q in queues.items():
+        if not q:
+            continue
+        blockers.update(zip(q[1:], q))
+        v = graph.edge(e).head
+        while v != graph.destination:
+            outs = graph.out_edges(v)
+            if len(outs) > 1:
+                stopped += any(queues.get(x) for x in outs)
+                break
+            if queues.get(outs[0]):
+                blockers[q[0]] = queues[outs[0]][-1]
+                break
+            v = graph.edge(outs[0]).head
+    return blockers, stopped
+
+
 def solve_views(result: SolveResult):
     """A solve's order, paths and chosen tables' (tau, estar) views: what a
     production solve and `reference_dominating_profile` share."""

@@ -137,6 +137,13 @@ def assert_route_matches_reference(u, schedule):
     assert_arrival_check_matches_the_counter(u, result, expected)
 
 
+def arrival_check(net, result, bound):
+    """`_check_simultaneous_arrivals` as `_experiment_report` calls it, on the
+    exit ledger of the run's occupancy trace."""
+    exiters = occupancy_trace(net, result).exiters
+    return _check_simultaneous_arrivals(net, result.timelines, exiters, bound)
+
+
 def assert_arrival_check_matches_the_counter(u, result, expected):
     """The index-read simultaneous-arrival check against the Counter of the
     oracle's arrivals, at the maximum in-degree and at and below the busiest
@@ -145,7 +152,7 @@ def assert_arrival_check_matches_the_counter(u, result, expected):
     busiest = max(n for (v, _), n in counter.items() if v != u.origin)
     verdicts = set()
     for bound in {validate_and_stats(u).max_in_degree, busiest, busiest - 1}:
-        check = _check_simultaneous_arrivals(u, result, bound)
+        check = arrival_check(u, result, bound)
         assert check == reference_check_simultaneous_arrivals(counter, bound, u.origin)
         verdicts.add(check[1])
     return verdicts
@@ -508,7 +515,7 @@ class TestObservationBound:
                 if v == u.origin:
                     continue
                 assert n <= stats.max_in_degree
-            check = _check_simultaneous_arrivals(u, result, stats.max_in_degree)
+            check = arrival_check(u, result, stats.max_in_degree)
             assert check == ("simultaneous_arrivals_within_max_in_degree", True, "")
             done += 1
 
@@ -536,14 +543,14 @@ class TestObservationBound:
         for i in (1, 2, 3):
             times = {"o": 0, "u": 1 + i, "d": 5 + i}
             timelines.commit(*by_ids(net, (f"a{i}", f"c{i}"), times), -1)
-            arrivals[Agent(f"x{i}")] = times
+            arrivals[Agent(f"x{i}", times["o"])] = times
         result = RouterResult({a: (f"a{i}", f"c{i}") for i, a in enumerate(arrivals, 1)},
                               {a: t["d"] for a, t in arrivals.items()}, timelines)
         counter = reference_arrival_counts(arrivals)
-        assert _check_simultaneous_arrivals(net, result, 2) == \
+        assert arrival_check(net, result, 2) == \
             ("simultaneous_arrivals_within_max_in_degree", True, "") == \
             reference_check_simultaneous_arrivals(counter, 2, "o")
-        assert _check_simultaneous_arrivals(net, result, 0) == \
+        assert arrival_check(net, result, 0) == \
             ("simultaneous_arrivals_within_max_in_degree", False, "first violation ('u', 2, 1)") == \
             reference_check_simultaneous_arrivals(counter, 0, "o")
 
@@ -564,20 +571,21 @@ class TestObservationBound:
             timelines = QueueCounters(net)
             for name in names:
                 timelines.commit(*by_ids(net, *trajectories[name]), -1)
-            paths = {Agent(n): trajectories[n][0] for n in names}
-            exits = {Agent(n): trajectories[n][1]["d"] for n in names}
+            agents = {n: Agent(n, trajectories[n][1]["o"]) for n in names}
+            paths = {agents[n]: trajectories[n][0] for n in names}
+            exits = {agents[n]: trajectories[n][1]["d"] for n in names}
             counter = reference_arrival_counts({n: trajectories[n][1] for n in names})
             return RouterResult(paths, exits, timelines), counter
 
         result, counter = routed(trajectories)
-        check = _check_simultaneous_arrivals(net, result, 2)
+        check = arrival_check(net, result, 2)
         assert check == ("simultaneous_arrivals_within_max_in_degree", False,
                          "first violation ('w', 2, 3)")
         assert check == reference_check_simultaneous_arrivals(counter, 2, "o")
-        assert _check_simultaneous_arrivals(net, result, 3)[1]
+        assert arrival_check(net, result, 3)[1]
         # without the x agents the destination's three exits at 3 come first
         result, counter = routed([n for n in trajectories if n[0] != "x"])
-        check = _check_simultaneous_arrivals(net, result, 2)
+        check = arrival_check(net, result, 2)
         assert check == ("simultaneous_arrivals_within_max_in_degree", False,
                          "first violation ('d', 3, 3)")
         assert check == reference_check_simultaneous_arrivals(counter, 2, "o")

@@ -216,10 +216,15 @@ class TestCommands:
         for name in ("trace.tsv", "queues.tsv"):
             assert (tmp_path / name).read_text() == (golden / name).read_text()
 
-    @pytest.mark.parametrize("case", ["fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond"])
+    # the last two are perfbench-sized: a 48-agent schedule on a net with
+    # transit-2 edges and a 50-agent interim configuration, each in its .scn
+    @pytest.mark.parametrize("case", ["fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond",
+                                      "schedule48", "interim50"])
     def test_solve_matches_golden_reports(self, capsys, tmp_path, case):
         golden = GOLDEN / "solve" / case
-        code, out = run(capsys, "solve", case, "--out", str(tmp_path))
+        scenario = golden / f"{case}.scn"
+        code, out = run(capsys, "solve", str(scenario) if scenario.exists() else case,
+                        "--out", str(tmp_path))
         assert code == 0
         assert out == (golden / "stdout.txt").read_text()
         for name in ("report.txt", "profile.json"):

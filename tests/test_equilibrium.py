@@ -36,6 +36,7 @@ from dqroute.spe import exhaustive_histories
 
 from helpers import (
     fanout_config,
+    lane_blockers,
     random_chain_dag,
     random_interim_config,
     random_net,
@@ -277,6 +278,76 @@ class TestIncrementalSolverMatchesReference:
         assert tuple(result.paths[a] for a in result.order) == FIG2_EXPECTED
 
 
+class TestLaneFronts:
+    """The solver builds tables only for lane fronts; its solves equal the
+    from-scratch oracle's, which picks every blocker before its followers."""
+
+    @staticmethod
+    def lane_corpus(rng):
+        # schedules of waves 1-2 steps apart on extended networks normalised
+        # from capacity-2 and transit-2 edges: chain and transit-vertex lanes
+        done = 0
+        while done < 25:
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            ext, c0 = build_extended(normalize_to_unit(net), random_schedule(rng, waves=6, width=3))
+            yield ext.graph, c0
+            done += 1
+        # interim configurations with queues of 4-7 agents on such networks
+        done = 0
+        while done < 20:
+            net = random_net(rng, max_v=6, max_e=9, caps=(1, 2), transits=(1, 2))
+            if net is None:
+                continue
+            unit = normalize_to_unit(net)
+            queues = {e: [Agent(f"{e}.{i}") for i in range(rng.randint(4, 7))]
+                      for e in rng.sample(sorted(unit.edges), min(len(unit.edges), 3))}
+            yield unit, Configuration.from_mapping(0, queues)
+            done += 1
+        # m joins oa-am, bm and om, and has the one out-edge mn, so one agent
+        # on mn blocks the fronts of three queues; a, b and n branch or join
+        edges = [("oa", "o", "a"), ("ob", "o", "b"), ("om", "o", "m"), ("am", "a", "m"),
+                 ("bm", "b", "m"), ("bd", "b", "d"), ("mn", "m", "n"), ("nd", "n", "d"),
+                 ("np", "n", "p"), ("pd", "p", "d")]
+        for _ in range(20):
+            prios = {"m": rng.sample(["am", "bm", "om"], 3), "d": rng.sample(["bd", "nd", "pd"], 3)}
+            net = Network.build("o", "d", edges, priorities=prios)
+            queues = {e: [Agent(f"{e}{i}") for i in range(rng.randint(0, 3))] for e, _, _ in edges}
+            yield net, Configuration.from_mapping(0, queues)
+
+    def test_lane_front_solves_equal_reference(self):
+        rng = random.Random(25)
+        waits = joins = stops = bases = 0
+        for graph, config in self.lane_corpus(rng):
+            full = reference_dominating_profile(graph, config)
+            starts = {a: e for e, q in config.queues for a in q}
+            cases = [{}]
+            if len(full.order) >= 2:
+                k = rng.randint(1, len(full.order) - 1)
+                cases.append({a: full.paths[a] for a in full.order[:k]})
+            for base in cases:
+                expected = reference_dominating_profile(
+                    graph, config, base=base, base_check_samples=0) if base else full
+                solved = iterative_dominating_profile(graph, config, base=base,
+                                                      base_check_samples=0)
+                assert solve_views(solved) == solve_views(expected)
+                blockers, stopped = lane_blockers(graph, config, base)
+                place = {a: i for i, a in enumerate(expected.order)}
+                assert all(place[b] < place[a] for a, b in blockers.items())
+                followed: dict[Agent, set[str]] = {}
+                for a, b in blockers.items():
+                    waits += starts[a] != starts[b]
+                    followed.setdefault(b, set()).add(starts[a])
+                joins += sum(len(edges) > 1 for edges in followed.values())
+                stops += stopped
+                bases += bool(base)
+        # agents wait across edges, blockers release followers on several
+        # edges, walks stop at branching vertices with agents beyond, and
+        # the base variant runs
+        assert min(waits, joins, stops, bases) > 0, (waits, joins, stops, bases)
+
+
 class TestLeastKeySelection:
     """The solver picks the least backward key: (time, rank of e*) pairs from
     the destination back to the start edge's head, a prefix sorting first."""
@@ -305,14 +376,8 @@ class TestLeastKeySelection:
         assert result.tables[0] == ties[0]
         assert solve_views(result) == solve_views(reference_dominating_profile(net, c))
 
-    def test_dp_calls_per_solve_are_pinned(self, monkeypatch):
-        # a fixed 30-agent interim instance: 30 tables in the first iteration,
-        # then one per table a commit invalidates, against 465 from scratch
-        rng = random.Random(3)
-        net = random_chain_dag(rng)
-        queues: dict[str, list[Agent]] = {}
-        for i in range(30):
-            queues.setdefault(rng.choice(sorted(net.edges)), []).append(Agent(f"a{i}"))
+    @staticmethod
+    def dp_calls(monkeypatch, graph, config):
         calls = []
         original = dqroute.bestresponse.dp_from_vertex
 
@@ -321,9 +386,34 @@ class TestLeastKeySelection:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dqroute.bestresponse, "dp_from_vertex", counting)
-        result = iterative_dominating_profile(net, Configuration.from_mapping(0, queues))
-        assert len(result.order) == 30
-        assert len(calls) == 257
+        result = iterative_dominating_profile(graph, config)
+        assert len(result.order) == len(config.agents())
+        return len(calls)
+
+    def test_dp_calls_per_solve_are_pinned(self, monkeypatch):
+        # a fixed 30-agent interim instance on 12 queues: one table per lane
+        # front, then one per table a commit invalidates or a release needs,
+        # against 257 when every unassigned agent keeps a table and 465 from
+        # scratch
+        rng = random.Random(3)
+        net = random_chain_dag(rng)
+        queues: dict[str, list[Agent]] = {}
+        for i in range(30):
+            queues.setdefault(rng.choice(sorted(net.edges)), []).append(Agent(f"a{i}"))
+        assert self.dp_calls(monkeypatch, net, Configuration.from_mapping(0, queues)) == 99
+
+    def test_dp_calls_on_an_extended_schedule_are_pinned(self, monkeypatch):
+        # 24 agents in 12 waves on a normalised net with capacity-2 and
+        # transit-2 edges: a later wave's agent waits behind the earlier one on
+        # its slot's chain, against 63 when every unassigned agent keeps a table
+        rng = random.Random(4)
+        unit = normalize_to_unit(random_chain_dag(rng, fat=0.2))
+        waves, t = [], 0
+        for w in (3, 1, 2) * 4:
+            t += rng.randint(1, 2)
+            waves.append((t, [f"a{t}.{k}" for k in range(w)]))
+        ext, entry = build_extended(unit, InflowSchedule.build(waves))
+        assert self.dp_calls(monkeypatch, ext.graph, entry) == 52
 
     def test_a_walk_that_is_a_prefix_of_another_wins(self):
         # once x is assigned, j (behind x on ud) and k (on ou) both reach d at 2
