@@ -29,7 +29,7 @@ PathProfile = Mapping[Agent, tuple[str, ...]]
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The solve order, every agent's path, and the earliest-arrival table each
+    """The solve order, every agent's path in queue order, and the table each
     ordered agent was chosen on: tables[i] belongs to order[i], computed
     against the paths of order[:i] (and of the base, if any)."""
 
@@ -166,11 +166,12 @@ def iterative_dominating_profile(
         path_ids = counters.commit_table(table, d, -1)  # from the start edge on
         order.append(chosen)
         chosen_tables.append(table)
-        assigned[chosen] = tuple(plan.edges[e] for e in path_ids)
+        assigned[chosen] = tuple(map(plan.edges.__getitem__, path_ids))
         for a in followers.pop(chosen, ()):
             insort(remaining, a, key=spot.__getitem__)
-        # tables reach vertices after r, so cells at r are never read
-        touched = [(u, max(times[u], 1), times[v]) for u, v, _ in (arcs[e] for e in path_ids)]
+        # tables reach vertices after r, so cells at r are never read; a hop
+        # from time 0 starts at 1, past every table's own start tail at 0
+        touched = [(u, times[u] or 1, times[v]) for u, v, _ in map(arcs.__getitem__, path_ids)]
         stale = []
         for j, (_, at, _) in tables.items():
             for u, lo, hi in touched:

@@ -146,7 +146,7 @@ class _ProfileOracle(StrategyOracle):
         up = node.parent and self._memo.get(self._key(node.parent))
         if up and node.key[-1] == up[1]:
             return self._store(key, node.config, _cut(up[0], node.config))
-        self._solve(node)
+        self._solve(node, up)
         return self._memo[key]
 
     def action(self, history: HistoryNode, agent: Agent) -> Action:
@@ -164,19 +164,29 @@ class _ProfileOracle(StrategyOracle):
 
 class SigmaStar(_ProfileOracle):
     """Markovian oracle replaying the iterative dominating profile of the
-    current configuration; memoized on queue contents, its state. It solves
-    a content only when no step that followed its profile reached it."""
+    current configuration; memoized on queue contents, its state. A content no
+    conforming step reached takes its (edge, queue length) shape's paths by
+    queue position, from one solve per shape: the base-free solve's scan order,
+    lanes, `spot`, `insort` and first-least-key tie are all positional, and its
+    tables count time from `config.time`."""
+
+    def __init__(self, graph: Graph):
+        super().__init__(graph)
+        self._shapes: dict[tuple, dict] = {}  # shape -> its first solve's paths, in queue order
 
     def _key(self, history: HistoryNode) -> Hashable:
         return history.config.content_key()
 
-    def _solve(self, history: HistoryNode) -> None:
+    def _solve(self, history: HistoryNode, up: Optional[tuple]) -> None:
         self.prescription(history.config)
 
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
         hit = self._memo.get(key := config.content_key())
         if hit is None:
-            hit = self._store(key, config, iterative_dominating_profile(self.graph, config).paths)
+            shape = tuple((e, len(q)) for e, q in config.queues)
+            if (paths := self._shapes.get(shape)) is None:
+                paths = self._shapes[shape] = iterative_dominating_profile(self.graph, config).paths
+            hit = self._store(key, config, dict(zip(config.agents(), paths.values())))
         return profile_of(config, hit[1])
 
     state = _key
@@ -209,35 +219,34 @@ class NEBasedOracle(_ProfileOracle):
         self._batches: dict[Hashable, BatchDecomposition] = {root[2]: batch_decompose(report.trace)}
         self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
-    def _solve(self, history: HistoryNode) -> None:
-        self.profile_at(history)
+    def _solve(self, history: HistoryNode, up: Optional[tuple]) -> None:
+        self.profile_at(history, up)
 
     def _state_of(self, config: Configuration, rho: Mapping[Agent, tuple[str, ...]]) -> Hashable:
         return config.content_key(), tuple(rho[a] for a in config.agents())
 
-    def matched_prefix_size(self, node: HistoryNode) -> int:
+    def matched_prefix_size(self, node: HistoryNode, up: Optional[tuple] = None) -> int:
         """Batches of the parent NE whose realized actions matched it (the
         maximal k; the whole population when nothing deviated), from one
         simulation of the parent NE, shared by the children of every parent in
-        its state (its queue content and the profile in force)."""
-        parent = node.parent
-        rho, prescribed, state = self._at(parent)
+        its state (its queue content and the profile in force); `up`: the parent's entry."""
+        rho, prescribed, state = up or self._at(node.parent)
         if state not in self._batches:
-            trace = run_paths(self.graph, parent.config.restrict(rho), rho)
+            trace = run_paths(self.graph, node.parent.config.restrict(rho), rho)
             self._batches[state] = batch_decompose(trace)
         batches = self._batches[state]
-        moved = {q[0] for (_, q), a, b in zip(parent.config.queues, node.key[-1], prescribed) if a != b}
+        moved = {q[0] for (_, q), a, b in zip(node.parent.config.queues, node.key[-1], prescribed) if a != b}
         for k, batch in enumerate(batches.batches):
             if not moved.isdisjoint(batch):
                 return k
         return len(batches.batches)
 
-    def profile_at(self, node: HistoryNode) -> dict[Agent, tuple[str, ...]]:
-        """The memo's profile at the history, else Constructions I and II."""
+    def profile_at(self, node: HistoryNode, up: Optional[tuple] = None) -> dict[Agent, tuple[str, ...]]:
+        """The memo's profile, else Constructions I and II on `up`, the parent's entry."""
         if node.key in self._memo:
             return self._memo[node.key][0]
-        rho, _, state = self._at(node.parent)
-        matched = self.matched_prefix_size(node)
+        rho, _, state = up = up or self._at(node.parent)
+        matched = self.matched_prefix_size(node, up)
         base = _cut(rho, node.config, self._batches[state].prefix(matched))
         if len(base) < sum(len(q) for _, q in node.config.queues):
             # the rebuild depends only on the queue content and the base, and

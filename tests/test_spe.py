@@ -370,18 +370,65 @@ class TestSeededSigmaStar:
             assert len(calls) == 1
             assert paths == iterative_dominating_profile(loaded.graph, loaded.config).paths
 
-    @pytest.mark.parametrize("name, solves", [("fanout", 74), ("fig2", 8)])
-    def test_full_tree_audit_solves_each_unreached_content_once(self, monkeypatch, name, solves):
+    @pytest.mark.parametrize("name, solves", [("fanout", 28), ("fig2", 8)])
+    def test_full_tree_audit_solves_each_unreached_shape_once(self, monkeypatch, name, solves):
         # induced play solves the root and seeds the rest of its chain; the
-        # audit then solves only contents no conforming step reached
+        # audit then solves only queue shapes that neither a conforming step
+        # nor an earlier solve reached
         loaded = load_fixture(name)
         oracle = sigma_star(loaded.graph)
         calls = count_solves(monkeypatch)
         induced_paths(loaded.graph, root_history(loaded.config), oracle)
         assert len(calls) == 1
-        report = one_deviation_audit(loaded.graph, oracle, exhaustive_histories(loaded.graph, loaded.config))
+        tree = exhaustive_histories(loaded.graph, loaded.config)
+        report = one_deviation_audit(loaded.graph, oracle, tree)
         assert report.passed, report.to_text()
         assert len(calls) == solves
+        shapes = {tuple((e, len(q)) for e, q in args[1].queues) for args in calls}
+        assert len(shapes) == solves
+        assert report == one_deviation_audit(loaded.graph, ReferenceSigmaStar(loaded.graph), tree)
+
+    @staticmethod
+    def _relabelled(config, rng):
+        """The configuration with its agents' names, and their (entry, slot)
+        fields, permuted over its queue positions and its time shifted: the
+        same queue shape, another content. Also the map old -> new agent."""
+        agents = config.agents()
+        names, fields = [a.name for a in agents], [(a.entry, a.slot) for a in agents]
+        rng.shuffle(names)
+        rng.shuffle(fields)
+        new = {a: Agent(name, *f) for a, name, f in zip(agents, names, fields)}
+        queues = tuple((e, tuple(new[a] for a in q)) for e, q in config.queues)
+        return Configuration(config.time + rng.randint(1, 9), queues), new
+
+    def test_relabelled_contents_share_positional_paths(self, monkeypatch):
+        # the base-free solve reads agents only by queue position and time
+        # from the configuration's, so a sigma-star oracle solves one of two
+        # contents of one shape and serves the other the same paths by position
+        rng = random.Random(26)
+        corpus = []
+        while len(corpus) < 40:
+            net = random_net(rng, max_v=8, max_e=12)
+            if net is not None:
+                corpus.append((net, random_interim_config(rng, net, max_agents=9)[0]))
+        for widths in ((3, 1), (2, 2, 1)):
+            graph, config = fanout_config(widths)
+            corpus += [(graph, c) for c in exhaustive_histories(graph, config).multiplicity if not c.is_empty()]
+        calls = count_solves(monkeypatch)
+        moved = 0
+        for graph, config in corpus:
+            relabelled, new = self._relabelled(config, rng)
+            one, two = (iterative_dominating_profile(graph, c) for c in (config, relabelled))
+            assert [new[a] for a in one.order] == list(two.order)
+            assert [one.paths[a] for a in config.agents()] == [two.paths[new[a]] for a in config.agents()]
+            oracle, reference = sigma_star(graph), ReferenceSigmaStar(graph)
+            del calls[:]
+            for c in (config, relabelled):
+                assert oracle.prescription(c) == reference.prescription(c)
+                assert oracle.heads(root_history(c)) == reference.heads(root_history(c))
+            assert len(calls) == 1
+            moved += any(new[a].name != a.name for a in config.agents())
+        assert (len(corpus), moved) == (1082, 912)
 
     def test_full_tree_audit_of_fanout_with_waves_3_and_2(self):
         graph, config = fanout_config((3, 2))
