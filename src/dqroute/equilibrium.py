@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional, Sequence
@@ -87,19 +86,21 @@ def iterative_dominating_profile(
     capacity at most one agent leaves an edge per step, so the DP's hop cost
     t + 1 + queued[t] - #(entrants ranked >= ref) does not fall in (t, ref).
     A blocker thus reaches every vertex no later than j, at equal times over
-    an edge of no lower priority, and its key is <= j's; across edges
-    strictly, since its key ends at its start tail's 0 where j's carries a
-    time >= 1. Keys tie only within one queue, where the blocker scans first,
-    so the first least key is always a lane front's.
+    an edge of no lower priority, and its key is <= j's, so a least key over
+    every unassigned agent is a lane front's. Lane fronts never tie: a key
+    names its path's edges back from the destination, each (vertex, rank)
+    pair being one in-edge, so equal keys share a start edge, and a queue has
+    one lane front. The least key is thus the only one, and the fronts keep
+    no order.
 
     Each lane front's earliest-arrival table is kept with its backward
     key: the times at its path's vertices (its start edge, then e*(.) to the
     destination) and the ranks of the edges between, read from the
     destination back to the start edge's tail, so earlier arrivals, then
     higher-priority last edges, then shorter walks sort first. Each iteration
-    is one pass over the lane fronts, each queue front to back, that fills
-    the missing tables and keeps the first least key. The result keeps, for
-    each agent in solve order, the table it was chosen on.
+    is one pass over the lane fronts that fills the missing tables and takes
+    the least key. The result keeps, for each agent in solve order, the
+    table it was chosen on.
 
     The assigned routing lives in one QueueCounters index (seeded by one
     simulation of the base, if any). The chosen agent's trajectory is
@@ -119,35 +120,33 @@ def iterative_dominating_profile(
     r = config.time  # index time 0 of the index and the tables
     plan = graph.plan()
     arcs, menus, queues = plan.arcs, plan.menus, dict(config.queues)
-    # scan place, start edge, its id and queue index, which counts the agents
-    # ahead of a lane front: every one of them is assigned
-    spot: dict[Agent, tuple[int, str, int, int]] = {}
+    # start edge, its id and queue index, which counts the agents ahead of a
+    # lane front: every one of them is assigned
+    spot: dict[Agent, tuple[str, int, int]] = {}
     followers: dict[Agent, list[Agent]] = {}  # released when their blocker is chosen
-    remaining: list[Agent] = []  # the lane fronts, in scan order
+    fronts: dict[Agent, Optional[tuple]] = {}  # lane front -> (key, time_at, table), or None
     for e, q in config.queues:
         blocker = None
         for i, a in enumerate(q):
             if a in assigned:
                 continue
-            spot[a] = len(spot), e, plan.edge_id[e], i
+            spot[a] = e, plan.edge_id[e], i
             x = e
             while blocker is None and len(menus[x]) == 1:  # the lane past e's head
                 x = menus[x][0]
                 blocker = next((b for b in reversed(queues.get(x, ())) if b not in assigned), None)
             if blocker is None:
-                remaining.append(a)
+                fronts[a] = None
             else:
                 followers.setdefault(blocker, []).append(a)
             blocker = a
     counters = fixed_counters(graph, config, assigned) if assigned and spot else QueueCounters(graph, r)
     d = plan.vertex_id[graph.destination]
-    tables: dict[Agent, tuple[tuple[int, ...], list[int], EarliestArrivalTable]] = {}  # key, time_at
-    while remaining:
-        pick = -1
-        for i, j in enumerate(remaining):
-            entry = tables.get(j)
+    while fronts:
+        least = None
+        for j, entry in fronts.items():
             if entry is None:
-                _, edge_name, e, ahead = spot[j]
+                edge_name, e, ahead = spot[j]
                 table = queued_agent_table(edge_name, r, ahead, counters)
                 at, estar = table.time_at, table.estar_at
                 key, v, x = [at[d]], d, e if at[d] == UNREACHED else -1
@@ -156,30 +155,26 @@ def iterative_dominating_profile(
                     v = arcs[x][0]
                     key.append(arcs[x][2])
                     key.append(at[v])
-                entry = tables[j] = tuple(key), at, table
-            if pick < 0 or entry[0] < least[0]:
-                least, pick = entry, i
+                entry = fronts[j] = tuple(key), at, table
+            if least is None or entry[0] < least[0]:
+                least, chosen = entry, j
         if least[0][0] == UNREACHED:
             raise Unreachable(f"no remaining agent reaches {graph.destination!r}")
-        chosen, (_, times, table) = remaining.pop(pick), least
-        del tables[chosen]
+        _, times, table = fronts.pop(chosen)
         path_ids = counters.commit_table(table, d, -1)  # from the start edge on
         order.append(chosen)
         chosen_tables.append(table)
         assigned[chosen] = tuple(map(plan.edges.__getitem__, path_ids))
-        for a in followers.pop(chosen, ()):
-            insort(remaining, a, key=spot.__getitem__)
+        fronts.update(dict.fromkeys(followers.pop(chosen, ())))
         # tables reach vertices after r, so cells at r are never read; a hop
         # from time 0 starts at 1, past every table's own start tail at 0
         touched = [(u, times[u] or 1, times[v]) for u, v, _ in map(arcs.__getitem__, path_ids)]
-        stale = []
-        for j, (_, at, _) in tables.items():
-            for u, lo, hi in touched:
-                if lo <= at[u] < hi:
-                    stale.append(j)
-                    break
-        for j in stale:
-            del tables[j]
+        for j, entry in fronts.items():
+            if entry is not None:
+                for u, lo, hi in touched:
+                    if lo <= entry[1][u] < hi:
+                        fronts[j] = None
+                        break
     paths = {a: assigned[a] for a in config.agents()}
     return SolveResult(order=tuple(order), paths=paths, tables=tuple(chosen_tables))
 

@@ -111,13 +111,12 @@ def prescribed_heads(config: Configuration, profile: Mapping[Agent, Sequence[str
 
 
 def _cut(rho: Mapping[Agent, tuple[str, ...]], config: Configuration,
-         keep: Optional[Iterable[Agent]] = None) -> dict[Agent, tuple[str, ...]]:
+         keep: Optional[set[Agent]] = None) -> dict[Agent, tuple[str, ...]]:
     """On-path consistency: after a step that followed rho, the profile is
-    rho with each path cut to the suffix from the agent's edge, in agent-name
+    rho with each path cut to the suffix from the agent's edge, in queue
     order (for the agents in `keep` when given)."""
-    edge = {a: e for e, q in config.queues for a in q}
-    return {a: rho[a] if rho[a][0] == edge[a] else rho[a][1:]
-            for a in sorted(edge if keep is None else edge.keys() & keep, key=lambda a: a.name)}
+    return {a: rho[a] if rho[a][0] == e else rho[a][1:]
+            for e, q in config.queues for a in q if keep is None or a in keep}
 
 
 class _ProfileOracle(StrategyOracle):
@@ -129,6 +128,7 @@ class _ProfileOracle(StrategyOracle):
     def __init__(self, graph: Graph):
         super().__init__(graph)
         self._memo: dict[Hashable, tuple] = {}
+        self._solves: dict[tuple, tuple] = {}  # positional key -> solved paths, in queue order
 
     def _key(self, history: HistoryNode) -> Hashable:
         return history.key
@@ -139,6 +139,22 @@ class _ProfileOracle(StrategyOracle):
     def _store(self, key: Hashable, config: Configuration, rho: dict[Agent, tuple[str, ...]]) -> tuple:
         entry = self._memo[key] = rho, prescribed_heads(config, rho), self._state_of(config, rho)
         return entry
+
+    def _solved(self, config: Configuration, base: Mapping[Agent, tuple[str, ...]]) -> dict[Agent, tuple[str, ...]]:
+        """The iterative dominating profile on base, memoized on the (edge,
+        queue length) shape and, for a non-empty base, its paths by queue
+        position. Contents of one key get the same paths by position: the
+        solver reads agents only through queue positions and `a in assigned`,
+        its tables count time from `config.time`, and `fixed_counters`
+        simulates a base, where commit order only orders the entries within
+        an `entered` cell, which the DP counts without regard to order."""
+        key = tuple((e, len(q)) for e, q in config.queues)
+        if base:
+            key = key, tuple(map(base.get, config.agents()))
+        if (paths := self._solves.get(key)) is None:
+            paths = self._solves[key] = tuple(iterative_dominating_profile(
+                self.graph, config, base=base, base_check_samples=0).paths.values())
+        return dict(zip(config.agents(), paths))
 
     def _at(self, node: HistoryNode) -> tuple:
         if (entry := self._memo.get(key := self._key(node))) is not None:
@@ -165,14 +181,7 @@ class _ProfileOracle(StrategyOracle):
 class SigmaStar(_ProfileOracle):
     """Markovian oracle replaying the iterative dominating profile of the
     current configuration; memoized on queue contents, its state. A content no
-    conforming step reached takes its (edge, queue length) shape's paths by
-    queue position, from one solve per shape: the base-free solve's scan order,
-    lanes, `spot`, `insort` and first-least-key tie are all positional, and its
-    tables count time from `config.time`."""
-
-    def __init__(self, graph: Graph):
-        super().__init__(graph)
-        self._shapes: dict[tuple, dict] = {}  # shape -> its first solve's paths, in queue order
+    conforming step reached takes its queue shape's base-free `_solved` paths."""
 
     def _key(self, history: HistoryNode) -> Hashable:
         return history.config.content_key()
@@ -183,10 +192,7 @@ class SigmaStar(_ProfileOracle):
     def prescription(self, config: Configuration) -> dict[Agent, Action]:
         hit = self._memo.get(key := config.content_key())
         if hit is None:
-            shape = tuple((e, len(q)) for e, q in config.queues)
-            if (paths := self._shapes.get(shape)) is None:
-                paths = self._shapes[shape] = iterative_dominating_profile(self.graph, config).paths
-            hit = self._store(key, config, dict(zip(config.agents(), paths.values())))
+            hit = self._store(key, config, self._solved(config, {}))
         return profile_of(config, hit[1])
 
     state = _key
@@ -217,7 +223,6 @@ class NEBasedOracle(_ProfileOracle):
         root = self._store((), root_config, {a: tuple(p) for a, p in pi.items()})
         # state -> batches of its NE's simulation
         self._batches: dict[Hashable, BatchDecomposition] = {root[2]: batch_decompose(report.trace)}
-        self._solves: dict[tuple, dict[Agent, tuple[str, ...]]] = {}
 
     def _solve(self, history: HistoryNode, up: Optional[tuple]) -> None:
         self.profile_at(history, up)
@@ -247,17 +252,11 @@ class NEBasedOracle(_ProfileOracle):
             return self._memo[node.key][0]
         rho, _, state = up = up or self._at(node.parent)
         matched = self.matched_prefix_size(node, up)
-        base = _cut(rho, node.config, self._batches[state].prefix(matched))
+        base = _cut(rho, node.config, set(self._batches[state].prefix(matched)))
         if len(base) < sum(len(q) for _, q in node.config.queues):
-            # the rebuild depends only on the queue content and the base, and
-            # is skipped when every path is kept: 1,098 solves, not 1,388, for
-            # the 1,298 (time, state) groups of the fanout (3, 2) full-tree audit
-            solved = (node.config.content_key(), tuple(base.items()))
-            if solved not in self._solves:
-                self._solves[solved] = iterative_dominating_profile(
-                    self.graph, node.config, base=base, base_check_samples=0
-                ).paths
-            base = self._solves[solved]
+            # skipped when every path is kept: the fanout (3, 2) full-tree
+            # audit rebuilds 2,068 times and solves 184 positional keys
+            base = self._solved(node.config, base)
         return self._store(node.key, node.config, base)[0]
 
 

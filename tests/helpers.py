@@ -424,7 +424,7 @@ class ReferenceNEBasedOracle(StrategyOracle):
             moved = {q[0] for (_, q), act in zip(config.queues, node.key[-1]) if act != prescribed[q[0]]}
             matched = next((k for k, b in enumerate(batches) if moved.intersection(b)), len(batches))
             edge = {a: e for e, q in node.config.queues for a in q}
-            kept = sorted(edge.keys() & {a for b in batches[:matched] for a in b}, key=lambda a: a.name)
+            kept = [a for a in edge if any(a in b for b in batches[:matched])]
             base = {a: rho[a] if rho[a][0] == edge[a] else rho[a][1:] for a in kept}
             if len(base) < len(edge):
                 base = iterative_dominating_profile(self.graph, node.config, base=base,

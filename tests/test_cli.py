@@ -265,6 +265,10 @@ class TestCommands:
             ("fig3_depth_2", ["fig3", "--depth", "2"]),
             # past the guard: sampled play, its histories told apart by key
             ("fanout_sampled", ["fanout", "--guard", "60", "--samples", "8", "--seed", "5"]),
+            # a non-dominating NE of waves of 3 and 2: later solves hit the
+            # memo with a base kept from the NE
+            ("fanout_ne_based", [str(GOLDEN / "spe-audit" / "fanout_ne_based" / "fanout_ne.scn"),
+                                 "--oracle", "ne-based"]),
         ],
     )
     def test_spe_audit_matches_golden_reports(self, capsys, tmp_path, case, argv):

@@ -16,7 +16,7 @@ from dqroute.equilibrium import (
 )
 from dqroute.errors import HorizonExceeded, InvalidAction, NotAnNE, TooManyProfiles
 from dqroute.fixtures import FIG2_EXPECTED, FIXTURES, ViciousOracle, load_fixture
-from dqroute.netcore import Agent, Network, build_extended, normalize_to_unit
+from dqroute.netcore import Agent, Edge, Graph, Network, build_extended, normalize_to_unit
 from dqroute.scenario import load_scenario, parse_scenario
 from dqroute.spe import (
     HistoryNode,
@@ -401,10 +401,22 @@ class TestSeededSigmaStar:
         queues = tuple((e, tuple(new[a] for a in q)) for e, q in config.queues)
         return Configuration(config.time + rng.randint(1, 9), queues), new
 
+    @staticmethod
+    def _reversed_edge_names(graph):
+        """The graph with its edges declared in the same order and priorities
+        but renamed so that their sorted order is reversed, and the map old
+        -> new edge name."""
+        ordered = sorted(graph.edges)
+        new = {e: f"x{len(ordered) - i:03d}" for i, e in enumerate(ordered)}
+        edges = [Edge(new[e.name], e.tail, e.head, e.capacity, e.transit) for e in graph.edges.values()]
+        priorities = {v: [new[e] for e in order] for v, order in graph.priorities.items()}
+        return Graph(edges, graph.origin, graph.destination, priorities, graph.vertices), new
+
     def test_relabelled_contents_share_positional_paths(self, monkeypatch):
         # the base-free solve reads agents only by queue position and time
         # from the configuration's, so a sigma-star oracle solves one of two
-        # contents of one shape and serves the other the same paths by position
+        # contents of one shape and serves the other the same paths by
+        # position; renaming the edges reorders the queues but not the solve
         rng = random.Random(26)
         corpus = []
         while len(corpus) < 40:
@@ -414,13 +426,22 @@ class TestSeededSigmaStar:
         for widths in ((3, 1), (2, 2, 1)):
             graph, config = fanout_config(widths)
             corpus += [(graph, c) for c in exhaustive_histories(graph, config).multiplicity if not c.is_empty()]
+        renamings = {}
         calls = count_solves(monkeypatch)
-        moved = 0
+        moved = reordered = 0
         for graph, config in corpus:
             relabelled, new = self._relabelled(config, rng)
             one, two = (iterative_dominating_profile(graph, c) for c in (config, relabelled))
             assert [new[a] for a in one.order] == list(two.order)
             assert [one.paths[a] for a in config.agents()] == [two.paths[new[a]] for a in config.agents()]
+            if graph not in renamings:
+                renamings[graph] = self._reversed_edge_names(graph)
+            renamed, edge = renamings[graph]
+            moved_edges = Configuration.from_mapping(config.time, {edge[e]: q for e, q in config.queues})
+            three = iterative_dominating_profile(renamed, moved_edges)
+            assert three.order == one.order
+            assert three.paths == {a: tuple(map(edge.__getitem__, p)) for a, p in one.paths.items()}
+            reordered += [edge[e] for e, _ in config.queues] != [e for e, _ in moved_edges.queues]
             oracle, reference = sigma_star(graph), ReferenceSigmaStar(graph)
             del calls[:]
             for c in (config, relabelled):
@@ -428,7 +449,7 @@ class TestSeededSigmaStar:
                 assert oracle.heads(root_history(c)) == reference.heads(root_history(c))
             assert len(calls) == 1
             moved += any(new[a].name != a.name for a in config.agents())
-        assert (len(corpus), moved) == (1082, 912)
+        assert (len(corpus), moved, reordered) == (1082, 912, 974)
 
     def test_full_tree_audit_of_fanout_with_waves_3_and_2(self):
         graph, config = fanout_config((3, 2))
@@ -508,7 +529,7 @@ class TestNEBasedOracle:
         rho2 = oracle.profile_at(child)
         assert not calls
         assert rho2 == {a: p[1:] for a, p in oracle.profile_at(parent).items()}
-        assert list(rho2) == sorted(rho2, key=lambda a: a.name)
+        assert list(rho2) == list(child.config.agents())
 
     def test_root_batches_come_from_the_ne_check(self, monkeypatch):
         # the constructor's `verify_ne` trace is the root NE's simulation
@@ -634,7 +655,32 @@ class TestNEBasedOracle:
         simulations = self._count_simulations(monkeypatch)
         report = one_deviation_audit(graph, oracle, tree)
         assert report.passed, report.to_text()
-        assert (len(solves), len(simulations)) == (1_098, 895)
+        assert (len(solves), len(simulations)) == (184, 895)
+
+    def test_solves_shared_by_position_match_fresh_solves_on_every_batch_prefix(self):
+        # one oracle per network serves every batch prefix of every NE as a
+        # base, and twice more with the agents relabelled: a key that keeps
+        # only the shape, or only which positions the base holds, hands a
+        # base the paths solved on another
+        rng = random.Random(27)
+        counts = {}
+        for widths in ((3, 2), (2, 3)):
+            graph, config = fanout_config(widths)
+            nes = enumerate_all_ne(graph, config)
+            oracle = ne_based_spe(graph, config, nes[0])
+            cases = 0
+            for pi in nes:
+                batches = batch_decompose(run_paths(graph, config, pi))
+                for k in range(len(batches.batches) + 1):
+                    base = {a: tuple(pi[a]) for a in batches.prefix(k)}
+                    relabelled = [TestSeededSigmaStar._relabelled(config, rng) for _ in range(2)]
+                    for c, b in [(config, base), *((c, {new[a]: p for a, p in base.items()})
+                                                   for c, new in relabelled)]:
+                        fresh = iterative_dominating_profile(graph, c, base=b, base_check_samples=0).paths
+                        assert list(oracle._solved(c, b).items()) == list(fresh.items())
+                        cases += 1
+            counts[widths] = cases, len(oracle._solves)
+        assert counts == {(3, 2): (1_296, 157), (2, 3): (1_296, 157)}
 
 
 class TestAudits:
