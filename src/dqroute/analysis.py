@@ -131,7 +131,7 @@ def _column_sums(series: list[list[int]], horizon: int) -> list[int]:
     return total
 
 
-def occupancy_trace(net: UnitNetwork, result: RouterResult) -> OccupancyTrace:
+def occupancy_trace(result: RouterResult) -> OccupancyTrace:
     horizon = max(result.exit_times.values(), default=0)
     timelines = result.timelines
     timelines.pad(horizon + 1)
@@ -255,7 +255,7 @@ def _experiment_report(net: UnitNetwork, schedule: InflowSchedule
             raise InflowExceedsCut(f"wave at t={r} has {len(wave)} agents > min cut {len(cut)}")
     stats = validate_and_stats(net)
     result = route_entry_order(net, schedule)
-    trace = occupancy_trace(net, result)
+    trace = occupancy_trace(result)
     inflow_end = schedule.last_time
     required = max(inflow_end // 2, 200)
     occ_stab, max_occ = _stabilization(trace.total)
@@ -293,7 +293,7 @@ def _experiment_report(net: UnitNetwork, schedule: InflowSchedule
 
 
 def _check_full_cut_drain(
-    net: UnitNetwork, trace: OccupancyTrace, cut: frozenset[str], left_edges: frozenset[str]
+    trace: OccupancyTrace, cut: frozenset[str], left_edges: frozenset[str]
 ) -> tuple[str, bool, str]:
     """Whenever the cut is full, exactly its size crosses next step, so the left
     side changes by the inflow minus the cut size. The times t < horizon where
@@ -329,7 +329,7 @@ def queue_bound_experiment(
     report.checks.append(("parallel_ratio_bound", ratio_ok, "" if ratio_ok else "see verdicts"))
     # queues live on tail parts, so an edge counts into the side of its tail
     left_edges = frozenset(e for e, edge in net.edges.items() if edge.tail in left)
-    report.checks.append(_check_full_cut_drain(net, trace, cut, left_edges))
+    report.checks.append(_check_full_cut_drain(trace, cut, left_edges))
     return report, trace, verdicts
 
 

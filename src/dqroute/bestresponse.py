@@ -361,15 +361,9 @@ def earliest_arrival_table(
 
 
 def best_response_path(
-    graph: Graph,
-    config: Configuration,
-    fixed: Mapping[Agent, Sequence[str]],
-    zeta: Agent,
-    table: Optional[EarliestArrivalTable] = None,
+    graph: Graph, config: Configuration, zeta: Agent, table: EarliestArrivalTable
 ) -> tuple[str, ...]:
     """The unique earliest-arrival best response: trace e*(v) back from the destination."""
-    if table is None:
-        table = earliest_arrival_table(graph, config, fixed, zeta)
     d = graph.destination
     if math.isinf(table.arrival(d)):
         raise Unreachable(f"{zeta} cannot reach {d!r}")

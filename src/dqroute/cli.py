@@ -164,7 +164,7 @@ def cmd_best_response(args, rep: Reporter, loaded: LoadedScenario) -> int:
         raise DQRouteError(f"unknown agent {args.agent!r}")
     fixed = {a: p for a, p in loaded.paths.items() if a != target}
     table = earliest_arrival_table(loaded.graph, loaded.config, fixed, target)
-    path = best_response_path(loaded.graph, loaded.config, fixed, target, table=table)
+    path = best_response_path(loaded.graph, loaded.config, target, table)
     rep.line(f"agent {target.name} earliest arrival {table.arrival(loaded.graph.destination)}")
     rep.line(f"best response: {_render(loaded, path)}")
     rep.tsv(

@@ -212,7 +212,7 @@ def verify_ne(graph: Graph, config: Configuration, profile: PathProfile) -> NERe
         best = table.arrival(graph.destination)
         current = trace.exit_times[agent]
         if best < current:
-            path = best_response_path(graph, config, fixed, agent, table=table)
+            path = best_response_path(graph, config, agent, table)
             witnesses.append(NEWitness(agent, current, int(best), path))
     return NEReport(passed=not witnesses, witnesses=tuple(witnesses), trace=trace)
 

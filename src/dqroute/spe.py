@@ -234,10 +234,12 @@ class NEBasedOracle(_ProfileOracle):
         """Batches of the parent NE whose realized actions matched it (the
         maximal k; the whole population when nothing deviated), from one
         simulation of the parent NE, shared by the children of every parent in
-        its state (its queue content and the profile in force); `up`: the parent's entry."""
+        its state (its queue content and the profile in force); `up`: the
+        parent's entry. A memoized profile holds exactly its configuration's
+        agents, so the parent's configuration is simulated as it is."""
         rho, prescribed, state = up or self._at(node.parent)
         if state not in self._batches:
-            trace = run_paths(self.graph, node.parent.config.restrict(rho), rho)
+            trace = run_paths(self.graph, node.parent.config, rho)
             self._batches[state] = batch_decompose(trace)
         batches = self._batches[state]
         moved = {q[0] for (_, q), a, b in zip(node.parent.config.queues, node.key[-1], prescribed) if a != b}

@@ -132,7 +132,7 @@ def test_criterion_05_oracle_equivalence(instance_corpus):
         table = earliest_arrival_table(net, config, fixed, zeta)
         best, witnesses = brute_force_best_response(net, config, fixed, zeta)
         assert table.arrival(net.destination) == best
-        assert best_response_path(net, config, fixed, zeta, table=table) in witnesses
+        assert best_response_path(net, config, zeta, table) in witnesses
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report(5, f"DP arrival == brute-force minimum on {len(instance_corpus)} instances "

@@ -113,7 +113,7 @@ class TestRouterEquivalence:
             u = unit(net)
             schedule = random_schedule(rng, waves=3, width=2)
             fast = route_entry_order(u, schedule)
-            occ = occupancy_trace(u, fast)
+            occ = occupancy_trace(fast)
             ext, c0 = build_extended(u, schedule)
             solve = iterative_dominating_profile(ext.graph, c0)
             lengths = replay_queue_lengths(step_replay(ext.graph, c0, solve.paths))
@@ -133,14 +133,14 @@ def assert_route_matches_reference(u, schedule):
     assert result.exit_times == expected.exit_times
     assert result.timelines.sizes == expected.timelines.sizes
     assert entrant_ranks(result.timelines) == expected.timelines.entrant_ranks
-    assert occupancy_trace(u, result) == reference_occupancy_trace(u, expected)
+    assert occupancy_trace(result) == reference_occupancy_trace(u, expected)
     assert_arrival_check_matches_the_counter(u, result, expected)
 
 
 def arrival_check(net, result, bound):
     """`_check_simultaneous_arrivals` as `_experiment_report` calls it, on the
     exit ledger of the run's occupancy trace."""
-    exiters = occupancy_trace(net, result).exiters
+    exiters = occupancy_trace(result).exiters
     return _check_simultaneous_arrivals(net, result.timelines, exiters, bound)
 
 
@@ -308,7 +308,7 @@ class TestQueueBound:
         stats = validate_and_stats(u)
         # one-sided inflow within cut capacity: single agent per step
         result = route_entry_order(u, constant_schedule(1, 300))
-        occ = occupancy_trace(u, result)
+        occ = occupancy_trace(result)
         verdicts = degree_ratio_monitor(occ, decomp, stats)
         assert all(v.ok for v in verdicts)
         # substitution check: when one side is empty the other obeys n <= 4m^3
@@ -402,7 +402,7 @@ class TestBoundMonitors:
             stats = validate_and_stats(u)
             cut, left, _ = leftmost_min_cut(u)
             schedule = constant_schedule(rng.randint(1, len(cut)), rng.randint(5, 40))
-            occ = occupancy_trace(u, route_entry_order(u, schedule))
+            occ = occupancy_trace(route_entry_order(u, schedule))
             # a jolted copy and a tight bound make the monitors fail too
             jolted = OccupancyTrace(
                 occ.horizon, {e: list(s) for e, s in occ.per_edge.items()}, occ.total,
@@ -419,7 +419,7 @@ class TestBoundMonitors:
                     verdicts_seen.update(v.ok for v in got)
                     decided.update((within_extrema(trace, node, st), v.ok)
                                    for node, v in zip(decomp.parallel_nodes(), got))
-                drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
+                drain = _check_full_cut_drain(trace, cut, left_side_edges(u, left))
                 assert drain == reference_check_full_cut_drain(
                     u, trace, cut, left_side_edges(u, left)
                 )
@@ -460,7 +460,7 @@ class TestBoundMonitors:
         # e0 is full at 0 and nobody enters, yet the left side keeps its agent
         trace = OccupancyTrace(2, {"e0": [1, 1, 0], "e1": [0, 0, 1]}, [1, 1, 1],
                                [0, 0, 0], [0, 0, 0])
-        drain = _check_full_cut_drain(u, trace, cut, left_side_edges(u, left))
+        drain = _check_full_cut_drain(trace, cut, left_side_edges(u, left))
         assert drain == ("full_cut_drain", False,
                          "t=0: left occupancy 1->1 with inflow 0, cut 1")
         assert drain == reference_check_full_cut_drain(u, trace, cut, left_side_edges(u, left))

@@ -82,7 +82,7 @@ class TestEarliestArrivalTable:
         fixed = {p1: ext.entry_prefix(p1) + ("ov", "vw1", "w1d")}
         table = earliest_arrival_table(loaded.graph, loaded.config, fixed, p2)
         assert table.arrival("d") == 4  # cost 3 after reaching o at time 1
-        path = best_response_path(loaded.graph, loaded.config, fixed, p2, table=table)
+        path = best_response_path(loaded.graph, loaded.config, p2, table)
         g_part = tuple(e for e in path if e not in ext.chain_edges)
         assert g_part == ("ou2", "u2w2", "w2d")
         # the best response realizes the table on every vertex of the path
@@ -542,7 +542,7 @@ class TestOracleEquivalence:
             table = earliest_arrival_table(net, config, fixed, zeta)
             best, witnesses = brute_force_best_response(net, config, fixed, zeta)
             assert table.arrival(net.destination) == best
-            assert best_response_path(net, config, fixed, zeta, table=table) in witnesses
+            assert best_response_path(net, config, zeta, table) in witnesses
             done += 1
 
     def test_per_vertex_recursion_against_enumeration(self):

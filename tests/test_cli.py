@@ -21,6 +21,18 @@ def error_cases():
             yield pytest.param([command, scenario, *extra.split()], message, id=case)
 
 
+def report_cases():
+    """The golden reports of `golden/reports.txt`, one parameter set a line; a
+    scenario with a `/` is a path under `golden/`."""
+    for line in (GOLDEN / "reports.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            command, case, scenario, extra, code, files = line.split("|")
+            if "/" in scenario:
+                scenario = str(GOLDEN / scenario)
+            yield pytest.param(command, case, [scenario, *extra.split()], int(code), files.split(),
+                               id=f"{command}/{case}")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -200,99 +212,8 @@ class TestCommands:
         assert trace[0] == "agent\tvertex\ttime"
         assert (tmp_path / "queues.tsv").exists()
 
-    @pytest.mark.parametrize(
-        "case, argv",
-        [
-            ("fig3", ["fig3"]),
-            ("fig3_without_k", ["fig3", "--without-agent", "k"]),
-            ("fig1_vicious", ["fig1_vicious"]),
-        ],
-    )
-    def test_simulate_matches_golden_reports(self, capsys, tmp_path, case, argv):
-        golden = GOLDEN / "simulate" / case
-        code, out = run(capsys, "simulate", *argv, "--out", str(tmp_path))
-        assert code == 0
-        assert out == (golden / "stdout.txt").read_text()
-        for name in ("trace.tsv", "queues.tsv"):
-            assert (tmp_path / name).read_text() == (golden / name).read_text()
-
-    # the last two are perfbench-sized: a 48-agent schedule on a net with
-    # transit-2 edges and a 50-agent interim configuration, each in its .scn
-    @pytest.mark.parametrize("case", ["fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond",
-                                      "schedule48", "interim50"])
-    def test_solve_matches_golden_reports(self, capsys, tmp_path, case):
-        golden = GOLDEN / "solve" / case
-        scenario = golden / f"{case}.scn"
-        code, out = run(capsys, "solve", str(scenario) if scenario.exists() else case,
-                        "--out", str(tmp_path))
-        assert code == 0
-        assert out == (golden / "stdout.txt").read_text()
-        for name in ("report.txt", "profile.json"):
-            assert (tmp_path / name).read_text() == (golden / name).read_text()
-
-    @pytest.mark.parametrize(
-        "case, argv",
-        [
-            ("sp_diamond", ["sp_diamond"]),
-            # a width-2 cut with queues of up to 3, at a short horizon
-            ("sp_queueing", [str(GOLDEN / "queue-bound" / "sp_queueing" / "sp_queueing.scn"),
-                             "--horizon", "250"]),
-        ],
-    )
-    def test_queue_bound_matches_golden_reports(self, capsys, tmp_path, case, argv):
-        golden = GOLDEN / "queue-bound" / case
-        code, out = run(capsys, "queue-bound", *argv, "--out", str(tmp_path))
-        assert code == 0
-        assert out == (golden / "stdout.txt").read_text()
-        for name in ("occupancy.tsv", "queues.tsv"):
-            assert (tmp_path / name).read_text() == (golden / name).read_text()
-
-    @pytest.mark.parametrize("case", ["sp_diamond", "fanout"])
-    def test_spe_bound_matches_golden_reports(self, capsys, tmp_path, case):
-        golden = GOLDEN / "spe-bound" / case
-        code, out = run(capsys, "spe-bound", case, "--out", str(tmp_path))
-        assert code == 0
-        assert out == (golden / "stdout.txt").read_text()
-        assert (tmp_path / "report.txt").read_text() == out
-        assert (tmp_path / "occupancy.tsv").read_text() == (golden / "occupancy.tsv").read_text()
-
-    @pytest.mark.parametrize(
-        "case, argv",
-        [
-            *((name, [name]) for name in ("fig1", "fig1_vicious", "fig2", "fig3", "fanout", "sp_diamond")),
-            ("fig1_oracle_vicious", ["fig1", "--oracle", "vicious"]),
-            ("fig3_oracle_ne_based", ["fig3", "--oracle", "ne-based"]),
-            ("fig3_depth_2", ["fig3", "--depth", "2"]),
-            # past the guard: sampled play, its histories told apart by key
-            ("fanout_sampled", ["fanout", "--guard", "60", "--samples", "8", "--seed", "5"]),
-            # a non-dominating NE of waves of 3 and 2: later solves hit the
-            # memo with a base kept from the NE
-            ("fanout_ne_based", [str(GOLDEN / "spe-audit" / "fanout_ne_based" / "fanout_ne.scn"),
-                                 "--oracle", "ne-based"]),
-        ],
-    )
-    def test_spe_audit_matches_golden_reports(self, capsys, tmp_path, case, argv):
-        golden = (GOLDEN / "spe-audit" / case / "stdout.txt").read_text()
-        code, out = run(capsys, "spe-audit", *argv, "--out", str(tmp_path))
-        assert code == 0
-        assert out == golden
-        assert (tmp_path / "report.txt").read_text() == golden
-
-    @pytest.mark.parametrize(
-        "command, case, argv, expected, files",
-        [
-            ("verify-ne", "fig3", ["fig3"], 0, ()),
-            # no NE: the improving path traced back along e*
-            ("verify-ne", "fig1_vicious", ["fig1_vicious"], 1, ()),
-            ("enumerate-ne", "fig1", ["fig1"], 0, ()),
-            ("properties", "fig3", ["fig3"], 0, ()),
-            ("properties", "fig3_samples_0", ["fig3", "--samples", "0"], 0, ()),
-            ("best-response", "fig3_agent_i", ["fig3", "--agent", "i", "--brute"], 0, ("arrivals.tsv",)),
-            # two seeded draws, fewer than a batch prefix's completions
-            ("properties", "fig3_samples_2", ["fig3", "--samples", "2"], 0, ()),
-        ],
-    )
-    def test_reports_match_golden(self, capsys, tmp_path, command, case, argv, expected, files):
+    @pytest.mark.parametrize("command, case, argv, expected, files", list(report_cases()))
+    def test_report_matches_golden(self, capsys, tmp_path, command, case, argv, expected, files):
         golden = GOLDEN / command / case
         code, out = run(capsys, command, *argv, "--out", str(tmp_path))
         assert code == expected
@@ -300,6 +221,15 @@ class TestCommands:
         assert (tmp_path / "report.txt").read_text() == out
         for name in files:
             assert (tmp_path / name).read_text() == (golden / name).read_text()
+
+    def test_every_golden_report_is_a_row(self):
+        # a golden that no row names is diffed by neither reader
+        rows = [param.values for param in report_cases()]
+        cases = {(command, case) for command, case, *_ in rows}
+        assert cases == {path.parent.parts[-2:] for path in GOLDEN.glob("*/*/stdout.txt")}
+        for command, case, _, _, files in rows:
+            for name in files:
+                assert (GOLDEN / command / case / name).is_file()
 
     def test_properties_decides_fig3_from_its_exit_table(self, capsys, monkeypatch):
         # the table built first gives the NE verdict and trace, and the batch
